@@ -421,11 +421,12 @@ _FAMILY_PARAMS = {
 def _parse_number(text: str) -> float:
     text = text.strip()
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
+        value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise BadParams(f"number {text!r} is not finite")
+    return value
 
 
 def parse_descriptor(text: str) -> SpaceDescriptor:

@@ -17,7 +17,8 @@ from scipy.optimize import brentq
 
 from .algebra import bracket
 from .homogeneous import ReductiveSpace, project
-from .jacobi import ConjugateEvent, build_system, classify_isotropy, scan_conjugate_times
+from .jacobi import ConjugateEvent, conjugate_events
+from .jacobi import scan_conjugate_times  # noqa: F401  (re-exported for existing callers)
 
 HYPOTHESIS_TOL = 1e-9
 MATCH_TOL = 1e-7
@@ -252,21 +253,18 @@ def cross_validate(
     """Check every closed-form time against the ODE scan (hard Mismatch on absence)."""
     data = extract_cp_data(space, u, v)
     predicted = closed_form_times(data, t_max)
-    system = build_system(space, u)
-    events = [classify_isotropy(system, e) for e in scan_conjugate_times(system, t_max, step)]
+    events = conjugate_events(space, u, t_max, step)
 
     matched = []
     used = set()
     for pred in predicted:
-        hits = [
-            (idx, ev) for idx, ev in enumerate(events) if abs(ev.t - pred.t) < MATCH_TOL
-        ]
-        if not hits:
+        idx = next((i for i, ev in enumerate(events) if abs(ev.t - pred.t) < MATCH_TOL), None)
+        if idx is None:
             raise Mismatch(
                 f"{space.name}: closed-form time {pred.t:.12g} ({pred.family}) "
                 f"not found by the scan"
             )
-        idx, ev = hits[0]
+        ev = events[idx]
         if not _class_compatible(pred.isotropy_class, ev):
             raise Mismatch(
                 f"{space.name}: event at t = {ev.t:.12g} has flags "

@@ -1,10 +1,11 @@
 """The canonical Jacobi equation as a constant-coefficient linear system.
 
 Along gamma_u the Jacobi fields vanishing at the origin are encoded by the
-n x n block J(t) mapping X'(0) to X(t); J(t) is read off the matrix
-exponential of the 2n x 2n companion matrix of X'' - T X' + R X = 0.
-Conjugate times are the zeros of det J(t), located by scanning the smallest
-singular value on a grid and refining each dip by golden-section search.
+n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
+exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
+Conjugate times are the zeros of det J(t): a certified hunt bounds
+|sigma_min'| through J' = E_11 + J T to discard zero-free intervals, and each
+remaining dip is refined once by Newton's method on sigma_min.
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -13,18 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .homogeneous import ReductiveSpace, jacobi_op, torsion_op
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-T_TOL = 1e-10
-DEDUP_TOL = 1e-8
+T_TOL = 1e-10  # promised accuracy of event times; Newton lands far inside it
 MULTIPLICITY_RTOL = 1e-7
 RANK_TOL = 1e-8
+MAX_GRID_POINTS = 10**7
+_LEAF = 1e-5  # width below which a suspicious interval stops being bisected
+_NEWTON_RTOL = 1e-14
+_MAX_NEWTON = 100
 
 
 class JacobiError(RuntimeError):
@@ -37,6 +39,10 @@ class ZeroVector(JacobiError):
 
 class StepTooCoarse(JacobiError):
     """The scan step risks hopping over a zero of det J(t)."""
+
+
+class GridTooLarge(ValueError):
+    """The scan grid would exceed MAX_GRID_POINTS points (or never reach t_max)."""
 
 
 class BadAngle(JacobiError):
@@ -61,15 +67,11 @@ class JacobiSystem:
     def n(self) -> int:
         return self.T.shape[0]
 
-    @cached_property
-    def _chol_m(self) -> np.ndarray:
-        return self.space.chol_m
-
     def to_on_frame(self, coeffs_m: np.ndarray) -> np.ndarray:
-        return self._chol_m.T @ coeffs_m
+        return self.space.chol_m.T @ coeffs_m
 
     def from_on_frame(self, xi: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self._chol_m.T, xi, lower=False)
+        return scipy.linalg.solve_triangular(self.space.chol_m.T, xi, lower=False)
 
     def embed_m(self, coeffs_m: np.ndarray) -> np.ndarray:
         out = np.zeros(self.space.algebra.dim)
@@ -151,66 +153,69 @@ def default_scan_step(sys: JacobiSystem) -> float:
     return 0.25 / math.sqrt(norm_r + norm_t**2 + 1.0)
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-_WINDOW = 1e-5  # interval width below which a dip is handed to golden-section
-
-
-def _event_at(sys: JacobiSystem, t_star: float) -> ConjugateEvent | None:
+def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip):
+    """Newton on sigma_min from t, bisecting [lo, hi] on the sign of sigma_min'
+    when a step leaves the bracket or fails to halve the step before last.
+    J and J' = E_11 + J T come from one E = exp(tA); sigma_i' = u_i^T J' v_i.
+    Returns the last probe (t, sv, vt, slopes) and whether it landed on a zero,
+    giving up once the bracket collapses or lip keeps sigma_min above the
+    multiplicity cutoff on it."""
     n = sys.n
-    _, sv, vt = np.linalg.svd(fundamental_block(sys, t_star))
-    cutoff = MULTIPLICITY_RTOL * max(sv[0], 1e-300)
-    mult = int(np.sum(sv < cutoff))
-    if mult == 0:
-        return None
-    kernel_on = vt[n - mult :]
-    kernel = np.array([sys.embed_m(sys.from_on_frame(xi)) for xi in kernel_on])
-    return ConjugateEvent(t=float(t_star), multiplicity=mult, kernel=kernel)
+    dx = dx_old = hi - lo
+    for _ in range(_MAX_NEWTON):
+        e = scipy.linalg.expm(t * sys.companion)
+        u, sv, vt = np.linalg.svd(e[:n, n:])
+        slopes = np.einsum("ij,ji->i", u.T @ (e[:n, :n] + e[:n, n:] @ sys.T), vt.T)
+        probe = (t, sv, vt, slopes)
+        if slopes[-1] < 0:
+            lo, f_lo = t, sv[-1]
+        else:
+            hi, f_hi = t, sv[-1]
+        step = sv[-1] / slopes[-1] if slopes[-1] else math.inf
+        if abs(step) <= _NEWTON_RTOL * t:
+            return probe, True
+        cutoff = MULTIPLICITY_RTOL * sv[0]
+        if hi - lo <= _NEWTON_RTOL * t or f_lo + f_hi - lip * (hi - lo) > 2.0 * cutoff:
+            break
+        if lo < t - step < hi and 2.0 * abs(step) <= abs(dx_old):
+            dx_old, dx = dx, step
+            t -= step
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            t = lo + dx
+    return probe, False
 
 
-def _hunt_zeros(sys, smin_f, a, b, fa, fb, lip, found, depth=0):
-    """Certified zero hunt: sigma_min is lip-Lipschitz, so an interval whose
-    endpoint values both exceed lip*(b-a)/2 contains no zero.  Suspicious
-    intervals are bisected down to a small window and refined by golden
-    section; nearby zeros from different Jacobi blocks end up in disjoint
-    windows instead of being swallowed by one refinement."""
-    width = b - a
-    if min(fa, fb) > lip * width / 2.0:
-        return
-    if width < _WINDOW or depth >= 60:
-        lo, hi = a - width, b + width
-        for _ in range(8):
-            t_star = _golden_min(smin_f, lo, hi, T_TOL)
-            # a minimizer pinned to a window edge means the true zero sits
-            # just outside; slide the window rather than accept a biased time
-            if t_star - lo < 4 * T_TOL:
-                lo, hi = max(lo - (hi - lo), T_TOL), t_star + 4 * T_TOL
-            elif hi - t_star < 4 * T_TOL:
-                lo, hi = t_star - 4 * T_TOL, hi + (hi - lo)
-            else:
-                break
-        event = _event_at(sys, t_star)
-        if event is not None:
-            found.append(event)
-        return
-    mid = 0.5 * (a + b)
-    fm = smin_f(mid)
-    _hunt_zeros(sys, smin_f, a, mid, fa, fm, lip, found, depth + 1)
-    _hunt_zeros(sys, smin_f, mid, b, fm, fb, lip, found, depth + 1)
+def _refine(sys: JacobiSystem, ts, fs, lip: float) -> list[ConjugateEvent]:
+    """The zeros in one dip sampled at ts, fs; Newton starts at the lowest sample.
+
+    At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
+    far end of the dip) might vanish in the dip too: one Newton step along
+    sigma_i' predicts where, and Newton on sigma_min refines the prediction.
+    """
+    k = int(np.argmin(fs))
+    lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
+    found = [_newton(sys, ts[lo], fs[lo], ts[hi], fs[hi], ts[k], lip)[0]]
+    events: list[ConjugateEvent] = []
+    while found and len(events) < sys.n:
+        t, sv, vt, slopes = found.pop()
+        mult = int(np.sum(sv < MULTIPLICITY_RTOL * sv[0]))
+        if mult == 0:
+            continue
+        kernel = [sys.embed_m(sys.from_on_frame(xi)) for xi in vt[sys.n - mult :]]
+        events.append(ConjugateEvent(t=float(t), multiplicity=mult, kernel=np.array(kernel)))
+        reach = lip * max(t - ts[0], ts[-1] - t)
+        for value, slope in zip(sv[: sys.n - mult], slopes):
+            if value >= reach or not slope:
+                continue
+            guess = t - value / slope
+            radius = 0.25 * abs(guess - t)
+            known = [ev.t for ev in events] + [other[0] for other in found]
+            if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
+                probe, landed = _newton(sys, guess - radius, 0.0, guess + radius, 0.0, guess, lip)
+                if landed:
+                    found.append(probe)
+    return sorted(events, key=lambda ev: ev.t)
 
 
 def scan_conjugate_times(
@@ -220,51 +225,62 @@ def scan_conjugate_times(
 ) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Scans sigma_min(J) on a grid starting at step/2, brackets every possible
-    dip with a Lipschitz certificate, refines each by golden-section search to
-    |t| tolerance 1e-10, and reads multiplicity and kernel from the singular
-    values below 1e-7 * sigma_max.
+    Samples sigma_min(J) on a grid from step/2.  A sub-interval [a, b] of grid
+    cell [t_i, t_i + h] holds no zero if sigma(a) + sigma(b) > L (b - a), where
+    L bounds |sigma_min'| on the cell: E' = E A has upper-right block
+    J' = E_11 + J T = [E_11, J] [I; T], so ||J'|| <= ||E|| sqrt(1 + ||T||^2);
+    E(t) = E(t_i) exp((t - t_i) A) gives ||E(t)|| <= ||E(t_i)|| e^{||A|| h};
+    singular values are 1-Lipschitz in the matrix (Weyl).  Hence
+        L = e^{||A|| h} max(||E(t_i)||, ||E(t_i + h)||) sqrt(1 + ||T||^2).
+    Failing intervals are bisected below 1e-5; their runs split at sampled
+    local maxima of sigma_min into dips, each refined once by safeguarded
+    Newton to a relative step of 1e-14 (see _refine).  Multiplicity and kernel
+    come from the singular values below 1e-7 * sigma_max at the refined time.
     """
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError("t_max must be positive")
-    norm_r = np.linalg.norm(sys.R, 2)
     norm_t = np.linalg.norm(sys.T, 2)
-    lipschitz = math.sqrt(norm_r + norm_t**2)
+    lipschitz = math.sqrt(np.linalg.norm(sys.R, 2) + norm_t**2)
     if step is None:
         step = default_scan_step(sys)
     elif lipschitz * step > 0.5:
         raise StepTooCoarse(
             f"step {step:g} with frequency bound {lipschitz:g} risks missed zeros"
         )
+    if not (step > 0 and t_max / step <= MAX_GRID_POINTS):
+        raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
     n = sys.n
-    grid = np.arange(step / 2.0, t_max + 1.5 * step, step)
+    ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
     stepper = scipy.linalg.expm(step * sys.companion)
-    prop = scipy.linalg.expm(grid[0] * sys.companion)
-    smin = np.empty(len(grid))
-    exp_norm = np.empty(len(grid))
-    for i in range(len(grid)):
-        smin[i] = np.linalg.svd(prop[:n, n:], compute_uv=False)[-1]
+    prop = scipy.linalg.expm(ts[0] * sys.companion)
+    fs, exp_norm = np.empty((2, len(ts)))
+    for i in range(len(ts)):
+        fs[i] = np.linalg.svd(prop[:n, n:], compute_uv=False)[-1]
         exp_norm[i] = np.linalg.norm(prop, 2)
         prop = stepper @ prop
+    growth = math.exp(np.linalg.norm(sys.companion, 2) * step) * math.sqrt(1.0 + norm_t**2)
+    lips = growth * np.maximum(exp_norm[:-1], exp_norm[1:])
 
-    def smin_f(t):
-        return np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
+    while True:
+        width = np.diff(ts)
+        suspicious = fs[:-1] + fs[1:] <= lips * width
+        split = suspicious & (width >= _LEAF)
+        if not split.any():
+            break
+        mids = 0.5 * (ts[:-1] + ts[1:])[split]
+        at = np.flatnonzero(split) + 1
+        smins = [np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1] for t in mids]
+        ts, fs = np.insert(ts, at, mids), np.insert(fs, at, smins)
+        lips = np.repeat(lips, 1 + split)
 
-    comp_norm = np.linalg.norm(sys.companion, 2)
-    raw: list[ConjugateEvent] = []
-    for i in range(len(grid) - 1):
-        lip = 1.2 * comp_norm * max(exp_norm[i], exp_norm[i + 1])
-        _hunt_zeros(sys, smin_f, grid[i], grid[i + 1], smin[i], smin[i + 1], lip, raw)
-
-    raw.sort(key=lambda ev: ev.t)
     events: list[ConjugateEvent] = []
-    for ev in raw:
-        if ev.t < step / 4.0 or ev.t > t_max + 1e-12:
-            continue
-        if events and abs(events[-1].t - ev.t) < DEDUP_TOL:
-            continue
-        events.append(ev)
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
+    for first, last in zip(runs[::2], runs[1::2]):
+        peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
+        for lo, hi in zip([first] + peaks, peaks + [last]):
+            dip = _refine(sys, ts[lo : hi + 1], fs[lo : hi + 1], lips[lo:hi].max())
+            events += [ev for ev in dip if ev.t <= t_max + 1e-12]
     return events
 
 
@@ -344,14 +360,22 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
         raise BadAux(f"unknown aux parameters {sorted(extra)} for {family}")
 
     bv = space.basis_vector
+    m = int(space.params.get("m", 0))
+    # family -> largest and default alpha, label prefix of the horizontal u1
+    top, default, prefix = {
+        "berger": (m, m, "e_"),
+        "spsphere": (m, 1, "Y_"),
+        "cpodd": (m, 1, "Y_"),
+        "b13": (4, 1, "e_"),
+        "w7": (2, 1, "e_"),
+    }[family]
+    alpha = int(aux.get("alpha", default))
+    if not 1 <= alpha <= top:
+        raise BadAux(f"alpha must be in 1..{top}")
+    u1 = bv(f"{prefix}{alpha}")
     if family == "berger":
-        m = int(space.params["m"])
-        alpha = int(aux.get("alpha", m))
-        if not 1 <= alpha <= m:
-            raise BadAux(f"alpha must be in 1..{m}")
-        return bv("d_s"), bv(f"e_{alpha}")
+        return bv("d_s"), u1
     if family == "spsphere":
-        m = int(space.params["m"])
         phi1 = float(aux.get("phi1", math.pi / 2))
         phi2 = float(aux.get("phi2", 0.0))
         u0 = (
@@ -359,40 +383,25 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
             + math.sin(phi1) * math.sin(phi2) * bv("d_2s")
             + math.cos(phi1) * bv("d_3s")
         )
-        alpha = int(aux.get("alpha", 1))
-        if not 1 <= alpha <= m:
-            raise BadAux(f"alpha must be in 1..{m}")
-        return u0, bv(f"Y_{alpha}")
+        return u0, u1
     if family == "cpodd":
-        m = int(space.params["m"])
         phi = float(aux.get("phi", 0.0))
-        u0 = math.cos(phi) * bv("X_2") + math.sin(phi) * bv("X_3")
-        alpha = int(aux.get("alpha", 1))
-        if not 1 <= alpha <= m:
-            raise BadAux(f"alpha must be in 1..{m}")
-        return space.unit(u0), bv(f"Y_{alpha}")
+        return space.unit(math.cos(phi) * bv("X_2") + math.sin(phi) * bv("X_3")), u1
+    x0 = float(aux.get("x0", 0.0))
     if family == "b13":
         phi1 = float(aux.get("phi1", 0.0))
         phi2 = float(aux.get("phi2", 0.0))
-        x0 = float(aux.get("x0", 0.0))
         x = (
             x0 * bv("u_0")
             + math.cos(phi1) * bv("u_1")
             + math.sin(phi1) * math.cos(phi2) * bv("u_2")
             + math.sin(phi1) * math.sin(phi2) * bv("v_1")
         )
-        alpha = int(aux.get("alpha", 1))
-        if not 1 <= alpha <= 4:
-            raise BadAux("alpha must be in 1..4")
-        return space.unit(x), bv(f"e_{alpha}")
+        return space.unit(x), u1
     # w7
     phi = float(aux.get("phi", 0.0))
-    x0 = float(aux.get("x0", 0.0))
     x = x0 * bv("u_0s") + math.cos(phi) * bv("u_1s") + math.sin(phi) * bv("v_1s")
-    alpha = int(aux.get("alpha", 1))
-    if not 1 <= alpha <= 2:
-        raise BadAux("alpha must be in 1..2")
-    return space.unit(x), bv(f"e_{alpha}")
+    return space.unit(x), u1
 
 
 def geodesic_pair(

@@ -15,7 +15,9 @@ from .catalog import build_space, symmetric_conjugate_times
 from .closed_form import (
     FAMILY_TAN,
     CrossValidation,
+    HypothesisViolated,
     Mismatch,
+    closed_form_times,
     cross_validate,
     extract_cp_data,
 )
@@ -26,8 +28,9 @@ from .homogeneous import (
     isotropy_transitivity_check,
     lts_check,
     rank_one_check,
+    sectional_curvature,
 )
-from .jacobi import geodesic_pair
+from .jacobi import conjugate_events, geodesic_pair
 from .pinching import estimate_pinching, expected_delta
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
@@ -347,8 +350,6 @@ def _reproduce_pinching_table(seed: int = 0, multistarts: int | None = None) -> 
     rows = _map_ordered(run, jobs)
 
     b13 = build_space("b13")
-    from .homogeneous import sectional_curvature
-
     k_erfr = sectional_curvature(
         b13, b13.basis_vector("e_1"), b13.basis_vector("f_1"), mode="normal"
     )
@@ -383,28 +384,18 @@ def conjugate_table(
     aux: dict | None = None,
 ) -> dict:
     """Scan one geodesic and annotate events with closed-form matches."""
-    from .closed_form import HypothesisViolated, closed_form_times
-    from .jacobi import build_system, classify_isotropy, scan_conjugate_times
-
     u, v = geodesic_pair(space, theta, aux)
-    system = build_system(space, u)
-    events = [classify_isotropy(system, e) for e in scan_conjugate_times(system, t_max, step)]
+    events = conjugate_events(space, u, t_max, step)
     predictions = []
     try:
         data = extract_cp_data(space, u, v)
         predictions = closed_form_times(data, t_max)
     except HypothesisViolated:
         data = None
-    params_text = ";".join(
-        f"{k}={v}" for k, v in space.params.items() if k != "family"
-    )
+    params_text = ";".join(f"{k}={v}" for k, v in space.params.items() if k != "family")
     rows = []
     for ev in events:
-        family = ""
-        for pred in predictions:
-            if abs(pred.t - ev.t) < FIBRATION_TOL:
-                family = pred.family
-                break
+        family = next((p.family for p in predictions if abs(p.t - ev.t) < FIBRATION_TOL), "")
         rows.append(
             {
                 "space": space.name,

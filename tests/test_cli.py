@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import math
-
+import warnings
 
 from homogeodesy.cli import main
 
@@ -103,7 +103,16 @@ def test_brackets_export(capsys):
 
 
 def test_bad_descriptor_exit_code(capsys):
-    code, _ = run_cli(capsys, "verify", "flag:m=1")
+    # non-finite values are rejected while parsing, before any builder runs
+    for desc in ("flag:m=1", "cpodd:m=1,kappa=inf", "w7:s=inf", "berger:m=1,s=nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(capsys, "verify", desc)
+        assert code == 3, desc
+
+
+def test_oversized_scan_grid_exit_code(capsys):
+    code, _ = run_cli(capsys, "conjugate", "b13", "--tmax", "1e12")
     assert code == 3
 
 

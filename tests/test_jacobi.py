@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from homogeodesy.catalog import build_space
+from homogeodesy.closed_form import cross_validate
 from homogeodesy.homogeneous import ad_orbit_direction
 from homogeodesy.jacobi import (
     BadAngle,
     BadAux,
+    GridTooLarge,
     StepTooCoarse,
     ZeroVector,
     build_system,
@@ -103,6 +106,72 @@ def test_step_too_coarse():
     sys = build_system(space, space.basis_vector("e_1"))
     with pytest.raises(StepTooCoarse):
         scan_conjugate_times(sys, 5.0, step=5.0)
+
+
+def test_grid_cap_raises_before_allocating():
+    space = build_space("b13")
+    sys = build_system(space, space.basis_vector("e_1"))
+    with pytest.raises(GridTooLarge) as info:
+        scan_conjugate_times(sys, 1e12)
+    assert isinstance(info.value, ValueError)
+    for step in (0.0, -0.01, math.nan):
+        with pytest.raises(GridTooLarge):
+            scan_conjugate_times(sys, 5.0, step=step)
+
+
+def test_close_zero_pairs_on_b13():
+    space = build_space("b13")
+    aux = {"phi1": 0.4701283207489579, "phi2": 4.732149539600932}
+    u = geodesic_direction(space, 0.22977933257562105, aux)
+    events = conjugate_events(space, u, 6.4)
+    for t, mult in ((1.5961271, 1), (1.5972701, 3), (6.2875103, 1), (6.2895198, 3)):
+        hits = [e for e in events if abs(e.t - t) < 1e-7 and e.multiplicity == mult]
+        assert len(hits) == 1, (t, [(e.t, e.multiplicity) for e in events])
+
+
+def test_close_zero_pair_inside_one_leaf():
+    # two simple zeros 5.3e-6 apart, closer than the bisection leaves
+    space = build_space("w7:s=0.959")
+    u = geodesic_direction(space, 0.057744733155488566, {"phi": 2.7042823728344505})
+    events = conjugate_events(space, u, 2.3)
+    assert [e.multiplicity for e in events] == [1, 1]
+    np.testing.assert_allclose([e.t for e in events], [2.20044907972, 2.20045439152], atol=1e-10)
+    assert events[0].isotropic_exists is False and events[1].strictly_isotropic
+
+
+def test_zero_next_to_bracket_end():
+    space = build_space("berger:m=1,s=0.7436260997901464,kappa=1.0127478004197072")
+    u = geodesic_direction(space, 0.5435299223114946, {"alpha": 1})
+    events = conjugate_events(space, u, 3.8591117298820334)
+    assert any(abs(e.t - 3.4639305885) < 1e-9 for e in events)
+
+
+@pytest.mark.parametrize(
+    "desc", ["berger:m=2,s=0.5", "spsphere:m=1,s=0.5", "cpodd:m=1,kappa=2", "b13", "w7:s=0.5"]
+)
+def test_scan_times_match_closed_forms_to_roundoff(desc):
+    space = build_space(desc)
+    u, v = geodesic_pair(space, 0.7)
+    report = cross_validate(space, u, v, 9.0)
+    assert report.all_matched and report.matched
+    for pred, event in report.matched:
+        assert abs(event.t - pred.t) <= 1e-12 * max(1.0, pred.t), (pred.t, event.t)
+
+
+def test_expm_budget_per_event(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(a):
+        calls.append(1)
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    space = build_space("b13")
+    u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
+    events = conjugate_events(space, u, 6.0)
+    assert len(events) >= 5
+    assert len(calls) <= 200 * len(events)
 
 
 def test_explicit_fine_step_matches_default(rng):
