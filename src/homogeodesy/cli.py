@@ -27,7 +27,7 @@ from .closed_form import (
 )
 from .homogeneous import GeometryError
 from .jacobi import BadAngle, BadAux, JacobiError, geodesic_pair
-from .pinching import estimate_pinching, pinching_curve
+from .pinching import DEFAULT_MULTISTARTS, estimate_pinching, pinching_curve
 from .report import (
     ALL_CHECKS,
     REPRODUCE_NAMES,
@@ -274,7 +274,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--grid", type=str, default=None, help="comma-separated s values")
     p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--multistarts", type=int, default=256)
+    p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
     p.add_argument("--seed", type=int, default=0)
     _output_args(p)
     p.set_defaults(func=cmd_pinching)
@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
     p.add_argument("name", choices=REPRODUCE_NAMES)
     p.add_argument("--tmax-factor", dest="tmax_factor", type=float, default=7.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--multistarts", type=int, default=None)
+    p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
     _output_args(p)
     p.set_defaults(func=cmd_reproduce)
     return parser

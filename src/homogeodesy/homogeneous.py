@@ -3,7 +3,9 @@
 Everything is computed at the origin in the m-basis: projections are index
 masks (the Gram is block-diagonal across k + m), the canonical-connection
 operators come straight from the structure tensor, and sectional curvature is
-evaluated from bracket norms.
+evaluated from bracket norms.  One bracket kernel with exact gradients and one
+projected-gradient optimizer serve both the rank-one check and the pinching
+estimate.
 """
 from __future__ import annotations
 
@@ -241,48 +243,156 @@ def jacobi_op(space: ReductiveSpace, u) -> np.ndarray:
     return -ad[np.ix_(m, k)] @ ad[np.ix_(k, m)]
 
 
-def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> float:
-    """Sectional curvature of span{x, y} from bracket norms.
+KERNEL_BLOCK = 512  # rows per evaluation block; bounds the (rows, n*p) products
 
+
+class BracketKernel:
+    """The weighted bracket form f(x, y) = N / area^2 on ON-frame pairs of m.
+
+    N = w_k |[x,y]_k|^2 + w_m |[x,y]_m|^2 and area^2 = |x|^2 |y|^2 - <x,y>^2.
+    Weights (1, 1/4) give the normal-mode sectional curvature; weights (1, 1)
+    give |[x,y]|^2, since the Gram is block-diagonal across k + m.
+
+    The bracket tensor B[a, b, :] = [e_a, e_b] of an orthonormal frame e of m,
+    written in orthonormal frames of k and m and scaled by sqrt(w_k), sqrt(w_m),
+    is stored as an (n, n*p) matrix: B(x, .) is one GEMM and, B being
+    antisymmetric, B(., y) = -B(y, .) is another.  The gradient is exact:
+    dN/dx = 2 B(., y)^T B(x, y) and df/dx = (dN/dx - f d(area^2)/dx) / area^2.
+    """
+
+    def __init__(self, space: ReductiveSpace, w_k: float, w_m: float):
+        alg = space.algebra
+        m = space.part_indices("M")
+        k = space.part_indices("K")
+        self.n = n = len(m)
+        self.space = space
+        # basis <- ON: x_basis = from_frame @ x_on, with x_on = chol_m^T x_basis
+        self._from_frame = scipy.linalg.solve_triangular(
+            space.chol_m.T, np.eye(n), lower=False
+        )
+        a = self._from_frame
+        b = np.einsum("ia,jb,ijc->abc", a, a, alg.structure[np.ix_(m, m, np.arange(alg.dim))])
+        parts = [np.sqrt(w_k) * (b[:, :, k] @ space.chol_k)] if len(k) else []
+        parts.append(np.sqrt(w_m) * (b[:, :, m] @ space.chol_m))
+        tensor = np.concatenate(parts, axis=2)
+        tensor = 0.5 * (tensor - tensor.transpose(1, 0, 2))
+        self._tensor = tensor.reshape(n, -1)
+
+    def to_frame(self, xs: np.ndarray) -> np.ndarray:
+        """ON-frame coordinates of m-vectors given as full coefficient vectors."""
+        m = self.space.part_indices("M")
+        return np.asarray(xs, dtype=float)[..., m] @ self.space.chol_m
+
+    def to_basis(self, xs_on: np.ndarray) -> np.ndarray:
+        """Full coefficient vectors of ON-frame m-vectors."""
+        xs_on = np.asarray(xs_on, dtype=float)
+        out = np.zeros(xs_on.shape[:-1] + (self.space.algebra.dim,))
+        out[..., self.space.part_indices("M")] = xs_on @ self._from_frame.T
+        return out
+
+    def random_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal pairs from two Gaussian draws (the stream of random_unit_m)."""
+        xs = rng.standard_normal((count, self.n))
+        ys = rng.standard_normal((count, self.n))
+        return _orthonormalize(xs, ys)
+
+    def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """f at each row pair."""
+        return self._evaluate(xs, ys, gradient=False)[0]
+
+    def value_and_gradient(self, xs: np.ndarray, ys: np.ndarray):
+        """f, df/dx and df/dy at each row pair."""
+        return self._evaluate(xs, ys, gradient=True)
+
+    def _evaluate(self, xs, ys, gradient):
+        count = len(xs)
+        f = np.empty(count)
+        gx = np.empty((count, self.n)) if gradient else None
+        gy = np.empty((count, self.n)) if gradient else None
+        for lo in range(0, count, KERNEL_BLOCK):
+            rows = slice(lo, lo + KERNEL_BLOCK)
+            x, y = xs[rows], ys[rows]
+            bx = (x @ self._tensor).reshape(len(x), self.n, -1)  # B(x, .)
+            bxy = np.einsum("nb,nbc->nc", y, bx)
+            xx = np.einsum("na,na->n", x, x)[:, None]
+            yy = np.einsum("na,na->n", y, y)[:, None]
+            xy = np.einsum("na,na->n", x, y)[:, None]
+            area2 = xx * yy - xy**2
+            fb = np.einsum("nc,nc->n", bxy, bxy)[:, None] / area2
+            f[rows] = fb[:, 0]
+            if gradient:
+                by = (y @ self._tensor).reshape(len(y), self.n, -1)  # B(y, .) = -B(., y)
+                dn_x = -2.0 * np.einsum("nac,nc->na", by, bxy)
+                dn_y = 2.0 * np.einsum("nbc,nc->nb", bx, bxy)
+                gx[rows] = (dn_x - 2.0 * fb * (yy * x - xy * y)) / area2
+                gy[rows] = (dn_y - 2.0 * fb * (xx * y - xy * x)) / area2
+        return f, gx, gy
+
+
+def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+    ys = ys - np.einsum("na,na->n", ys, xs)[:, None] * xs
+    ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
+    return xs, ys
+
+
+def optimize_pairs(
+    kernel: BracketKernel, sign: float, rng, multistarts: int, max_iter: int = 400
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multistart projected-gradient ascent (sign +1) or descent (sign -1) of f.
+
+    Each start steps along its normalized exact gradient and is projected back
+    onto orthonormal pairs by Gram-Schmidt, a retraction onto the Stiefel
+    manifold.  A step that improves f is kept and grows by 1.3 up to 0.5; one
+    that does not is halved; a start stops once its step is below 1e-10.
+    Returns f and the ON-frame pairs (x, y) of every start.
+    """
+    if multistarts < 1:
+        raise ValueError("multistarts must be >= 1")
+    xs, ys = kernel.random_pairs(rng, multistarts)
+    f = sign * kernel.value(xs, ys)
+    step = np.full(multistarts, 0.1)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(step > 1e-10)
+        if not len(idx):
+            break
+        _, gx, gy = kernel.value_and_gradient(xs[idx], ys[idx])
+        gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
+        scale = (sign * step[idx] / gnorm)[:, None]
+        nx, ny = _orthonormalize(xs[idx] + scale * gx, ys[idx] + scale * gy)
+        nf = sign * kernel.value(nx, ny)
+        better = nf > f[idx]
+        good = idx[better]
+        xs[good], ys[good], f[good] = nx[better], ny[better], nf[better]
+        step[good] = np.minimum(step[good] * 1.3, 0.5)
+        step[idx[~better]] *= 0.5
+    return sign * f, xs, ys
+
+
+def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> float:
+    """Sectional curvature of the tangent plane spanned by x, y.
+
+    A vector of g stands for the tangent vector of its m-part, so both modes
+    drop k-parts first.
     normal mode:              (|[x,y]_k|^2 + |[x,y]_m|^2 / 4) / area^2
     naturally_reductive mode: (<[[x,y]_k, x]_m, y> + |[x,y]_m|^2 / 4) / area^2
     """
-    xc, yc = _coeffs(x), _coeffs(y)
+    xc, yc = project(space, x, "M"), project(space, y, "M")
     alg = space.algebra
     area2 = alg.inner(xc, xc) * alg.inner(yc, yc) - alg.inner(xc, yc) ** 2
     if area2 < PLANE_TOL:
         raise DegeneratePlane(f"plane area^2 = {area2:.2e}")
+    if mode == "normal":
+        kernel = BracketKernel(space, 1.0, 0.25)
+        return float(kernel.value(kernel.to_frame(xc[None]), kernel.to_frame(yc[None]))[0])
+    if mode != "naturally_reductive":
+        raise ValueError(f"unknown mode {mode!r}")
     b = np.einsum("i,j,ijk->k", xc, yc, alg.structure)
     bk = project(space, b, "K")
     bm = project(space, b, "M")
-    quarter = 0.25 * alg.inner(bm, bm)
-    if mode == "normal":
-        num = alg.inner(bk, bk) + quarter
-    elif mode == "naturally_reductive":
-        adbk_x = np.einsum("i,j,ijk->k", bk, xc, alg.structure)
-        num = alg.inner(project(space, adbk_x, "M"), yc) + quarter
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    adbk_x = np.einsum("i,j,ijk->k", bk, xc, alg.structure)
+    num = alg.inner(project(space, adbk_x, "M"), yc) + 0.25 * alg.inner(bm, bm)
     return float(num / area2)
-
-
-def curvature_batch(space: ReductiveSpace, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Normal-mode curvature for batches of full coefficient vectors."""
-    alg = space.algebra
-    g = alg.gram
-    b = np.einsum("ni,nj,ijk->nk", xs, ys, alg.structure)
-    k = space.part_indices("K")
-    m = space.part_indices("M")
-    bk = b[:, k]
-    bm = b[:, m]
-    nk = np.einsum("na,ab,nb->n", bk, g[np.ix_(k, k)], bk) if len(k) else 0.0
-    nm = np.einsum("na,ab,nb->n", bm, g[np.ix_(m, m)], bm)
-    gx = xs @ g
-    area2 = (
-        np.einsum("ni,ni->n", gx, xs) * np.einsum("ni,ni->n", ys @ g, ys)
-        - np.einsum("ni,ni->n", gx, ys) ** 2
-    )
-    return (nk + 0.25 * nm) / area2
 
 
 @dataclass(frozen=True)
@@ -377,62 +487,21 @@ class RankOneReport:
         }
 
 
-def _orthonormalize_pairs(space: ReductiveSpace, xs: np.ndarray, ys: np.ndarray):
-    g = space.algebra.gram
-    xs = xs / np.sqrt(np.einsum("ni,ij,nj->n", xs, g, xs))[:, None]
-    ys = ys - np.einsum("ni,ij,nj->n", ys, g, xs)[:, None] * xs
-    ys = ys / np.sqrt(np.einsum("ni,ij,nj->n", ys, g, ys))[:, None]
-    return xs, ys
-
-
 def rank_one_check(
     space: ReductiveSpace,
     multistarts: int = 64,
     seed: int = 0,
-    iterations: int = 300,
     threshold: float = RANK_ONE_THRESHOLD,
 ) -> RankOneReport:
     """Minimize |[x,y]|^2 over g-orthonormal pairs in m by projected gradient."""
-    rng = np.random.default_rng(seed)
-    alg = space.algebra
-    g = alg.gram
-    c = alg.structure
-    m = space.part_indices("M")
-    c_mm = c[np.ix_(m, m, np.arange(alg.dim))]
-
-    xs = space.random_unit_m(rng, multistarts)
-    ys = space.random_unit_m(rng, multistarts)
-    xs, ys = _orthonormalize_pairs(space, xs, ys)
-
-    def value(xs, ys):
-        b = np.einsum("ni,nj,ijk->nk", xs[:, m], ys[:, m], c_mm)
-        return np.einsum("nk,kl,nl->n", b, g, b)
-
-    step = np.full(multistarts, 0.1)
-    f = value(xs, ys)
-    for _ in range(iterations):
-        b = np.einsum("ni,nj,ijk->nk", xs[:, m], ys[:, m], c_mm)
-        gb = b @ g
-        grad_x = 2.0 * np.einsum("ijk,nj,nk->ni", c_mm, ys[:, m], gb)
-        grad_y = 2.0 * np.einsum("ijk,ni,nk->nj", c_mm, xs[:, m], gb)
-        gnorm = np.sqrt(np.sum(grad_x**2, axis=1) + np.sum(grad_y**2, axis=1)) + 1e-30
-        nx, ny = np.zeros_like(xs), np.zeros_like(ys)
-        nx[:, m] = xs[:, m] - (step / gnorm)[:, None] * grad_x
-        ny[:, m] = ys[:, m] - (step / gnorm)[:, None] * grad_y
-        nx, ny = _orthonormalize_pairs(space, nx, ny)
-        nf = value(nx, ny)
-        better = nf < f
-        xs[better], ys[better], f[better] = nx[better], ny[better], nf[better]
-        step = np.where(better, np.minimum(step * 1.2, 0.5), step * 0.5)
-        if np.all(step < 1e-12):
-            break
-
-    best = int(np.argmin(f))
+    kernel = BracketKernel(space, 1.0, 1.0)
+    vals, xs, ys = optimize_pairs(kernel, -1.0, np.random.default_rng(seed), multistarts)
+    best = int(np.argmin(vals))
     return RankOneReport(
         space=space.name,
-        min_bracket_sq=float(f[best]),
-        passed=bool(f[best] > threshold),
-        argmin=PlaneSpec(xs[best].copy(), ys[best].copy()),
+        min_bracket_sq=float(vals[best]),
+        passed=bool(vals[best] > threshold),
+        argmin=PlaneSpec(kernel.to_basis(xs[best]), kernel.to_basis(ys[best])),
         multistarts=multistarts,
         seed=seed,
     )

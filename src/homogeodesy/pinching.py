@@ -1,20 +1,19 @@
 """Curvature extremes and the pinching constant delta = min K / max K.
 
-The extremes are located by multistart projected-gradient ascent/descent over
-orthonormal tangent pairs, with central finite-difference gradients and
-re-orthonormalization as the projection; a large random audit then guards the
-reported bracket [k_min, k_max].
+The extremes are located by the shared multistart projected-gradient optimizer
+over orthonormal tangent pairs (homogeneous.optimize_pairs), with the exact
+gradient of the normal-mode bracket kernel and re-orthonormalization as the
+projection; a large random audit then guards the reported bracket
+[k_min, k_max].
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .homogeneous import PlaneSpec, ReductiveSpace
+from .homogeneous import BracketKernel, PlaneSpec, ReductiveSpace, optimize_pairs
 
-FD_STEP = 1e-5
 DEFAULT_MULTISTARTS = 256
 CONVERGENCE_RTOL = 1e-6
 AUDIT_SAMPLES = 10_000
@@ -49,117 +48,31 @@ class PinchingReport:
         }
 
 
-class _CurvatureKernel:
-    """Normal-mode sectional curvature on ON-frame pairs, batch-evaluated."""
-
-    def __init__(self, space: ReductiveSpace):
-        alg = space.algebra
-        m = space.part_indices("M")
-        k = space.part_indices("K")
-        a = scipy.linalg.solve_triangular(
-            space.chol_m.T, np.eye(len(m)), lower=False
-        )  # basis <- ON
-        c_mm = alg.structure[np.ix_(m, m, np.arange(alg.dim))]
-        b_full = np.einsum("ia,jb,ijk->abk", a, a, c_mm)
-        self.bk = (
-            np.einsum("abk,kc->abc", b_full[:, :, k], space.chol_k)
-            if len(k)
-            else np.zeros((len(m), len(m), 0))
-        )
-        self.bm = np.einsum("abk,kc->abc", b_full[:, :, m], space.chol_m)
-        self.n = len(m)
-        self.space = space
-
-    def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        bk = np.einsum("na,nb,abc->nc", xs, ys, self.bk)
-        bm = np.einsum("na,nb,abc->nc", xs, ys, self.bm)
-        num = np.einsum("nc,nc->n", bk, bk) + 0.25 * np.einsum("nc,nc->n", bm, bm)
-        area2 = (
-            np.einsum("na,na->n", xs, xs) * np.einsum("na,na->n", ys, ys)
-            - np.einsum("na,na->n", xs, ys) ** 2
-        )
-        return num / area2
-
-    def random_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = rng.standard_normal((count, self.n))
-        ys = rng.standard_normal((count, self.n))
-        return _orthonormalize(xs, ys)
-
-    def to_basis_plane(self, x_on: np.ndarray, y_on: np.ndarray) -> PlaneSpec:
-        space = self.space
-        m = space.part_indices("M")
-
-        def back(xi):
-            full = np.zeros(space.algebra.dim)
-            full[m] = scipy.linalg.solve_triangular(space.chol_m.T, xi, lower=False)
-            return full
-
-        return PlaneSpec(back(x_on), back(y_on))
-
-
-def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-    ys = ys - np.einsum("na,na->n", ys, xs)[:, None] * xs
-    ys = ys / np.linalg.norm(ys, axis=1, keepdims=True)
-    return xs, ys
-
-
-def _fd_gradient(kernel, xs, ys, h):
-    count, n = xs.shape
-    eye = h * np.eye(n)
-    xp = (xs[:, None, :] + eye[None]).reshape(-1, n)
-    xm = (xs[:, None, :] - eye[None]).reshape(-1, n)
-    yrep = np.repeat(ys, n, axis=0)
-    gx = (kernel.value(xp, yrep) - kernel.value(xm, yrep)).reshape(count, n) / (2 * h)
-    yp = (ys[:, None, :] + eye[None]).reshape(-1, n)
-    ym = (ys[:, None, :] - eye[None]).reshape(-1, n)
-    xrep = np.repeat(xs, n, axis=0)
-    gy = (kernel.value(xrep, yp) - kernel.value(xrep, ym)).reshape(count, n) / (2 * h)
-    return gx, gy
-
-
-def _optimize(kernel, sign, rng, multistarts, fd_step, max_iter):
-    xs, ys = kernel.random_pairs(rng, multistarts)
-    f = sign * kernel.value(xs, ys)
-    step = np.full(multistarts, 0.1)
-    for _ in range(max_iter):
-        active = step > 1e-10
-        if not np.any(active):
-            break
-        gx, gy = _fd_gradient(kernel, xs[active], ys[active], fd_step)
-        gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
-        scale = (sign * step[active] / gnorm)[:, None]
-        nx, ny = _orthonormalize(xs[active] + scale * gx, ys[active] + scale * gy)
-        nf = sign * kernel.value(nx, ny)
-        better = nf > f[active]
-        idx = np.flatnonzero(active)
-        good = idx[better]
-        xs[good], ys[good], f[good] = nx[better], ny[better], nf[better]
-        step[good] = np.minimum(step[good] * 1.3, 0.5)
-        step[idx[~better]] *= 0.5
-    best = int(np.argmax(f))
-    near = np.sum(np.abs(f - f[best]) <= CONVERGENCE_RTOL * max(abs(f[best]), 1e-30))
-    return sign * f[best], (xs[best], ys[best]), int(near)
+def _extreme(kernel, sign, rng, multistarts, max_iter):
+    """The best optimizer value, its pair, and how many starts reached it."""
+    vals, xs, ys = optimize_pairs(kernel, sign, rng, multistarts, max_iter)
+    best = int(np.argmax(sign * vals))
+    near = np.sum(np.abs(vals - vals[best]) <= CONVERGENCE_RTOL * max(abs(vals[best]), 1e-30))
+    plane = PlaneSpec(kernel.to_basis(xs[best]), kernel.to_basis(ys[best]))
+    return vals[best], plane, int(near)
 
 
 def estimate_pinching(
     space: ReductiveSpace,
     multistarts: int = DEFAULT_MULTISTARTS,
     seed: int = 0,
-    fd_step: float = FD_STEP,
     max_iter: int = 400,
     audit_samples: int = AUDIT_SAMPLES,
 ) -> PinchingReport:
     """Locate k_min, k_max and delta = k_min/k_max over tangent 2-planes."""
-    kernel = _CurvatureKernel(space)
+    kernel = BracketKernel(space, 1.0, 0.25)
     rng = np.random.default_rng(seed)
-    k_max, argmax, near_max = _optimize(kernel, +1.0, rng, multistarts, fd_step, max_iter)
-    k_min, argmin, near_min = _optimize(kernel, -1.0, rng, multistarts, fd_step, max_iter)
+    k_max, argmax, near_max = _extreme(kernel, +1.0, rng, multistarts, max_iter)
+    k_min, argmin, near_min = _extreme(kernel, -1.0, rng, multistarts, max_iter)
     converged = near_max >= 3 and near_min >= 3
 
     audit_rng = np.random.default_rng(seed + 1)
-    xs, ys = kernel.random_pairs(audit_rng, audit_samples)
-    vals = kernel.value(xs, ys)
+    vals = kernel.value(*kernel.random_pairs(audit_rng, audit_samples))
     lo, hi = float(np.min(vals)), float(np.max(vals))
     tol = CONVERGENCE_RTOL * max(abs(k_max), abs(hi))
     if lo < k_min - tol or hi > k_max + tol:
@@ -171,8 +84,8 @@ def estimate_pinching(
         k_min=float(k_min),
         k_max=float(k_max),
         delta=float(k_min / k_max),
-        argmin_plane=kernel.to_basis_plane(*argmin),
-        argmax_plane=kernel.to_basis_plane(*argmax),
+        argmin_plane=argmin,
+        argmax_plane=argmax,
         samples=audit_samples,
         converged=bool(converged),
         multistarts=multistarts,

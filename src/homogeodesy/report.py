@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import (
     antisymmetry_residual,
@@ -31,7 +29,7 @@ from .homogeneous import (
     sectional_curvature,
 )
 from .jacobi import conjugate_events, geodesic_pair
-from .pinching import estimate_pinching, expected_delta
+from .pinching import DEFAULT_MULTISTARTS, estimate_pinching, expected_delta
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 S_GRID = (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0)
@@ -40,22 +38,6 @@ LAMBDA_RHO_RTOL = 1e-9
 FIBRATION_TOL = 1e-7
 DELTA_RTOL = 0.01
 REPRODUCE_NAMES = ("conj", "conjB13", "conjW7", "cimp1", "pinching-table")
-
-
-def max_workers() -> int:
-    env = os.environ.get("HOMOGEODESY_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    workers = max_workers()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- verification ------------------------------------------------------------
@@ -244,7 +226,7 @@ def _sphere_cells() -> list[tuple[str, float]]:
 
 
 def reproduce(name: str, t_max_factor: float = 7.0, seed: int = 0,
-              multistarts: int | None = None) -> dict:
+              multistarts: int = DEFAULT_MULTISTARTS) -> dict:
     """Run one of the theorem-reproduction suites and report a pass/fail matrix."""
     if name == "conj":
         cells = _sphere_cells()
@@ -261,11 +243,10 @@ def reproduce(name: str, t_max_factor: float = 7.0, seed: int = 0,
     else:
         raise ValueError(f"unknown theorem {name!r}; choose from {REPRODUCE_NAMES}")
 
-    def run(cell):
-        desc, theta = cell
-        return run_theorem_cell(build_space(desc), theta, t_max_factor=t_max_factor)
-
-    results = _map_ordered(run, cells)
+    results = [
+        run_theorem_cell(build_space(desc), theta, t_max_factor=t_max_factor)
+        for desc, theta in cells
+    ]
     return {
         "theorem": name,
         "cells": results,
@@ -322,9 +303,8 @@ def _reproduce_cimp1(t_max_factor: float) -> dict:
     return {"theorem": "cimp1", "cells": cells, "pass": all(c["pass"] for c in cells)}
 
 
-def _reproduce_pinching_table(seed: int = 0, multistarts: int | None = None) -> dict:
+def _reproduce_pinching_table(seed: int, multistarts: int) -> dict:
     """Pinching constants of the classification items (ii)-(iv), plus the B13 bounds."""
-    ms = multistarts or 256
     jobs = [("cpodd:m=1,kappa=1", "cpodd", 1, None)]
     for m in M_GRID:
         for s in S_GRID:
@@ -332,28 +312,27 @@ def _reproduce_pinching_table(seed: int = 0, multistarts: int | None = None) -> 
     for s in S_GRID:
         jobs.append((f"spsphere:m=1,s={s:.12g},kappa=1", "spsphere", 1, s))
 
-    def run(job):
-        desc, family, m, s = job
-        space = build_space(desc)
-        report = estimate_pinching(space, multistarts=ms, seed=seed)
+    rows = []
+    for desc, family, m, s in jobs:
+        report = estimate_pinching(build_space(desc), multistarts=multistarts, seed=seed)
         formula = expected_delta(family, m=m, s=s)
         rel = abs(report.delta - formula) / formula
-        return {
-            "space": desc,
-            "delta_measured": report.delta,
-            "delta_formula": formula,
-            "rel_error": rel,
-            "converged": report.converged,
-            "pass": rel <= DELTA_RTOL,
-        }
-
-    rows = _map_ordered(run, jobs)
+        rows.append(
+            {
+                "space": desc,
+                "delta_measured": report.delta,
+                "delta_formula": formula,
+                "rel_error": rel,
+                "converged": report.converged,
+                "pass": rel <= DELTA_RTOL,
+            }
+        )
 
     b13 = build_space("b13")
     k_erfr = sectional_curvature(
         b13, b13.basis_vector("e_1"), b13.basis_vector("f_1"), mode="normal"
     )
-    rep = estimate_pinching(b13, multistarts=ms, seed=seed)
+    rep = estimate_pinching(b13, multistarts=multistarts, seed=seed)
     b13_row = {
         "space": "b13",
         "K_er_fr": k_erfr,

@@ -11,7 +11,7 @@ from homogeodesy.catalog import (
     parse_descriptor,
     symmetric_conjugate_times,
 )
-from homogeodesy.homogeneous import curvature_batch, sectional_curvature
+from homogeodesy.homogeneous import BracketKernel, sectional_curvature
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,8 @@ def test_round_berger_s1_m1_is_constant_curvature(rng):
     space = build_space(f"berger:m=1,s=1,kappa={kappa:g}")
     xs = space.random_unit_m(rng, 1000)
     ys = space.random_unit_m(rng, 1000)
-    ks = curvature_batch(space, xs, ys)
+    kernel = BracketKernel(space, 1.0, 0.25)
+    ks = kernel.value(kernel.to_frame(xs), kernel.to_frame(ys))
     np.testing.assert_allclose(ks, kappa, atol=1e-10)
 
 
@@ -115,7 +116,9 @@ def test_round_sphere_family_is_constant_curvature(rng):
     space = build_space("round:n=4,kappa=0.5")
     xs = space.random_unit_m(rng, 500)
     ys = space.random_unit_m(rng, 500)
-    np.testing.assert_allclose(curvature_batch(space, xs, ys), 0.5, atol=1e-10)
+    kernel = BracketKernel(space, 1.0, 0.25)
+    ks = kernel.value(kernel.to_frame(xs), kernel.to_frame(ys))
+    np.testing.assert_allclose(ks, 0.5, atol=1e-10)
 
 
 def test_symmetric_conjugate_times_sphere():

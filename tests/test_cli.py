@@ -118,6 +118,8 @@ def test_oversized_scan_grid_exit_code(capsys):
 
 def test_bad_arguments_exit_code(capsys):
     assert main(["reproduce", "nonsense"]) == 3
+    assert main(["pinching", "cpodd:m=1", "--multistarts", "0"]) == 3
+    assert main(["reproduce", "pinching-table", "--multistarts", "0"]) == 3
 
 
 def test_deterministic_json_output(capsys, tmp_path):

@@ -6,12 +6,12 @@ import pytest
 from homogeodesy.algebra import bracket
 from homogeodesy.catalog import build_space
 from homogeodesy.homogeneous import (
+    BracketKernel,
     DegeneratePlane,
     MissingSplit,
     NoWitness,
     ReductiveSpace,
     ad_orbit_direction,
-    curvature_batch,
     isotropy_transitivity_check,
     jacobi_op,
     lts_check,
@@ -127,6 +127,16 @@ def test_sectional_curvature_modes_agree(rng):
             assert abs(kn - kr) < 1e-10 * max(1.0, abs(kn))
 
 
+def test_sectional_curvature_ignores_k_parts():
+    # a vector of g stands for the tangent vector of its m-part
+    space = build_space("berger:m=2,s=0.5")
+    x, y = space.basis_vector("e_1"), space.basis_vector("f_1")
+    z = space.basis_vector(space.algebra.labels[space.k_indices[0]])
+    for mode in ("normal", "naturally_reductive"):
+        k = sectional_curvature(space, x, y, mode=mode)
+        assert sectional_curvature(space, x + 0.3 * z, y - 0.7 * z, mode=mode) == k
+
+
 def test_commuting_plane_is_flat(abelian_space):
     x = abelian_space.basis_vector("t_1")
     y = abelian_space.basis_vector("t_2")
@@ -140,13 +150,56 @@ def test_degenerate_plane_raises():
         sectional_curvature(space, x, 2.0 * x)
 
 
-def test_curvature_batch_matches_scalar(rng):
-    space = build_space("w7:s=0.5")
-    xs = space.random_unit_m(rng, 16)
-    ys = space.random_unit_m(rng, 16)
-    batch = curvature_batch(space, xs, ys)
-    for i in range(16):
-        assert abs(batch[i] - sectional_curvature(space, xs[i], ys[i])) < 1e-10
+def test_bracket_kernel_matches_scalar(rng):
+    # the kernel against the independent naturally reductive formula
+    for desc in CATALOG:
+        space = build_space(desc)
+        kernel = BracketKernel(space, 1.0, 0.25)
+        xs = space.random_unit_m(rng, 16)
+        ys = space.random_unit_m(rng, 16)
+        batch = kernel.value(kernel.to_frame(xs), kernel.to_frame(ys))
+        for i in range(16):
+            ref = sectional_curvature(space, xs[i], ys[i], mode="naturally_reductive")
+            assert abs(batch[i] - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.25), (1.0, 1.0)])
+@pytest.mark.parametrize(
+    "desc",
+    ["round:n=4,kappa=0.5", "berger:m=2,s=0.5", "spsphere:m=1,s=0.5", "cpodd:m=1", "b13",
+     "w7:s=0.7"],
+)
+def test_bracket_kernel_gradient_matches_central_differences(desc, weights):
+    kernel = BracketKernel(build_space(desc), *weights)
+    gen = np.random.default_rng(5)
+    xs = gen.standard_normal((8, kernel.n))  # neither unit nor orthogonal
+    ys = gen.standard_normal((8, kernel.n))
+    f, gx, gy = kernel.value_and_gradient(xs, ys)
+    # f is homogeneous of degree 0 in x and in y, so f/|x| sets the gradient's scale
+    scale = np.hypot(np.linalg.norm(gx, axis=1), np.linalg.norm(gy, axis=1)) + np.abs(f) * (
+        1 / np.linalg.norm(xs, axis=1) + 1 / np.linalg.norm(ys, axis=1)
+    )
+    h = 1e-5
+    for i in range(kernel.n):
+        e = np.zeros(kernel.n)
+        e[i] = h
+        fd_x = (kernel.value(xs + e, ys) - kernel.value(xs - e, ys)) / (2 * h)
+        fd_y = (kernel.value(xs, ys + e) - kernel.value(xs, ys - e)) / (2 * h)
+        assert np.all(np.abs(fd_x - gx[:, i]) <= 1e-6 * scale)
+        assert np.all(np.abs(fd_y - gy[:, i]) <= 1e-6 * scale)
+
+
+def test_bracket_kernel_blocks_agree_with_rows(rng):
+    # more rows than one block: every row must match its own one-row evaluation
+    space = build_space("berger:m=1,s=0.5")
+    kernel = BracketKernel(space, 1.0, 0.25)
+    xs, ys = kernel.random_pairs(rng, 1100)
+    f, gx, gy = kernel.value_and_gradient(xs, ys)
+    for i in (0, 511, 512, 1099):
+        f1, gx1, gy1 = kernel.value_and_gradient(xs[i : i + 1], ys[i : i + 1])
+        np.testing.assert_allclose(f1[0], f[i], rtol=1e-12)
+        np.testing.assert_allclose(gx1[0], gx[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gy1[0], gy[i], rtol=1e-12, atol=1e-12)
 
 
 def test_lts_cp_fiber():
@@ -178,6 +231,10 @@ def test_rank_one_positive_on_catalog():
     for desc in ("berger:m=2,s=0.5,kappa=1", "b13", "w7:s=0.5"):
         rep = rank_one_check(build_space(desc))
         assert rep.passed and rep.min_bracket_sq > 1e-6
+    # the minimum 0.8 on CP^{2m+1} is reached, not stalled above it
+    for desc in ("cpodd:m=1", "cpodd:m=2"):
+        rep = rank_one_check(build_space(desc))
+        assert rep.passed and rep.min_bracket_sq <= 0.8 + 1e-9
 
 
 def test_rank_one_matches_sampling_oracle():
