@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation failure, 2 closed-form/scan mismatch,
-3 bad configuration.  All numbers are printed with 12 significant digits and
+Exit codes: 0 success, 1 validation failure (also a non-finite number in the
+output), 2 closed-form/scan mismatch, 3 bad configuration.  All numbers are printed with 12 significant digits and
 JSON output is byte-identical for a fixed seed and configuration, modulo the
 ``generated_at`` timestamp field.
 """
@@ -43,23 +43,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _fmt(value):
+class NonFiniteOutput(RuntimeError):
+    """A number bound for the output is NaN or infinite."""
+
+
+def _fmt(value, key="$"):
+    """Round floats to 12 digits for output; `key` locates value in the document."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise NonFiniteOutput(f"{key} is {float(value)}, not a finite number")
         return float(f"{float(value):.12g}")
     if isinstance(value, np.ndarray):
-        return [_fmt(v) for v in value.tolist()]
+        return _fmt(value.tolist(), key)
     if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
+        return {k: _fmt(v, f"{key}.{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
+        return [_fmt(v, f"{key}[{i}]") for i, v in enumerate(value)]
     return value
 
 
 def _emit(doc, args, rows_key=None, columns=None) -> None:
+    payload = dict(_fmt(doc))
     if getattr(args, "format", "json") == "csv" and rows_key is not None:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -73,9 +81,8 @@ def _emit(doc, args, rows_key=None, columns=None) -> None:
             )
         text = buf.getvalue()
     else:
-        payload = dict(_fmt(doc))
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -308,7 +315,7 @@ def main(argv=None) -> int:
     except Mismatch as exc:
         sys.stderr.write(f"mismatch: {exc}\n")
         return 2
-    except (AlgebraError, GeometryError, JacobiError, HypothesisViolated) as exc:
+    except (AlgebraError, GeometryError, JacobiError, HypothesisViolated, NonFiniteOutput) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
 

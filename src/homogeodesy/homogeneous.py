@@ -131,7 +131,7 @@ class ReductiveSpace:
         """Random g-unit vectors supported on m (ON-frame Gaussians)."""
         idx = self.part_indices("M")
         n = len(idx)
-        k = size or 1
+        k = 1 if size is None else size
         xi = rng.standard_normal((k, n))
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
         basis_coords = np.linalg.solve(self.chol_m.T, xi.T).T

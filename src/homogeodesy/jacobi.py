@@ -5,13 +5,16 @@ n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
 exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
 Conjugate times are the zeros of det J(t): a certified hunt bounds
 |sigma_min'| through J' = E_11 + J T to discard zero-free intervals, and each
-remaining dip is refined once by Newton's method on sigma_min.
+remaining dip is refined once by Newton's method on sigma_min.  The hunt
+samples by propagation, E(t + s) = E(t) exp(sA): one expm for the grid step
+and one per bisection level, then batched products and batched SVDs.
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -27,6 +30,7 @@ MAX_GRID_POINTS = 10**7
 _LEAF = 1e-5  # width below which a suspicious interval stops being bisected
 _NEWTON_RTOL = 1e-14
 _MAX_NEWTON = 100
+_BLOCK = 16  # grid cells per block of batched products and SVDs
 
 
 class JacobiError(RuntimeError):
@@ -218,6 +222,55 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float) -> list[ConjugateEvent]:
     return sorted(events, key=lambda ev: ev.t)
 
 
+def _samples(sys: JacobiSystem, t_max: float, step: float):
+    """sigma_min(J) on the grid of scan_conjugate_times and its bisection.
+
+    Returns the sample times and values, the bound L of each interval between
+    consecutive samples and whether sigma_min may vanish on it.  The grid is
+    walked in blocks of _BLOCK cells, each bisected before the next; only the
+    top rows [E_11 | J] of E at the left ends of live intervals are kept.
+    """
+    n, a = sys.n, sys.companion
+    ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
+    growth = math.exp(0.5 * step * np.linalg.norm(a, 2)) * math.sqrt(
+        1.0 + np.linalg.norm(sys.T, 2) ** 2
+    )
+    stepper = scipy.linalg.expm(step * a)
+    prop = scipy.linalg.expm(ts[0] * a)
+    shifts = []  # shifts[k] = exp(w A) with w = step / 2^(k+1), the level-k half width
+    parts = []
+    for start in range(0, len(ts) - 1, _BLOCK):
+        stack = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, 2 * n, 2 * n))
+        stack[0] = prop
+        for j in range(1, len(stack)):
+            np.matmul(stepper, stack[j - 1], out=stack[j])
+        prop = stack[-1]
+        t = ts[start : start + len(stack)]
+        f = np.linalg.svd(stack[:, :n, n:], compute_uv=False)[:, -1]
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        lip = growth * np.maximum(norms[:-1], norms[1:])
+        rows, heads = np.arange(len(lip)), stack[:-1, :n]
+        for level in itertools.count():
+            width = np.diff(t)
+            suspicious = f[:-1] + f[1:] <= lip * width
+            split = suspicious & (width >= _LEAF)
+            if not split.any():
+                break
+            at, heads = np.flatnonzero(split), heads[split[rows]]
+            half = step / 2.0 ** (level + 1)
+            if level == len(shifts):
+                shifts.append(scipy.linalg.expm(half * a))
+            mid_heads = (heads.reshape(-1, 2 * n) @ shifts[level]).reshape(heads.shape)
+            smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
+            t, f = np.insert(t, at + 1, t[at] + half), np.insert(f, at + 1, smin)
+            lip = np.repeat(lip, 1 + split)
+            rows = ((at + np.arange(len(at)))[:, None] + [0, 1]).ravel()
+            heads = np.stack((heads, mid_heads), axis=1).reshape(-1, n, 2 * n)
+        parts.append((t[:-1], f[:-1], lip, suspicious))
+    ts, fs, lips, suspicious = (np.concatenate(column) for column in zip(*parts))
+    return np.append(ts, t[-1]), np.append(fs, f[-1]), lips, suspicious
+
+
 def scan_conjugate_times(
     sys: JacobiSystem,
     t_max: float,
@@ -225,22 +278,26 @@ def scan_conjugate_times(
 ) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Samples sigma_min(J) on a grid from step/2.  A sub-interval [a, b] of grid
-    cell [t_i, t_i + h] holds no zero if sigma(a) + sigma(b) > L (b - a), where
-    L bounds |sigma_min'| on the cell: E' = E A has upper-right block
+    Samples sigma_min(J) on a grid of step h from h/2.  A sub-interval [a, b]
+    of grid cell [t_i, t_i + h] holds no zero if sigma(a) + sigma(b) > L (b - a),
+    where L bounds |sigma_min'| on the cell: E' = E A has upper-right block
     J' = E_11 + J T = [E_11, J] [I; T], so ||J'|| <= ||E|| sqrt(1 + ||T||^2);
-    E(t) = E(t_i) exp((t - t_i) A) gives ||E(t)|| <= ||E(t_i)|| e^{||A|| h};
-    singular values are 1-Lipschitz in the matrix (Weyl).  Hence
-        L = e^{||A|| h} max(||E(t_i)||, ||E(t_i + h)||) sqrt(1 + ||T||^2).
-    Failing intervals are bisected below 1e-5; their runs split at sampled
-    local maxima of sigma_min into dips, each refined once by safeguarded
-    Newton to a relative step of 1e-14 (see _refine).  Multiplicity and kernel
-    come from the singular values below 1e-7 * sigma_max at the refined time.
+    every t of the cell lies within h/2 of an end e, and E(t) = E(e) exp((t - e) A)
+    gives ||E(t)|| <= ||E(e)|| e^{||A|| h/2}; singular values are 1-Lipschitz in
+    the matrix (Weyl).  Hence
+        L = e^{||A|| h/2} max(||E(t_i)||, ||E(t_i + h)||) sqrt(1 + ||T||^2).
+    Grid samples come from repeated products with exp(hA).  Failing intervals
+    are bisected below 1e-5, all of one level at once: every one has the same
+    width w, so the top block row [E_11 | J] at a midpoint is the one at its
+    left end times exp(w A / 2), one expm per level.  Runs of failing intervals
+    split at sampled local maxima of sigma_min into dips, each refined once by
+    safeguarded Newton to a relative step of 1e-14 (see _refine).  Multiplicity
+    and kernel come from the singular values below 1e-7 * sigma_max at the
+    refined time.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    norm_t = np.linalg.norm(sys.T, 2)
-    lipschitz = math.sqrt(np.linalg.norm(sys.R, 2) + norm_t**2)
+    lipschitz = math.sqrt(np.linalg.norm(sys.R, 2) + np.linalg.norm(sys.T, 2) ** 2)
     if step is None:
         step = default_scan_step(sys)
     elif lipschitz * step > 0.5:
@@ -250,30 +307,7 @@ def scan_conjugate_times(
     if not (step > 0 and t_max / step <= MAX_GRID_POINTS):
         raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
-    n = sys.n
-    ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    stepper = scipy.linalg.expm(step * sys.companion)
-    prop = scipy.linalg.expm(ts[0] * sys.companion)
-    fs, exp_norm = np.empty((2, len(ts)))
-    for i in range(len(ts)):
-        fs[i] = np.linalg.svd(prop[:n, n:], compute_uv=False)[-1]
-        exp_norm[i] = np.linalg.norm(prop, 2)
-        prop = stepper @ prop
-    growth = math.exp(np.linalg.norm(sys.companion, 2) * step) * math.sqrt(1.0 + norm_t**2)
-    lips = growth * np.maximum(exp_norm[:-1], exp_norm[1:])
-
-    while True:
-        width = np.diff(ts)
-        suspicious = fs[:-1] + fs[1:] <= lips * width
-        split = suspicious & (width >= _LEAF)
-        if not split.any():
-            break
-        mids = 0.5 * (ts[:-1] + ts[1:])[split]
-        at = np.flatnonzero(split) + 1
-        smins = [np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1] for t in mids]
-        ts, fs = np.insert(ts, at, mids), np.insert(fs, at, smins)
-        lips = np.repeat(lips, 1 + split)
-
+    ts, fs, lips, suspicious = _samples(sys, t_max, step)
     events: list[ConjugateEvent] = []
     runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
     for first, last in zip(runs[::2], runs[1::2]):

@@ -65,6 +65,8 @@ def estimate_pinching(
     audit_samples: int = AUDIT_SAMPLES,
 ) -> PinchingReport:
     """Locate k_min, k_max and delta = k_min/k_max over tangent 2-planes."""
+    if audit_samples < 1:
+        raise ValueError("audit_samples must be >= 1")
     kernel = BracketKernel(space, 1.0, 0.25)
     rng = np.random.default_rng(seed)
     k_max, argmax, near_max = _extreme(kernel, +1.0, rng, multistarts, max_iter)

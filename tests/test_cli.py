@@ -3,8 +3,12 @@ import io
 import json
 import math
 import warnings
+from argparse import Namespace
 
-from homogeodesy.cli import main
+import pytest
+
+import homogeodesy.cli as cli
+from homogeodesy.cli import NonFiniteOutput, main
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +124,21 @@ def test_bad_arguments_exit_code(capsys):
     assert main(["reproduce", "nonsense"]) == 3
     assert main(["pinching", "cpodd:m=1", "--multistarts", "0"]) == 3
     assert main(["reproduce", "pinching-table", "--multistarts", "0"]) == 3
+
+
+def test_non_finite_output_is_refused(capsys, monkeypatch):
+    doc = {"space": "b13", "rows": [{"t": 1.5}, {"t": math.nan}]}
+    for fmt in ("json", "csv"):
+        with pytest.raises(NonFiniteOutput, match=r"rows\[1\]\.t"):
+            cli._emit(doc, Namespace(format=fmt, out=None), rows_key="rows", columns=["t"])
+    assert capsys.readouterr().out == ""
+
+    monkeypatch.setattr(cli, "conjugate_table", lambda *args: doc)
+    code = main(["conjugate", "b13"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "rows[1].t" in captured.err and "nan" in captured.err
 
 
 def test_deterministic_json_output(capsys, tmp_path):

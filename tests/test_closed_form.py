@@ -220,3 +220,40 @@ def test_cross_validate_cimp1_families():
         for c in cv2.closed_form
     )
     assert cv2.all_matched
+
+
+ANGLE = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@st.composite
+def slope_geodesics(draw):
+    """A space of one of the five families and a slope-angle direction on it."""
+    family = draw(st.sampled_from(["berger", "spsphere", "cpodd", "b13", "w7"]))
+    m = draw(st.integers(min_value=1, max_value=2))
+    s = draw(st.floats(min_value=0.25, max_value=1.0))
+    kappa = draw(st.floats(min_value=0.5, max_value=2.0))
+    theta = draw(st.floats(min_value=0.01, max_value=math.pi / 2))
+    alpha = draw(st.integers(min_value=1, max_value=m))
+    desc, aux = {
+        "berger": (f"berger:m={m},s={s!r},kappa={kappa!r}", {"alpha": alpha}),
+        "spsphere": (
+            f"spsphere:m={m},s={s!r},kappa={kappa!r}",
+            {"phi1": draw(ANGLE) / 2, "phi2": draw(ANGLE), "alpha": alpha},
+        ),
+        "cpodd": (f"cpodd:m={m},kappa={kappa!r}", {"phi": draw(ANGLE), "alpha": alpha}),
+        "b13": ("b13", {"phi1": draw(ANGLE) / 2, "phi2": draw(ANGLE)}),
+        "w7": (f"w7:s={s!r}", {"phi": draw(ANGLE), "alpha": min(alpha, 2)}),
+    }[family]
+    return desc, theta, aux
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(slope_geodesics())
+def test_scan_finds_every_closed_form_time(geodesic):
+    # cross_validate raises Mismatch on a missed time or an incompatible class
+    desc, theta, aux = geodesic
+    space = build_space(desc)
+    u, v = geodesic_pair(space, theta, aux)
+    data = extract_cp_data(space, u, v)
+    report = cross_validate(space, u, v, 7.0 / math.sqrt(data.lam + data.rho))
+    assert report.all_matched and len(report.matched) == len(report.closed_form)

@@ -36,6 +36,16 @@ CATALOG = (
 )
 
 
+def test_random_unit_m_shapes(rng):
+    space = build_space("b13")
+    dim = space.algebra.dim
+    assert space.random_unit_m(rng).shape == (dim,)
+    assert space.random_unit_m(rng, 0).shape == (0, dim)
+    batch = space.random_unit_m(rng, 3)
+    assert batch.shape == (3, dim)
+    np.testing.assert_allclose([space.algebra.norm(x) for x in batch], 1.0, atol=1e-12)
+
+
 def test_projection_direct_sum():
     space = build_space("b13")
     rng = np.random.default_rng(0)

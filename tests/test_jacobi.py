@@ -8,6 +8,7 @@ from homogeodesy.catalog import build_space
 from homogeodesy.closed_form import cross_validate
 from homogeodesy.homogeneous import ad_orbit_direction
 from homogeodesy.jacobi import (
+    _samples,
     BadAngle,
     BadAux,
     GridTooLarge,
@@ -172,6 +173,42 @@ def test_expm_budget_per_event(monkeypatch):
     events = conjugate_events(space, u, 6.0)
     assert len(events) >= 5
     assert len(calls) <= 200 * len(events)
+
+
+def test_bisection_costs_one_expm_per_level(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    space = build_space("b13")
+    u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
+    events = conjugate_events(space, u, 6.0)
+    assert len(events) >= 5
+    assert len(calls) <= 20 * len(events)
+
+
+@pytest.mark.parametrize(
+    "desc,theta,aux",
+    [
+        ("berger:m=2,s=0.5", 0.7, {}),
+        ("spsphere:m=1,s=0.5", 1.1, {"phi1": 0.8, "phi2": 2.0}),
+        ("cpodd:m=2,kappa=2", 0.3, {"phi": 0.5, "alpha": 2}),
+        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}),
+        ("w7:s=0.5", 0.2, {"phi": 2.7}),
+    ],
+)
+def test_propagated_samples_match_fresh_expm(desc, theta, aux):
+    # grid and midpoint samples come from products with one expm per level;
+    # each must agree with the matrix exponential taken at its own time
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    ts, fs, lips, suspicious = _samples(sys, 6.0, default_scan_step(sys))
+    assert len(ts) == len(fs) == len(lips) + 1 == len(suspicious) + 1
+    assert np.all(np.diff(ts) > 0) and suspicious.any()
+    assert len(ts) > 2 * len(np.arange(ts[0], 6.0, default_scan_step(sys)))
+    for t, f in zip(ts, fs):
+        e = scipy.linalg.expm(t * sys.companion)
+        want = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
+        assert abs(f - want) <= 1e-12 * max(1.0, np.linalg.norm(e, 2)), (t, f, want)
 
 
 def test_explicit_fine_step_matches_default(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import homogeodesy.pinching as pinching
 from homogeodesy.catalog import build_space
 from homogeodesy.homogeneous import sectional_curvature
 from homogeodesy.pinching import estimate_pinching, expected_delta, pinching_curve
@@ -70,3 +71,12 @@ def test_pinching_curve_rows():
 def test_pinching_curve_rejects_unknown_family():
     with pytest.raises(ValueError):
         pinching_curve("b13", 1, [0.5])
+
+
+def test_zero_audit_samples_rejected_before_optimizing(monkeypatch):
+    def optimizer_must_not_run(*args):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(pinching, "optimize_pairs", optimizer_must_not_run)
+    with pytest.raises(ValueError, match="audit_samples must be >= 1"):
+        estimate_pinching(build_space("round:n=3"), audit_samples=0)
