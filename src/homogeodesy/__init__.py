@@ -35,6 +35,7 @@ from .catalog import (
     symmetric_conjugate_times,
 )
 from .closed_form import (
+    ClosedFormError,
     CpData,
     HypothesisViolated,
     Mismatch,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation failure (also a non-finite number in the
-output), 2 closed-form/scan mismatch, 3 bad configuration.  All numbers are printed with 12 significant digits and
-JSON output is byte-identical for a fixed seed and configuration, modulo the
-``generated_at`` timestamp field.
+output or closed-form times that cannot be resolved), 2 closed-form/scan
+mismatch, 3 bad configuration.  All numbers are printed with 12 significant
+digits and JSON output is byte-identical for a fixed seed and configuration,
+modulo the ``generated_at`` timestamp field.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import numpy as np
 from .algebra import AlgebraError, algebra_to_json
 from .catalog import BadParams, build_space, known_families
 from .closed_form import (
+    ClosedFormError,
     HypothesisViolated,
     Mismatch,
     closed_form_times,
@@ -315,7 +317,14 @@ def main(argv=None) -> int:
     except Mismatch as exc:
         sys.stderr.write(f"mismatch: {exc}\n")
         return 2
-    except (AlgebraError, GeometryError, JacobiError, HypothesisViolated, NonFiniteOutput) as exc:
+    except (
+        AlgebraError,
+        ClosedFormError,
+        GeometryError,
+        JacobiError,
+        HypothesisViolated,
+        NonFiniteOutput,
+    ) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
 

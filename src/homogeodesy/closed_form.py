@@ -44,6 +44,10 @@ class Mismatch(RuntimeError):
     """A closed-form prediction is absent from (or misclassified by) the scan."""
 
 
+class ClosedFormError(RuntimeError):
+    """The closed-form times cannot be computed to their stated accuracy."""
+
+
 @dataclass(frozen=True)
 class CpData:
     space: ReductiveSpace
@@ -164,7 +168,7 @@ def solve_tan_family(mu: float, n_roots: int, pole_margin: float = 1e-6) -> list
             if a < root - step < b:
                 root -= step
         if abs(f(root)) > ROOT_RESIDUAL_TOL:
-            raise RuntimeError(f"tan-family root residual {f(root):.2e} too large")
+            raise ClosedFormError(f"tan-family root residual {f(root):.2e} too large")
         roots.append(root)
     return roots
 
@@ -205,7 +209,7 @@ def closed_form_times(data: CpData, t_max: float) -> list[ClosedFormTime]:
     out.sort(key=lambda item: item.t)
     for first, second in zip(out, out[1:]):
         if second.t - first.t < 1e-6:
-            raise RuntimeError("tan-family and 2p*pi-family times collide")
+            raise ClosedFormError("tan-family and 2p*pi-family times collide")
     return out
 
 

@@ -4,8 +4,8 @@ Along gamma_u the Jacobi fields vanishing at the origin are encoded by the
 n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
 exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
 Conjugate times are the zeros of det J(t): a certified hunt bounds
-|sigma_min'| through J' = E_11 + J T to discard zero-free intervals, and each
-remaining dip is refined once by Newton's method on sigma_min.  The hunt
+|sigma_min'| through J' = E_22 (as E' = A E) to discard zero-free intervals,
+and each remaining dip is refined once by Newton's method on sigma_min.  The hunt
 samples by propagation, E(t + s) = E(t) exp(sA): one expm for the grid step
 and one per bisection level, then batched products and batched SVDs.
 
@@ -226,15 +226,14 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     """sigma_min(J) on the grid of scan_conjugate_times and its bisection.
 
     Returns the sample times and values, the bound L of each interval between
-    consecutive samples and whether sigma_min may vanish on it.  The grid is
-    walked in blocks of _BLOCK cells, each bisected before the next; only the
-    top rows [E_11 | J] of E at the left ends of live intervals are kept.
+    consecutive samples and whether sigma_min may vanish on it (L from the
+    bottom rows [E_21 | E_22] at the grid points).  The grid is walked in blocks
+    of _BLOCK cells, each bisected before the next; only the top rows
+    [E_11 | J] of E at the left ends of live intervals are kept.
     """
     n, a = sys.n, sys.companion
     ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    growth = math.exp(0.5 * step * np.linalg.norm(a, 2)) * math.sqrt(
-        1.0 + np.linalg.norm(sys.T, 2) ** 2
-    )
+    growth = math.exp(0.5 * step * np.linalg.norm(0.5 * (a + a.T), 2))
     stepper = scipy.linalg.expm(step * a)
     prop = scipy.linalg.expm(ts[0] * a)
     shifts = []  # shifts[k] = exp(w A) with w = step / 2^(k+1), the level-k half width
@@ -247,7 +246,7 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
         prop = stack[-1]
         t = ts[start : start + len(stack)]
         f = np.linalg.svd(stack[:, :n, n:], compute_uv=False)[:, -1]
-        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        norms = np.linalg.norm(stack[:, n:], 2, axis=(1, 2))
         lip = growth * np.maximum(norms[:-1], norms[1:])
         rows, heads = np.arange(len(lip)), stack[:-1, :n]
         for level in itertools.count():
@@ -280,12 +279,13 @@ def scan_conjugate_times(
 
     Samples sigma_min(J) on a grid of step h from h/2.  A sub-interval [a, b]
     of grid cell [t_i, t_i + h] holds no zero if sigma(a) + sigma(b) > L (b - a),
-    where L bounds |sigma_min'| on the cell: E' = E A has upper-right block
-    J' = E_11 + J T = [E_11, J] [I; T], so ||J'|| <= ||E|| sqrt(1 + ||T||^2);
-    every t of the cell lies within h/2 of an end e, and E(t) = E(e) exp((t - e) A)
-    gives ||E(t)|| <= ||E(e)|| e^{||A|| h/2}; singular values are 1-Lipschitz in
-    the matrix (Weyl).  Hence
-        L = e^{||A|| h/2} max(||E(t_i)||, ||E(t_i + h)||) sqrt(1 + ||T||^2).
+    where L bounds |sigma_min'| on the cell.  The top block row of E' = A E is
+    the bottom row [E_21 | E_22] of E, so J' = E_22.  Every t of the cell lies
+    within h/2 of an end e, and E(t) = E(e) exp((t - e) A) gives J'(t) =
+    [E_21 | E_22](e) exp((t - e) A) [0; I] with ||exp(sA)|| <= e^{nu |s|} for
+    either sign of s: nu = ||(A + A^T)/2|| bounds the logarithmic norms of A and
+    -A (Soderlind, BIT 46, 2006).  Singular values are 1-Lipschitz (Weyl), so
+        L = e^{nu h/2} max(||[E_21 | E_22](t_i)||, ||[E_21 | E_22](t_i + h)||).
     Grid samples come from repeated products with exp(hA).  Failing intervals
     are bisected below 1e-5, all of one level at once: every one has the same
     width w, so the top block row [E_11 | J] at a midpoint is the one at its

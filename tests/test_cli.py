@@ -8,6 +8,7 @@ from argparse import Namespace
 import pytest
 
 import homogeodesy.cli as cli
+import homogeodesy.report as report
 from homogeodesy.cli import NonFiniteOutput, main
 
 
@@ -124,6 +125,24 @@ def test_bad_arguments_exit_code(capsys):
     assert main(["reproduce", "nonsense"]) == 3
     assert main(["pinching", "cpodd:m=1", "--multistarts", "0"]) == 3
     assert main(["reproduce", "pinching-table", "--multistarts", "0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "desc,theta",
+    [("berger:m=1,s=1e-6", "0.7"), ("cpodd:m=1,kappa=1e4", "0.7"), ("b13", "1e-4")],
+)
+def test_unresolved_closed_form_times_exit_1(capsys, monkeypatch, desc, theta):
+    # a tan-family root residual above 1e-9 (first two) or a tan-family time
+    # within 1e-6 of a 2p*pi-family time (b13 near theta = 0).  The scan runs
+    # before the closed forms and takes no part in the failure; it is stubbed
+    # because at kappa = 1e4 it bisects every grid cell to the leaf (~15 s).
+    monkeypatch.setattr(report, "conjugate_events", lambda *args: [])
+    code = main(["conjugate", desc, "--theta", theta])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: tan-family")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_non_finite_output_is_refused(capsys, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homogeodesy.catalog import build_space
@@ -20,7 +20,8 @@ from homogeodesy.closed_form import (
     extract_cp_data,
     solve_tan_family,
 )
-from homogeodesy.jacobi import geodesic_pair
+from homogeodesy.homogeneous import ad_orbit_direction
+from homogeodesy.jacobi import conjugate_events, geodesic_pair
 
 from oracles import bisect_tan_root
 
@@ -257,3 +258,26 @@ def test_scan_finds_every_closed_form_time(geodesic):
     data = extract_cp_data(space, u, v)
     report = cross_validate(space, u, v, 7.0 / math.sqrt(data.lam + data.rho))
     assert report.all_matched and len(report.matched) == len(report.closed_form)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(slope_geodesics(), st.data())
+def test_events_invariant_along_isotropy_orbit(geodesic, data):
+    # exp(t ad_z) with z in k is an isometry fixing the origin: it maps Jacobi
+    # fields along gamma_u to Jacobi fields along the rotated geodesic, so the
+    # conjugate events, their multiplicities and isotropy flags are the same
+    desc, theta, aux = geodesic
+    space = build_space(desc)
+    u = geodesic_pair(space, theta, aux)[0]
+    z = np.zeros(space.algebra.dim)
+    k = list(space.k_indices)
+    z[k] = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(k), max_size=len(k)))
+    rotated = ad_orbit_direction(space, z, u, data.draw(st.floats(-math.pi, math.pi)))
+    assume(np.linalg.norm(rotated - u) > 1e-3)  # a direction off the stabilizer of u
+    before = conjugate_events(space, u, 6.0)
+    after = conjugate_events(space, rotated, 6.0)
+    def kinds(events):
+        return [(ev.multiplicity, ev.isotropic_exists, ev.strictly_isotropic) for ev in events]
+
+    assert kinds(after) == kinds(before)
+    np.testing.assert_allclose([ev.t for ev in after], [ev.t for ev in before], rtol=0, atol=1e-8)

@@ -8,6 +8,7 @@ from homogeodesy.catalog import build_space
 from homogeodesy.closed_form import cross_validate
 from homogeodesy.homogeneous import ad_orbit_direction
 from homogeodesy.jacobi import (
+    _LEAF,
     _samples,
     BadAngle,
     BadAux,
@@ -186,16 +187,16 @@ def test_bisection_costs_one_expm_per_level(monkeypatch):
     assert len(calls) <= 20 * len(events)
 
 
-@pytest.mark.parametrize(
-    "desc,theta,aux",
-    [
-        ("berger:m=2,s=0.5", 0.7, {}),
-        ("spsphere:m=1,s=0.5", 1.1, {"phi1": 0.8, "phi2": 2.0}),
-        ("cpodd:m=2,kappa=2", 0.3, {"phi": 0.5, "alpha": 2}),
-        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}),
-        ("w7:s=0.5", 0.2, {"phi": 2.7}),
-    ],
-)
+SAMPLED_GEODESICS = [
+    ("berger:m=2,s=0.5", 0.7, {}),
+    ("spsphere:m=1,s=0.5", 1.1, {"phi1": 0.8, "phi2": 2.0}),
+    ("cpodd:m=2,kappa=2", 0.3, {"phi": 0.5, "alpha": 2}),
+    ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}),
+    ("w7:s=0.5", 0.2, {"phi": 2.7}),
+]
+
+
+@pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
 def test_propagated_samples_match_fresh_expm(desc, theta, aux):
     # grid and midpoint samples come from products with one expm per level;
     # each must agree with the matrix exponential taken at its own time
@@ -204,11 +205,43 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
     ts, fs, lips, suspicious = _samples(sys, 6.0, default_scan_step(sys))
     assert len(ts) == len(fs) == len(lips) + 1 == len(suspicious) + 1
     assert np.all(np.diff(ts) > 0) and suspicious.any()
-    assert len(ts) > 2 * len(np.arange(ts[0], 6.0, default_scan_step(sys)))
+    # bisection reaches the leaf, so every level's exp(w A / 2) is exercised
+    assert np.diff(ts).min() < 2 * _LEAF
     for t, f in zip(ts, fs):
         e = scipy.linalg.expm(t * sys.companion)
         want = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
         assert abs(f - want) <= 1e-12 * max(1.0, np.linalg.norm(e, 2)), (t, f, want)
+
+
+def test_bisection_samples_per_event():
+    # the certificate's slack sets how many intervals stay live; the bound from
+    # the bottom rows [E_21 | E_22] and the logarithmic norm keeps about 30
+    # samples per event here (about 99 with ||E|| e^{||A|| h/2} sqrt(1+||T||^2))
+    space = build_space("b13")
+    u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
+    sys = build_system(space, u)
+    events = scan_conjugate_times(sys, 6.0)
+    ts = _samples(sys, 6.0, default_scan_step(sys))[0]
+    assert len(events) >= 5
+    assert len(ts) <= 50 * len(events)
+
+
+@pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
+def test_certificate_bounds_j_prime_inside_cells(desc, theta, aux):
+    # L of a cell must bound ||J'(t)|| = ||E_22(t)|| at every t of the cell, not
+    # only at the grid points it is computed from
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    n, step = sys.n, default_scan_step(sys)
+    ts, _, lips, _ = _samples(sys, 6.0, step)
+    grid = np.arange(step / 2.0, 6.0 + 1.5 * step, step)
+    for left, right in zip(grid[:-1], grid[1:]):
+        for t in np.linspace(left, right, 10)[1:-1]:
+            e = scipy.linalg.expm(t * sys.companion)
+            lip = lips[np.searchsorted(ts, t) - 1]
+            assert np.linalg.norm(e[n:, n:], 2) <= lip, (t, lip)
+            j_prime = e[:n, :n] + e[:n, n:] @ sys.T
+            assert np.max(np.abs(e[n:, n:] - j_prime)) <= 1e-12 * np.linalg.norm(e, 2)
 
 
 def test_explicit_fine_step_matches_default(rng):
