@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .algebra import bracket
 from .homogeneous import ReductiveSpace, project
@@ -22,7 +21,6 @@ from .jacobi import scan_conjugate_times  # noqa: F401  (re-exported for existin
 
 HYPOTHESIS_TOL = 1e-9
 MATCH_TOL = 1e-7
-ROOT_RESIDUAL_TOL = 1e-9
 
 BRANCH_COMMUTING = "commuting-m-part"
 BRANCH_RHO_ZERO = "rho-zero"
@@ -134,42 +132,39 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
     return CpData(space, uc, vc, float(lam), float(rho), BRANCH_RHO_POSITIVE, w=w)
 
 
-def solve_tan_family(mu: float, n_roots: int, pole_margin: float = 1e-6) -> list[float]:
+def solve_tan_family(mu: float, n_roots: int) -> list[float]:
     """First ``n_roots`` positive solutions of tan(s/2) = mu*s for mu < 0.
 
-    The k-th root is bracketed in ]( 2k-1 )pi, (2k+1)pi[ away from the tangent
-    poles and refined by safeguarded bisection; the first root always lies in
-    ]pi, 2pi[.
+    f(s) = tan(s/2) - mu s increases on ](2k-1)pi, (2k+1)pi[ from -inf, and
+    f(2k pi) > 0, so the k-th root is bracketed in ](2k-1)pi, 2k pi[.  Newton,
+    with bisection whenever a step leaves the bracket, narrows the bracket on
+    the sign of f; each Newton point is nudged by a quarter of the target width
+    so that both ends close in.  A root is certified by f(lo) < 0 < f(hi) with
+    hi - lo <= 1e-12 hi, and the last Newton point inside is returned.
     """
     if mu >= 0:
         raise ValueError("mu must be negative")
     if n_roots < 1:
         raise ValueError("n_roots must be >= 1")
 
-    def f(s):
-        return math.tan(s / 2.0) - mu * s
-
-    def fprime(s):
-        return 0.5 / math.cos(s / 2.0) ** 2 - mu
-
     roots = []
     for k in range(1, n_roots + 1):
-        margin = pole_margin
-        a = (2 * k - 1) * math.pi + margin
-        b = (2 * k + 1) * math.pi - margin
-        while f(a) >= 0.0 and margin > 1e-14:
-            margin *= 1e-3
-            a = (2 * k - 1) * math.pi + margin
-        root = float(brentq(f, a, b, xtol=1e-12))
-        # Newton polish: near the pole f' ~ mu^2 s^2 / 2, so the bisection
-        # tolerance alone leaves a residual far above the contract.
-        for _ in range(4):
-            step = f(root) / fprime(root)
-            if a < root - step < b:
-                root -= step
-        if abs(f(root)) > ROOT_RESIDUAL_TOL:
-            raise ClosedFormError(f"tan-family root residual {f(root):.2e} too large")
-        roots.append(root)
+        lo, hi = (2 * k - 1) * math.pi, 2 * k * math.pi
+        root = s = hi
+        for _ in range(200):
+            f = math.tan(s / 2.0) - mu * s
+            lo, hi = (s, hi) if f < 0 else (lo, s) if f > 0 else (s, s)
+            if hi - lo <= 1e-12 * hi:
+                break
+            newton = s - f / (0.5 / math.cos(s / 2.0) ** 2 - mu)
+            s = newton + math.copysign(0.25e-12 * newton, -f)
+            if lo < s < hi:
+                root = newton
+            else:
+                root = s = 0.5 * (lo + hi)
+        else:
+            raise ClosedFormError(f"tan-family root {k} not bracketed to 1e-12 (mu = {mu:g})")
+        roots.append(root if lo <= root <= hi else s)
     return roots
 
 

@@ -3,11 +3,9 @@
 Along gamma_u the Jacobi fields vanishing at the origin are encoded by the
 n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
 exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
-Conjugate times are the zeros of det J(t): a certified hunt bounds
-|sigma_min'| through J' = E_22 (as E' = A E) to discard zero-free intervals,
-and each remaining dip is refined once by Newton's method on sigma_min.  The hunt
-samples by propagation, E(t + s) = E(t) exp(sA): one expm for the grid step
-and one per bisection level, then batched products and batched SVDs.
+Conjugate times are the zeros of det J(t): a bisection certified by the
+energy bound ||J'|| <= 1 discards zero-free intervals, and Newton's method on
+sigma_min refines each remaining dip (see scan_conjugate_times).
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -30,7 +28,7 @@ MAX_GRID_POINTS = 10**7
 _LEAF = 1e-5  # width below which a suspicious interval stops being bisected
 _NEWTON_RTOL = 1e-14
 _MAX_NEWTON = 100
-_BLOCK = 16  # grid cells per block of batched products and SVDs
+_BLOCK = 1024  # grid cells per block of batched products and SVDs
 
 
 class JacobiError(RuntimeError):
@@ -100,12 +98,8 @@ class ConjugateEvent:
             raise ValueError("strictly isotropic events are in particular isotropic")
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "multiplicity": self.multiplicity,
-            "isotropic_exists": self.isotropic_exists,
-            "strictly_isotropic": self.strictly_isotropic,
-        }
+        keys = ("t", "multiplicity", "isotropic_exists", "strictly_isotropic")
+        return {key: getattr(self, key) for key in keys}
 
 
 def build_system(space: ReductiveSpace, u) -> JacobiSystem:
@@ -125,19 +119,17 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     # A_on = L^T A L^{-T}: same operator in the gram-orthonormal frame.
     t_on = l.T @ scipy.linalg.solve_triangular(l, t_basis.T, lower=True).T
     r_on = l.T @ scipy.linalg.solve_triangular(l, r_basis.T, lower=True).T
-    skew = np.max(np.abs(t_on + t_on.T))
-    sym = np.max(np.abs(r_on - r_on.T))
+    skew, sym = np.max(np.abs(t_on + t_on.T)), np.max(np.abs(r_on - r_on.T))
     if max(skew, sym) > 1e-9:
         raise JacobiError(
             f"operators violate (skew-)adjointness on {space.name}: {skew:.1e}/{sym:.1e}"
         )
     r_on = 0.5 * (r_on + r_on.T)
     t_on = 0.5 * (t_on - t_on.T)
-    n = t_on.shape[0]
-    companion = np.zeros((2 * n, 2 * n))
-    companion[:n, n:] = np.eye(n)
-    companion[n:, :n] = -r_on
-    companion[n:, n:] = t_on
+    evals = np.linalg.eigvalsh(r_on)
+    if evals[0] < -1e-9 * np.abs(evals).max():  # the energy bound needs R >= 0
+        raise JacobiError(f"R_u is indefinite on {space.name}: lambda_min = {evals[0]:.1e}")
+    companion = np.block([[np.zeros_like(r_on), np.eye(len(r_on))], [-r_on, t_on]])
     for arr in (t_on, r_on, companion, uc):
         arr.setflags(write=False)
     return JacobiSystem(space=space, u=uc, T=t_on, R=r_on, companion=companion)
@@ -191,7 +183,7 @@ def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip):
 
 
 def _refine(sys: JacobiSystem, ts, fs, lip: float) -> list[ConjugateEvent]:
-    """The zeros in one dip sampled at ts, fs; Newton starts at the lowest sample.
+    """The zeros in one dip, fs <= sigma_min(ts); Newton starts at the lowest sample.
 
     At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
     far end of the dip) might vanish in the dip too: one Newton step along
@@ -225,33 +217,55 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float) -> list[ConjugateEvent]:
 def _samples(sys: JacobiSystem, t_max: float, step: float):
     """sigma_min(J) on the grid of scan_conjugate_times and its bisection.
 
-    Returns the sample times and values, the bound L of each interval between
-    consecutive samples and whether sigma_min may vanish on it (L from the
-    bottom rows [E_21 | E_22] at the grid points).  The grid is walked in blocks
-    of _BLOCK cells, each bisected before the next; only the top rows
-    [E_11 | J] of E at the left ends of live intervals are kept.
+    Returns the sample times and values, whether sigma_min may vanish between
+    consecutive samples, L and delta.  Rows Z = [E_11 | J] are right-multiplied
+    by exp(hA) along the grid and by exp(wA/2) to the midpoints of width-w
+    intervals (one expm per level), in blocks of _BLOCK cells.
+
+    delta >= |sigma_hat - sigma| (Weyl: <= ||J_hat - J||) to first order in u:
+    a sample is fl(..fl(Z_0 S_1)..S_K), Z_0 = [I 0], S_k = exp(s_k A), sum s_k
+    <= t (the last grid time), K <= grid points + levels.  For s <= t the flow
+    has ||J|| <= L s, ||J'|| <= L, ||E_21|| <= L r with r = sqrt(||R|| + eta) +
+    sqrt(eta) (X(0) = x, X'(0) = 0 has energy <Rx, x>) and ||E_11|| <= L zeta,
+    zeta = 1 + t min(||T||, r) (also E_11 = J' - J T); an error [l_1 | l_2] in
+    Z at t_k reaches J(t) as l_1 J(t - t_k) + l_2 J'(t - t_k).  A product errs
+    by gamma_2n |Z||S| (Higham, Accuracy and Stability, eq. 3.13), and
+    || |X||Y| || <= n ||X|| ||Y|| on n x n blocks; expm gives exp(s_k A + D),
+    ||D|| <= u s_k ||A|| (Al-Mohy and Higham, SIMAX 31, 2009), off by
+    int_0^1 exp((1 - v) s_k A) D exp(v s_k A) dv.  So S_k adds at most
+    gamma_2n n L^3 (t (zeta (1 + s_k min(||T||, r)) + t r) + zeta s_k + t) and
+    L^2 (zeta + t)(1 + t) u s_k ||A||, as ||Z|| <= L (zeta + t).  Summed,
+        delta = gamma_2n n L^3 t ((K + 1)(2 + zeta + t r) + zeta^2)
+                + L^2 u ||A|| t (1 + t)(zeta + t),
+    the extra product and 1 covering the SVD (backward error <= 2 n^2 u ||J||)
+    and the roundings of sample times and of the test.
     """
     n, a = sys.n, sys.companion
     ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    growth = math.exp(0.5 * step * np.linalg.norm(0.5 * (a + a.T), 2))
+    t_end, evals = ts[-1], np.linalg.eigvalsh(sys.R)
+    eta, norm_r, norm_t = max(0.0, -evals[0]), np.abs(evals).max(), np.linalg.norm(sys.T, 2)
+    lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
+    zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
+    chain = len(ts) + max(0, math.ceil(math.log2(step / _LEAF))) + 1  # K + 1
+    delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
+    delta *= chain * (2 + zeta + t_end * r) + zeta**2
+    delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
     stepper = scipy.linalg.expm(step * a)
-    prop = scipy.linalg.expm(ts[0] * a)
+    row = scipy.linalg.expm(ts[0] * a)[:n]
     shifts = []  # shifts[k] = exp(w A) with w = step / 2^(k+1), the level-k half width
     parts = []
     for start in range(0, len(ts) - 1, _BLOCK):
-        stack = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, 2 * n, 2 * n))
-        stack[0] = prop
-        for j in range(1, len(stack)):
-            np.matmul(stepper, stack[j - 1], out=stack[j])
-        prop = stack[-1]
-        t = ts[start : start + len(stack)]
-        f = np.linalg.svd(stack[:, :n, n:], compute_uv=False)[:, -1]
-        norms = np.linalg.norm(stack[:, n:], 2, axis=(1, 2))
-        lip = growth * np.maximum(norms[:-1], norms[1:])
-        rows, heads = np.arange(len(lip)), stack[:-1, :n]
+        grid = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, n, 2 * n))
+        grid[0] = row
+        for j in range(1, len(grid)):
+            np.matmul(grid[j - 1], stepper, out=grid[j])
+        row = grid[-1]
+        t = ts[start : start + len(grid)]
+        f = np.linalg.svd(grid[:, :, n:], compute_uv=False)[:, -1]
+        rows, heads = np.arange(len(grid) - 1), grid[:-1]
         for level in itertools.count():
             width = np.diff(t)
-            suspicious = f[:-1] + f[1:] <= lip * width
+            suspicious = f[:-1] + f[1:] <= lip * width + 2.0 * delta
             split = suspicious & (width >= _LEAF)
             if not split.any():
                 break
@@ -262,38 +276,33 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
             mid_heads = (heads.reshape(-1, 2 * n) @ shifts[level]).reshape(heads.shape)
             smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
             t, f = np.insert(t, at + 1, t[at] + half), np.insert(f, at + 1, smin)
-            lip = np.repeat(lip, 1 + split)
             rows = ((at + np.arange(len(at)))[:, None] + [0, 1]).ravel()
             heads = np.stack((heads, mid_heads), axis=1).reshape(-1, n, 2 * n)
-        parts.append((t[:-1], f[:-1], lip, suspicious))
-    ts, fs, lips, suspicious = (np.concatenate(column) for column in zip(*parts))
-    return np.append(ts, t[-1]), np.append(fs, f[-1]), lips, suspicious
+        parts.append((t[:-1], f[:-1], suspicious))
+    ts, fs, suspicious = (np.concatenate(column) for column in zip(*parts))
+    return np.append(ts, t[-1]), np.append(fs, f[-1]), suspicious, lip, delta
 
 
 def scan_conjugate_times(
-    sys: JacobiSystem,
-    t_max: float,
-    step: float | None = None,
+    sys: JacobiSystem, t_max: float, step: float | None = None
 ) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Samples sigma_min(J) on a grid of step h from h/2.  A sub-interval [a, b]
-    of grid cell [t_i, t_i + h] holds no zero if sigma(a) + sigma(b) > L (b - a),
-    where L bounds |sigma_min'| on the cell.  The top block row of E' = A E is
-    the bottom row [E_21 | E_22] of E, so J' = E_22.  Every t of the cell lies
-    within h/2 of an end e, and E(t) = E(e) exp((t - e) A) gives J'(t) =
-    [E_21 | E_22](e) exp((t - e) A) [0; I] with ||exp(sA)|| <= e^{nu |s|} for
-    either sign of s: nu = ||(A + A^T)/2|| bounds the logarithmic norms of A and
-    -A (Soderlind, BIT 46, 2006).  Singular values are 1-Lipschitz (Weyl), so
-        L = e^{nu h/2} max(||[E_21 | E_22](t_i)||, ||[E_21 | E_22](t_i + h)||).
-    Grid samples come from repeated products with exp(hA).  Failing intervals
-    are bisected below 1e-5, all of one level at once: every one has the same
-    width w, so the top block row [E_11 | J] at a midpoint is the one at its
-    left end times exp(w A / 2), one expm per level.  Runs of failing intervals
-    split at sampled local maxima of sigma_min into dips, each refined once by
-    safeguarded Newton to a relative step of 1e-14 (see _refine).  Multiplicity
-    and kernel come from the singular values below 1e-7 * sigma_max at the
-    refined time.
+    Samples sigma_min(J) on a grid of step h from h/2, bisecting below 1e-5
+    (see _samples); |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew
+    and R symmetric, so |X'|^2 + <RX, X> is constant along X'' = T X' - R X
+    (energy of a gyroscopic system: Lancaster, LAA 439, 2013).  For X(0) = 0 it
+    is |X'(0)|^2, and <RX, X> >= -eta |X|^2, eta = max(0, -lambda_min(R)), zero
+    up to rounding (build_system refuses an indefinite R).  So ||J(t)|| <=
+    sinh(sqrt(eta) t) / sqrt(eta) and, up to the last grid time t_end,
+        ||J'(t)|| <= L = sqrt(1 + eta max ||J||^2) = cosh(sqrt(eta) t_end).
+    L is attained at each simple zero (the Wronskian J^T J' - J'^T J - J^T T J
+    vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
+    sample, [a, b] holds no zero if sigma(a) + sigma(b) > L (b - a) + 2 delta.
+    Runs of failing intervals split at sampled local maxima of sigma_min into
+    dips, each refined once by safeguarded Newton to a relative step of 1e-14
+    (see _refine).  Multiplicity and kernel come from the singular values
+    below 1e-7 * sigma_max at the refined time.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -307,13 +316,13 @@ def scan_conjugate_times(
     if not (step > 0 and t_max / step <= MAX_GRID_POINTS):
         raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
-    ts, fs, lips, suspicious = _samples(sys, t_max, step)
+    ts, fs, suspicious, lip, delta = _samples(sys, t_max, step)
     events: list[ConjugateEvent] = []
     runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
     for first, last in zip(runs[::2], runs[1::2]):
         peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
         for lo, hi in zip([first] + peaks, peaks + [last]):
-            dip = _refine(sys, ts[lo : hi + 1], fs[lo : hi + 1], lips[lo:hi].max())
+            dip = _refine(sys, ts[lo : hi + 1], fs[lo : hi + 1] - delta, lip)
             events += [ev for ev in dip if ev.t <= t_max + 1e-12]
     return events
 
@@ -364,10 +373,7 @@ def classify_isotropy(sys: JacobiSystem, event: ConjugateEvent) -> ConjugateEven
 
 
 def conjugate_events(
-    space: ReductiveSpace,
-    u,
-    t_max: float,
-    step: float | None = None,
+    space: ReductiveSpace, u, t_max: float, step: float | None = None
 ) -> list[ConjugateEvent]:
     """Build the system along u, scan for conjugate times, classify each event."""
     sys = build_system(space, u)
@@ -410,28 +416,19 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
     if family == "berger":
         return bv("d_s"), u1
     if family == "spsphere":
-        phi1 = float(aux.get("phi1", math.pi / 2))
-        phi2 = float(aux.get("phi2", 0.0))
-        u0 = (
-            math.sin(phi1) * math.cos(phi2) * bv("d_1s")
-            + math.sin(phi1) * math.sin(phi2) * bv("d_2s")
-            + math.cos(phi1) * bv("d_3s")
-        )
-        return u0, u1
+        phi1, phi2 = float(aux.get("phi1", math.pi / 2)), float(aux.get("phi2", 0.0))
+        s1 = math.sin(phi1)
+        u0 = s1 * math.cos(phi2) * bv("d_1s") + s1 * math.sin(phi2) * bv("d_2s")
+        return u0 + math.cos(phi1) * bv("d_3s"), u1
     if family == "cpodd":
         phi = float(aux.get("phi", 0.0))
         return space.unit(math.cos(phi) * bv("X_2") + math.sin(phi) * bv("X_3")), u1
     x0 = float(aux.get("x0", 0.0))
     if family == "b13":
-        phi1 = float(aux.get("phi1", 0.0))
-        phi2 = float(aux.get("phi2", 0.0))
-        x = (
-            x0 * bv("u_0")
-            + math.cos(phi1) * bv("u_1")
-            + math.sin(phi1) * math.cos(phi2) * bv("u_2")
-            + math.sin(phi1) * math.sin(phi2) * bv("v_1")
-        )
-        return space.unit(x), u1
+        phi1, phi2 = float(aux.get("phi1", 0.0)), float(aux.get("phi2", 0.0))
+        s1 = math.sin(phi1)
+        x = x0 * bv("u_0") + math.cos(phi1) * bv("u_1") + s1 * math.cos(phi2) * bv("u_2")
+        return space.unit(x + s1 * math.sin(phi2) * bv("v_1")), u1
     # w7
     phi = float(aux.get("phi", 0.0))
     x = x0 * bv("u_0s") + math.cos(phi) * bv("u_1s") + math.sin(phi) * bv("v_1s")

@@ -66,6 +66,22 @@ def test_tan_family_rejects_nonnegative_mu():
         solve_tan_family(0.3, 1)
 
 
+@pytest.mark.parametrize("desc", ["berger:m=1,s=1e-6", "cpodd:m=1,kappa=1e4"])
+def test_far_tan_roots_are_certified(desc):
+    # with |mu| up to 2e5 (berger) or s = omega t up to 2e3 (kappa = 1e4) the
+    # residual of a correctly rounded root exceeds 1e-9, yet a sign change of
+    # f still brackets every root to 1e-12
+    space = build_space(desc)
+    data = extract_cp_data(space, *geodesic_pair(space, 0.7))
+    omega, mu = math.sqrt(data.lam + data.rho), -data.rho / (2.0 * data.lam)
+    times = [c.t for c in closed_form_times(data, 12.0) if c.family == FAMILY_TAN]
+    assert len(times) >= 2
+    for t in times:
+        s = t * omega
+        f = lambda x: math.tan(x / 2.0) - mu * x
+        assert f(s * (1.0 - 1e-12)) < 0.0 < f(s * (1.0 + 1e-12)), (t, s)
+
+
 @pytest.mark.parametrize(
     "desc,theta",
     [("berger:m=2,s=0.5,kappa=1", math.pi / 3), ("berger:m=1,s=0.9,kappa=2", 0.4)],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from homogeodesy import homogeneous, jacobi
 from homogeodesy.catalog import build_space
 from homogeodesy.closed_form import cross_validate
 from homogeodesy.homogeneous import ad_orbit_direction
@@ -13,6 +14,7 @@ from homogeodesy.jacobi import (
     BadAngle,
     BadAux,
     GridTooLarge,
+    JacobiError,
     StepTooCoarse,
     ZeroVector,
     build_system,
@@ -202,8 +204,8 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
     # each must agree with the matrix exponential taken at its own time
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
-    ts, fs, lips, suspicious = _samples(sys, 6.0, default_scan_step(sys))
-    assert len(ts) == len(fs) == len(lips) + 1 == len(suspicious) + 1
+    ts, fs, suspicious, _, _ = _samples(sys, 6.0, default_scan_step(sys))
+    assert len(ts) == len(fs) == len(suspicious) + 1
     assert np.all(np.diff(ts) > 0) and suspicious.any()
     # bisection reaches the leaf, so every level's exp(w A / 2) is exercised
     assert np.diff(ts).min() < 2 * _LEAF
@@ -214,34 +216,70 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
 
 
 def test_bisection_samples_per_event():
-    # the certificate's slack sets how many intervals stay live; the bound from
-    # the bottom rows [E_21 | E_22] and the logarithmic norm keeps about 30
-    # samples per event here (about 99 with ||E|| e^{||A|| h/2} sqrt(1+||T||^2))
+    # the certificate's slack sets how many intervals stay live; the energy
+    # bound ||J'|| <= 1 keeps about 21 samples per event here (about 30 with
+    # the cell bound e^{nu h/2} ||[E_21 | E_22]||, 99 with ||E|| e^{||A|| h/2})
     space = build_space("b13")
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
     sys = build_system(space, u)
     events = scan_conjugate_times(sys, 6.0)
     ts = _samples(sys, 6.0, default_scan_step(sys))[0]
     assert len(events) >= 5
-    assert len(ts) <= 50 * len(events)
+    assert len(ts) <= 25 * len(events)
 
 
 @pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
 def test_certificate_bounds_j_prime_inside_cells(desc, theta, aux):
-    # L of a cell must bound ||J'(t)|| = ||E_22(t)|| at every t of the cell, not
-    # only at the grid points it is computed from
+    # the one constant L must bound ||J'(t)|| = ||E_22(t)|| at every t, not only
+    # at the samples; delta, a bound on a whole chain of products, leaves room
+    # for the rounding of one fresh expm
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     n, step = sys.n, default_scan_step(sys)
-    ts, _, lips, _ = _samples(sys, 6.0, step)
+    _, _, _, lip, delta = _samples(sys, 6.0, step)
+    assert 1.0 <= lip <= 1.0 + 1e-12
     grid = np.arange(step / 2.0, 6.0 + 1.5 * step, step)
     for left, right in zip(grid[:-1], grid[1:]):
         for t in np.linspace(left, right, 10)[1:-1]:
             e = scipy.linalg.expm(t * sys.companion)
-            lip = lips[np.searchsorted(ts, t) - 1]
-            assert np.linalg.norm(e[n:, n:], 2) <= lip, (t, lip)
+            assert np.linalg.norm(e[n:, n:], 2) <= lip + delta, (t, lip)
             j_prime = e[:n, :n] + e[:n, n:] @ sys.T
             assert np.max(np.abs(e[n:, n:] - j_prime)) <= 1e-12 * np.linalg.norm(e, 2)
+
+
+@pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
+def test_sample_error_within_delta(desc, theta, aux):
+    # delta is the derived forward-error bound of a propagated sample; the
+    # clearing test sigma(a) + sigma(b) > L w + 2 delta relies on it
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    ts, fs, _, _, delta = _samples(sys, 6.0, default_scan_step(sys))
+    assert 0.0 < delta < 1e-8
+    for t, f in zip(ts, fs):
+        want = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
+        assert abs(f - want) <= delta, (t, f, want, delta)
+
+
+def test_indefinite_jacobi_operator_is_refused(monkeypatch):
+    # the energy bound needs R >= 0; an R with a negative eigenvalue is refused
+    space = build_space("b13")
+    u = space.basis_vector("e_1")
+    r = homogeneous.jacobi_op(space, u)
+    monkeypatch.setattr(jacobi, "jacobi_op", lambda *args: r - 0.1 * np.eye(len(r)))
+    with pytest.raises(JacobiError, match="indefinite"):
+        build_system(space, u)
+
+
+def test_large_kappa_scan_matches_closed_forms():
+    # at kappa = 1e4 (||R|| ~ 6e4) the energy bound is still 1, so cells with no
+    # zero clear at the grid; a bound that grows with ||A|| bisects every cell
+    space = build_space("cpodd:m=1,kappa=1e4")
+    u, v = geodesic_pair(space, 0.7)
+    report = cross_validate(space, u, v, 2.0)
+    assert report.all_matched and len(report.matched) >= 100
+    sys = build_system(space, u)
+    ts = _samples(sys, 2.0, default_scan_step(sys))[0]
+    assert len(ts) <= 50 * len(report.events)
 
 
 def test_explicit_fine_step_matches_default(rng):
