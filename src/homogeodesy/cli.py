@@ -42,7 +42,18 @@ from .report import (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(3)
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
 class NonFiniteOutput(RuntimeError):
@@ -252,7 +263,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the validation suite for a space")
     p.add_argument("space")
     p.add_argument("--check", action="append", choices=ALL_CHECKS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_args(p)
     p.set_defaults(func=cmd_verify)
 
@@ -273,7 +284,7 @@ def build_parser() -> _Parser:
         p.add_argument("--phi2", type=float, default=None)
         p.add_argument("--x0", type=float, default=None)
         p.add_argument("--alpha", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         _output_args(p)
         p.set_defaults(func=fn)
 
@@ -284,14 +295,14 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=str, default=None, help="comma-separated s values")
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _output_args(p)
     p.set_defaults(func=cmd_pinching)
 
     p = sub.add_parser("reproduce", help="run a theorem-reproduction sweep")
     p.add_argument("name", choices=REPRODUCE_NAMES)
     p.add_argument("--tmax-factor", dest="tmax_factor", type=float, default=7.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
     _output_args(p)
     p.set_defaults(func=cmd_reproduce)

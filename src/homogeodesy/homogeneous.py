@@ -337,36 +337,40 @@ def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def optimize_pairs(
-    kernel: BracketKernel, sign: float, rng, multistarts: int, max_iter: int = 400
+    kernel: BracketKernel, signs: tuple[float, ...], rng, multistarts: int, max_iter: int = 400
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multistart projected-gradient ascent (sign +1) or descent (sign -1) of f.
+    """Multistart projected-gradient ascent (sign +1) and descent (sign -1) of f.
 
-    Each start steps along its normalized exact gradient and is projected back
-    onto orthonormal pairs by Gram-Schmidt, a retraction onto the Stiefel
-    manifold.  A step that improves f is kept and grows by 1.3 up to 0.5; one
-    that does not is halved; a start stops once its step is below 1e-10.
-    Returns f and the ON-frame pairs (x, y) of every start.
+    Each sign gets `multistarts` starts from `rng`, in order, and all rows
+    advance in one loop.  A row steps along its normalized exact gradient and
+    is projected back onto orthonormal pairs by Gram-Schmidt, a retraction onto
+    the Stiefel manifold.  A step that improves f is kept and grows by 1.3 up
+    to 0.5; one that does not is halved; a row stops once its step is below
+    1e-10.  Each step makes one kernel call, on the trial pairs, and an accepted
+    row keeps that gradient.  Returns f and the ON-frame pairs (x, y) by row.
     """
     if multistarts < 1:
         raise ValueError("multistarts must be >= 1")
-    xs, ys = kernel.random_pairs(rng, multistarts)
-    f = sign * kernel.value(xs, ys)
-    step = np.full(multistarts, 0.1)
+    starts = [kernel.random_pairs(rng, multistarts) for _ in signs]
+    xs, ys = (np.concatenate(part) for part in zip(*starts))
+    sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
+    f, gx, gy = kernel.value_and_gradient(xs, ys)
+    step = np.full(len(f), 0.1)
     for _ in range(max_iter):
         idx = np.flatnonzero(step > 1e-10)
         if not len(idx):
             break
-        _, gx, gy = kernel.value_and_gradient(xs[idx], ys[idx])
-        gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
-        scale = (sign * step[idx] / gnorm)[:, None]
-        nx, ny = _orthonormalize(xs[idx] + scale * gx, ys[idx] + scale * gy)
-        nf = sign * kernel.value(nx, ny)
-        better = nf > f[idx]
+        gnorm = np.sqrt(np.sum(gx[idx] ** 2, axis=1) + np.sum(gy[idx] ** 2, axis=1)) + 1e-30
+        scale = (sign[idx] * step[idx] / gnorm)[:, None]
+        nx, ny = _orthonormalize(xs[idx] + scale * gx[idx], ys[idx] + scale * gy[idx])
+        nf, ngx, ngy = kernel.value_and_gradient(nx, ny)
+        better = sign[idx] * nf > sign[idx] * f[idx]
         good = idx[better]
         xs[good], ys[good], f[good] = nx[better], ny[better], nf[better]
+        gx[good], gy[good] = ngx[better], ngy[better]
         step[good] = np.minimum(step[good] * 1.3, 0.5)
         step[idx[~better]] *= 0.5
-    return sign * f, xs, ys
+    return f, xs, ys
 
 
 def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> float:
@@ -495,7 +499,7 @@ def rank_one_check(
 ) -> RankOneReport:
     """Minimize |[x,y]|^2 over g-orthonormal pairs in m by projected gradient."""
     kernel = BracketKernel(space, 1.0, 1.0)
-    vals, xs, ys = optimize_pairs(kernel, -1.0, np.random.default_rng(seed), multistarts)
+    vals, xs, ys = optimize_pairs(kernel, (-1.0,), np.random.default_rng(seed), multistarts)
     best = int(np.argmin(vals))
     return RankOneReport(
         space=space.name,

@@ -1,10 +1,10 @@
 """Curvature extremes and the pinching constant delta = min K / max K.
 
-The extremes are located by the shared multistart projected-gradient optimizer
-over orthonormal tangent pairs (homogeneous.optimize_pairs), with the exact
-gradient of the normal-mode bracket kernel and re-orthonormalization as the
-projection; a large random audit then guards the reported bracket
-[k_min, k_max].
+Both extremes come from one run of the shared multistart projected-gradient
+optimizer over orthonormal tangent pairs (homogeneous.optimize_pairs): its
+k_max and k_min starts advance together, one call of the exact-gradient
+normal-mode bracket kernel per step.  A large random audit then guards the
+reported bracket [k_min, k_max].
 """
 from __future__ import annotations
 
@@ -48,15 +48,6 @@ class PinchingReport:
         }
 
 
-def _extreme(kernel, sign, rng, multistarts, max_iter):
-    """The best optimizer value, its pair, and how many starts reached it."""
-    vals, xs, ys = optimize_pairs(kernel, sign, rng, multistarts, max_iter)
-    best = int(np.argmax(sign * vals))
-    near = np.sum(np.abs(vals - vals[best]) <= CONVERGENCE_RTOL * max(abs(vals[best]), 1e-30))
-    plane = PlaneSpec(kernel.to_basis(xs[best]), kernel.to_basis(ys[best]))
-    return vals[best], plane, int(near)
-
-
 def estimate_pinching(
     space: ReductiveSpace,
     multistarts: int = DEFAULT_MULTISTARTS,
@@ -69,9 +60,13 @@ def estimate_pinching(
         raise ValueError("audit_samples must be >= 1")
     kernel = BracketKernel(space, 1.0, 0.25)
     rng = np.random.default_rng(seed)
-    k_max, argmax, near_max = _extreme(kernel, +1.0, rng, multistarts, max_iter)
-    k_min, argmin, near_min = _extreme(kernel, -1.0, rng, multistarts, max_iter)
-    converged = near_max >= 3 and near_min >= 3
+    vals, xs, ys = optimize_pairs(kernel, (+1.0, -1.0), rng, multistarts, max_iter)
+    runs = np.split(vals, 2)  # the k_max starts, then the k_min starts
+    best = (int(np.argmax(runs[0])), multistarts + int(np.argmin(runs[1])))
+    k_max, k_min = vals[best[0]], vals[best[1]]
+    argmax, argmin = (PlaneSpec(kernel.to_basis(xs[b]), kernel.to_basis(ys[b])) for b in best)
+    tols = CONVERGENCE_RTOL * np.maximum(np.abs([k_max, k_min]), 1e-30)
+    converged = all(np.sum(np.abs(r - k) <= t) >= 3 for r, k, t in zip(runs, (k_max, k_min), tols))
 
     audit_rng = np.random.default_rng(seed + 1)
     vals = kernel.value(*kernel.random_pairs(audit_rng, audit_samples))

@@ -75,6 +75,36 @@ def sampled_bracket_minimum(space, samples: int = 100_000, seed: int = 7) -> flo
     return float(np.min(np.einsum("nk,kl,nl->n", b, g, b)))
 
 
+def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter: int = 400):
+    """Reference multistart optimizer: one sign per call, two kernel calls per step.
+
+    Same step rules as homogeneous.optimize_pairs, but each step evaluates the
+    gradient at the current pairs and f at the trial pairs.  The library's
+    optimizer must reproduce it row for row, bit for bit: its rows, one sign
+    after the other, are runs of this loop.  Returns f and the ON-frame pairs.
+    """
+    from homogeodesy.homogeneous import _orthonormalize
+
+    xs, ys = kernel.random_pairs(rng, multistarts)
+    f = sign * kernel.value(xs, ys)
+    step = np.full(multistarts, 0.1)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(step > 1e-10)
+        if not len(idx):
+            break
+        _, gx, gy = kernel.value_and_gradient(xs[idx], ys[idx])
+        gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
+        scale = (sign * step[idx] / gnorm)[:, None]
+        nx, ny = _orthonormalize(xs[idx] + scale * gx, ys[idx] + scale * gy)
+        nf = sign * kernel.value(nx, ny)
+        better = nf > f[idx]
+        good = idx[better]
+        xs[good], ys[good], f[good] = nx[better], ny[better], nf[better]
+        step[good] = np.minimum(step[good] * 1.3, 0.5)
+        step[idx[~better]] *= 0.5
+    return sign * f, xs, ys
+
+
 # -- multiplication tables ---------------------------------------------------
 
 

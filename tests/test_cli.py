@@ -143,6 +143,13 @@ def test_bad_arguments_exit_code(capsys):
     assert main(["reproduce", "pinching-table", "--multistarts", "0"]) == 3
 
 
+@pytest.mark.parametrize("command", [["pinching", "cpodd:m=1"], ["verify", "b13"]])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_exit_code_names_the_flag(capsys, command, seed):
+    assert main([*command, "--seed", seed]) == 3
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("desc,theta", [("b13", "1e-4")])
 def test_unresolved_closed_form_times_exit_1(capsys, monkeypatch, desc, theta):
     # near theta = 0 on b13 a tan-family time falls within 1e-6 of a

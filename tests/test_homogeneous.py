@@ -15,6 +15,7 @@ from homogeodesy.homogeneous import (
     isotropy_transitivity_check,
     jacobi_op,
     lts_check,
+    optimize_pairs,
     project,
     rank_one_check,
     sectional_curvature,
@@ -22,7 +23,7 @@ from homogeodesy.homogeneous import (
 )
 from homogeodesy.matrices import alpha_coeff
 
-from oracles import sampled_bracket_minimum
+from oracles import optimize_pairs_one_sign, sampled_bracket_minimum
 
 CATALOG = (
     "round:n=3,kappa=1",
@@ -254,6 +255,32 @@ def test_rank_one_matches_sampling_oracle():
     # the optimizer should do at least as well as dense sampling
     assert rep.min_bracket_sq <= oracle + 1e-9
     assert oracle > 1e-6
+
+
+@pytest.mark.parametrize(
+    "desc", ["berger:m=2,s=0.5", "spsphere:m=1,s=0.5", "cpodd:m=1", "w7:s=0.5", "b13"]
+)
+def test_optimize_pairs_matches_one_sign_reference(desc):
+    # both signs in one loop, one kernel call per step: the max run then the
+    # min run of the reference loop, drawn from one generator, row for row
+    kernel = BracketKernel(build_space(desc), 1.0, 0.25)
+    got = optimize_pairs(kernel, (+1.0, -1.0), np.random.default_rng(11), 8)
+    rng = np.random.default_rng(11)
+    runs = [optimize_pairs_one_sign(kernel, sign, rng, 8) for sign in (+1.0, -1.0)]
+    for got_part, *want_parts in zip(got, *runs):
+        assert np.array_equal(got_part, np.concatenate(want_parts))
+
+
+@pytest.mark.parametrize("desc", ["cpodd:m=1", "b13"])
+def test_rank_one_check_matches_one_sign_reference(desc):
+    space = build_space(desc)
+    rep = rank_one_check(space, seed=3)
+    kernel = BracketKernel(space, 1.0, 1.0)
+    vals, xs, ys = optimize_pairs_one_sign(kernel, -1.0, np.random.default_rng(3), 64)
+    best = int(np.argmin(vals))
+    assert rep.min_bracket_sq == vals[best]
+    assert np.array_equal(rep.argmin.x, kernel.to_basis(xs[best]))
+    assert np.array_equal(rep.argmin.y, kernel.to_basis(ys[best]))
 
 
 def test_rank_one_fails_on_abelian(abelian_space):

@@ -3,7 +3,7 @@ import pytest
 
 import homogeodesy.pinching as pinching
 from homogeodesy.catalog import build_space
-from homogeodesy.homogeneous import sectional_curvature
+from homogeodesy.homogeneous import BracketKernel, sectional_curvature
 from homogeodesy.pinching import estimate_pinching, expected_delta, pinching_curve
 
 
@@ -80,3 +80,38 @@ def test_zero_audit_samples_rejected_before_optimizing(monkeypatch):
     monkeypatch.setattr(pinching, "optimize_pairs", optimizer_must_not_run)
     with pytest.raises(ValueError, match="audit_samples must be >= 1"):
         estimate_pinching(build_space("round:n=3"), audit_samples=0)
+
+
+def test_pinching_kernel_evaluation_budget(monkeypatch):
+    # one kernel call for the starts of both extremes, at most one per
+    # optimizer step, one for the audit
+    calls = []
+    evaluate = BracketKernel._evaluate
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(BracketKernel, "_evaluate", counted)
+    estimate_pinching(build_space("b13"), multistarts=8, max_iter=20)
+    assert len(calls) <= 20 + 2
+
+
+# k_min, k_max, delta, converged of estimate_pinching(space, multistarts=32,
+# seed=0), recorded with one optimizer run per extreme
+PINNED = {
+    "b13": (0.10810810810810813, 7.25000000000001, 0.014911463187325238, True),
+    "cpodd:m=1": (0.4999999999999999, 7.9999999999999964, 0.06250000000000001, True),
+    "berger:m=1,s=0.5": (0.49999999999999967, 2.500000000000001, 0.1999999999999998, True),
+    "berger:m=2,s=0.9": (0.6749999999999995, 1.9750000000000012, 0.3417721518987337, True),
+    "spsphere:m=1,s=0.5": (0.24999999999999983, 4.000000000000001, 0.062499999999999944, True),
+    "spsphere:m=2,s=0.3": (0.14999999999999988, 6.6666666666666705, 0.022499999999999968, True),
+}
+
+
+@pytest.mark.parametrize("desc", sorted(PINNED))
+def test_pinching_constants_are_pinned(desc):
+    rep = estimate_pinching(build_space(desc), multistarts=32, seed=0)
+    *want, converged = PINNED[desc]
+    np.testing.assert_allclose([rep.k_min, rep.k_max, rep.delta], want, rtol=1e-12, atol=0)
+    assert rep.converged is converged
