@@ -50,7 +50,6 @@ from .homogeneous import (
     NoWitness,
     PlaneSpec,
     ReductiveSpace,
-    ad_orbit_direction,
     isotropy_transitivity_check,
     jacobi_op,
     lts_check,
@@ -64,7 +63,6 @@ from .jacobi import (
     BadAux,
     ConjugateEvent,
     JacobiSystem,
-    StepTooCoarse,
     ZeroVector,
     build_system,
     classify_isotropy,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +18,6 @@ import numpy as np
 from .matrices import block_offsets
 
 CLOSURE_TOL = 1e-10
-IDENTITY_TOL = 1e-12
 
 
 class AlgebraError(RuntimeError):
@@ -401,7 +399,3 @@ def structure_to_csv(alg: StructuredAlgebra, fileobj=None, tol: float = 1e-12) -
     for i, j, k in np.argwhere(np.abs(c) > tol):
         writer.writerow([i, j, k, f"{c[i, j, k]:.12g}"])
     return buf.getvalue() if fileobj is None else ""
-
-
-def algebra_json_text(alg: StructuredAlgebra) -> str:
-    return json.dumps(algebra_to_json(alg), indent=2, sort_keys=True)

@@ -164,7 +164,7 @@ def cmd_brackets(args) -> int:
 
 def cmd_conjugate(args) -> int:
     space = build_space(args.space)
-    doc = conjugate_table(space, args.theta, args.tmax, args.step, _aux_from(args))
+    doc = conjugate_table(space, args.theta, args.tmax, _aux_from(args))
     _emit(
         doc,
         args,
@@ -277,14 +277,11 @@ def build_parser() -> _Parser:
         p.add_argument("space")
         p.add_argument("--theta", type=float, default=math.pi / 2)
         p.add_argument("--tmax", type=float, default=12.0)
-        if name == "conjugate":
-            p.add_argument("--step", type=float, default=None)
         p.add_argument("--phi", type=float, default=None)
         p.add_argument("--phi1", type=float, default=None)
         p.add_argument("--phi2", type=float, default=None)
         p.add_argument("--x0", type=float, default=None)
         p.add_argument("--alpha", type=int, default=None)
-        p.add_argument("--seed", type=_seed, default=0)
         _output_args(p)
         p.set_defaults(func=fn)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import bracket
 from .homogeneous import ReductiveSpace, project
-from .jacobi import ConjugateEvent, conjugate_events
+from .jacobi import MAX_GRID_POINTS, ConjugateEvent, conjugate_events
 from .jacobi import scan_conjugate_times  # noqa: F401  (re-exported for existing callers)
 
 HYPOTHESIS_TOL = 1e-9
@@ -170,41 +170,33 @@ def solve_tan_family(mu: float, n_roots: int) -> list[float]:
 
 def closed_form_times(data: CpData, t_max: float) -> list[ClosedFormTime]:
     """All closed-form conjugate times up to t_max, annotated with their class."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be finite and positive")
+    omega = math.sqrt(data.lam + data.rho)  # rho = 0 off the rho-positive branch
+    period = (math.pi if data.branch == BRANCH_COMMUTING else 2 * math.pi) / omega
+    tan = data.branch == BRANCH_RHO_POSITIVE
+    if (1 + tan) * t_max / period > MAX_GRID_POINTS:
+        raise ValueError(f"t_max = {t_max:g} gives over {MAX_GRID_POINTS:g} closed-form times")
     out: list[ClosedFormTime] = []
-    if data.branch == BRANCH_COMMUTING:
-        period = math.pi / math.sqrt(data.lam)
-        p = 1
-        while p * period <= t_max + 1e-15:
-            out.append(ClosedFormTime(p * period, CLASS_ISOTROPIC, FAMILY_PI))
-            p += 1
-        return out
-    if data.branch == BRANCH_RHO_ZERO:
-        period = 2 * math.pi / math.sqrt(data.lam)
-        p = 1
-        while p * period <= t_max + 1e-15:
-            out.append(ClosedFormTime(p * period, CLASS_NOT_STRICT, FAMILY_TWO_PI))
-            p += 1
-        return out
-
-    omega = math.sqrt(data.lam + data.rho)
-    mu = -data.rho / (2.0 * data.lam)
-    s_max = omega * t_max
-    n_roots = max(1, int(math.ceil((s_max / math.pi + 1.0) / 2.0)))
-    for s in solve_tan_family(mu, n_roots):
-        t = s / omega
-        if t <= t_max + 1e-15:
-            out.append(ClosedFormTime(t, CLASS_NOT_STRICT, FAMILY_TAN))
-    period = 2 * math.pi / omega
+    if tan:
+        mu = -data.rho / (2.0 * data.lam)
+        n_roots = max(1, int(math.ceil((omega * t_max / math.pi + 1.0) / 2.0)))
+        for s in solve_tan_family(mu, n_roots):
+            t = s / omega
+            if t <= t_max + 1e-15:
+                out.append(ClosedFormTime(t, CLASS_NOT_STRICT, FAMILY_TAN))
+    isotropy_class, family = {
+        BRANCH_COMMUTING: (CLASS_ISOTROPIC, FAMILY_PI),
+        BRANCH_RHO_ZERO: (CLASS_NOT_STRICT, FAMILY_TWO_PI),
+        BRANCH_RHO_POSITIVE: (CLASS_ISOTROPIC, FAMILY_TWO_PI),
+    }[data.branch]
     p = 1
     while p * period <= t_max + 1e-15:
-        out.append(ClosedFormTime(p * period, CLASS_ISOTROPIC, FAMILY_TWO_PI))
+        out.append(ClosedFormTime(p * period, isotropy_class, family))
         p += 1
     out.sort(key=lambda item: item.t)
-    for first, second in zip(out, out[1:]):
-        if second.t - first.t < 1e-6:
-            raise ClosedFormError("tan-family and 2p*pi-family times collide")
+    if tan and any(second.t - first.t < 1e-6 for first, second in zip(out, out[1:])):
+        raise ClosedFormError("tan-family and 2p*pi-family times collide")
     return out
 
 
@@ -247,12 +239,11 @@ def cross_validate(
     u,
     v,
     t_max: float,
-    step: float | None = None,
 ) -> CrossValidation:
     """Check every closed-form time against the ODE scan (hard Mismatch on absence)."""
     data = extract_cp_data(space, u, v)
     predicted = closed_form_times(data, t_max)
-    events = conjugate_events(space, u, t_max, step)
+    events = conjugate_events(space, u, t_max)
 
     matched = []
     used = set()

@@ -14,7 +14,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraElement, StructuredAlgebra
 
@@ -37,9 +36,6 @@ class DegeneratePlane(GeometryError):
 
 class NoWitness(GeometryError):
     """No registered transitivity witness and random search found none."""
-
-
-PARTS = ("K", "M", "M0", "M1")
 
 
 @dataclass(frozen=True)
@@ -100,6 +96,22 @@ class ReductiveSpace:
         return np.linalg.cholesky(self.gram_m)
 
     @cached_property
+    def frame_m(self) -> np.ndarray:
+        """L^-T: its columns are the m-basis coordinates of the ON frame of m."""
+        return np.linalg.inv(self.chol_m.T)
+
+    def to_frame(self, xs) -> np.ndarray:
+        """ON-frame coordinates of the m-parts of full coefficient vectors (rows)."""
+        return np.asarray(xs, dtype=float)[..., self.part_indices("M")] @ self.chol_m
+
+    def from_frame(self, xs_on) -> np.ndarray:
+        """Full coefficient vectors (rows) of ON-frame m-vectors."""
+        xs_on = np.asarray(xs_on, dtype=float)
+        out = np.zeros(xs_on.shape[:-1] + (self.algebra.dim,))
+        out[..., self.part_indices("M")] = xs_on @ self.frame_m.T
+        return out
+
+    @cached_property
     def gram_k(self) -> np.ndarray:
         idx = self.part_indices("K")
         return self.algebra.gram[np.ix_(idx, idx)]
@@ -129,14 +141,8 @@ class ReductiveSpace:
 
     def random_unit_m(self, rng, size: int | None = None) -> np.ndarray:
         """Random g-unit vectors supported on m (ON-frame Gaussians)."""
-        idx = self.part_indices("M")
-        n = len(idx)
-        k = 1 if size is None else size
-        xi = rng.standard_normal((k, n))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        basis_coords = np.linalg.solve(self.chol_m.T, xi.T).T
-        out = np.zeros((k, self.algebra.dim))
-        out[:, idx] = basis_coords
+        xi = rng.standard_normal((1 if size is None else size, self.dim_m))
+        out = self.from_frame(xi / np.linalg.norm(xi, axis=1, keepdims=True))
         return out if size is not None else out[0]
 
     # -- validation ------------------------------------------------------
@@ -265,30 +271,13 @@ class BracketKernel:
         m = space.part_indices("M")
         k = space.part_indices("K")
         self.n = n = len(m)
-        self.space = space
-        # basis <- ON: x_basis = from_frame @ x_on, with x_on = chol_m^T x_basis
-        self._from_frame = scipy.linalg.solve_triangular(
-            space.chol_m.T, np.eye(n), lower=False
-        )
-        a = self._from_frame
+        a = space.frame_m
         b = np.einsum("ia,jb,ijc->abc", a, a, alg.structure[np.ix_(m, m, np.arange(alg.dim))])
         parts = [np.sqrt(w_k) * (b[:, :, k] @ space.chol_k)] if len(k) else []
-        parts.append(np.sqrt(w_m) * (b[:, :, m] @ space.chol_m))
+        parts.append(np.sqrt(w_m) * space.to_frame(b))
         tensor = np.concatenate(parts, axis=2)
         tensor = 0.5 * (tensor - tensor.transpose(1, 0, 2))
         self._tensor = tensor.reshape(n, -1)
-
-    def to_frame(self, xs: np.ndarray) -> np.ndarray:
-        """ON-frame coordinates of m-vectors given as full coefficient vectors."""
-        m = self.space.part_indices("M")
-        return np.asarray(xs, dtype=float)[..., m] @ self.space.chol_m
-
-    def to_basis(self, xs_on: np.ndarray) -> np.ndarray:
-        """Full coefficient vectors of ON-frame m-vectors."""
-        xs_on = np.asarray(xs_on, dtype=float)
-        out = np.zeros(xs_on.shape[:-1] + (self.space.algebra.dim,))
-        out[..., self.space.part_indices("M")] = xs_on @ self._from_frame.T
-        return out
 
     def random_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal pairs from two Gaussian draws (the stream of random_unit_m)."""
@@ -388,7 +377,7 @@ def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> fl
         raise DegeneratePlane(f"plane area^2 = {area2:.2e}")
     if mode == "normal":
         kernel = BracketKernel(space, 1.0, 0.25)
-        return float(kernel.value(kernel.to_frame(xc[None]), kernel.to_frame(yc[None]))[0])
+        return float(kernel.value(space.to_frame(xc[None]), space.to_frame(yc[None]))[0])
     if mode != "naturally_reductive":
         raise ValueError(f"unknown mode {mode!r}")
     b = np.einsum("i,j,ijk->k", xc, yc, alg.structure)
@@ -505,7 +494,7 @@ def rank_one_check(
         space=space.name,
         min_bracket_sq=float(vals[best]),
         passed=bool(vals[best] > threshold),
-        argmin=PlaneSpec(kernel.to_basis(xs[best]), kernel.to_basis(ys[best])),
+        argmin=PlaneSpec(space.from_frame(xs[best]), space.from_frame(ys[best])),
         multistarts=multistarts,
         seed=seed,
     )
@@ -579,13 +568,3 @@ def isotropy_transitivity_check(space: ReductiveSpace, part: str) -> Transitivit
             )
     raise NoWitness(f"no transitivity witness registered or found for {space.name}/{part}")
 
-
-def ad_orbit_direction(space: ReductiveSpace, z, u, t: float) -> np.ndarray:
-    """exp(t ad_z) u computed by matrix exponential of ad_z restricted to m."""
-    zc, uc = _coeffs(z), _coeffs(u)
-    m = space.part_indices("M")
-    ad_m = space.algebra.ad(zc)[np.ix_(m, m)]
-    rotated = scipy.linalg.expm(t * ad_m) @ uc[m]
-    out = np.zeros_like(uc)
-    out[m] = rotated
-    return out

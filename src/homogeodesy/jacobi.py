@@ -39,10 +39,6 @@ class ZeroVector(JacobiError):
     pass
 
 
-class StepTooCoarse(JacobiError):
-    """The scan step risks hopping over a zero of det J(t)."""
-
-
 class GridTooLarge(ValueError):
     """The scan grid would exceed MAX_GRID_POINTS points (or never reach t_max)."""
 
@@ -68,17 +64,6 @@ class JacobiSystem:
     @property
     def n(self) -> int:
         return self.T.shape[0]
-
-    def to_on_frame(self, coeffs_m: np.ndarray) -> np.ndarray:
-        return self.space.chol_m.T @ coeffs_m
-
-    def from_on_frame(self, xi: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self.space.chol_m.T, xi, lower=False)
-
-    def embed_m(self, coeffs_m: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.space.algebra.dim)
-        out[self.space.part_indices("M")] = coeffs_m
-        return out
 
 
 @dataclass(frozen=True)
@@ -113,12 +98,9 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     if len(k) and np.max(np.abs(uc[k])) > 1e-10:
         raise ValueError("geodesic direction must be supported on m")
 
-    l = space.chol_m
-    t_basis = torsion_op(space, uc)
-    r_basis = jacobi_op(space, uc)
-    # A_on = L^T A L^{-T}: same operator in the gram-orthonormal frame.
-    t_on = l.T @ scipy.linalg.solve_triangular(l, t_basis.T, lower=True).T
-    r_on = l.T @ scipy.linalg.solve_triangular(l, r_basis.T, lower=True).T
+    # A_on = L^T A L^-T: the same operator in the gram-orthonormal frame.
+    t_on = space.chol_m.T @ torsion_op(space, uc) @ space.frame_m
+    r_on = space.chol_m.T @ jacobi_op(space, uc) @ space.frame_m
     skew, sym = np.max(np.abs(t_on + t_on.T)), np.max(np.abs(r_on - r_on.T))
     if max(skew, sym) > 1e-9:
         raise JacobiError(
@@ -198,8 +180,8 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float) -> list[ConjugateEvent]:
         mult = int(np.sum(sv < MULTIPLICITY_RTOL * sv[0]))
         if mult == 0:
             continue
-        kernel = [sys.embed_m(sys.from_on_frame(xi)) for xi in vt[sys.n - mult :]]
-        events.append(ConjugateEvent(t=float(t), multiplicity=mult, kernel=np.array(kernel)))
+        kernel = sys.space.from_frame(vt[sys.n - mult :])
+        events.append(ConjugateEvent(t=float(t), multiplicity=mult, kernel=kernel))
         reach = lip * max(t - ts[0], ts[-1] - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
             if value >= reach or not slope:
@@ -283,18 +265,17 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     return np.append(ts, t[-1]), np.append(fs, f[-1]), suspicious, lip, delta
 
 
-def scan_conjugate_times(
-    sys: JacobiSystem, t_max: float, step: float | None = None
-) -> list[ConjugateEvent]:
+def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Samples sigma_min(J) on a grid of step h from h/2, bisecting below 1e-5
-    (see _samples); |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew
-    and R symmetric, so |X'|^2 + <RX, X> is constant along X'' = T X' - R X
-    (energy of a gyroscopic system: Lancaster, LAA 439, 2013).  For X(0) = 0 it
-    is |X'(0)|^2, and <RX, X> >= -eta |X|^2, eta = max(0, -lambda_min(R)), zero
-    up to rounding (build_system refuses an indefinite R).  So ||J(t)|| <=
-    sinh(sqrt(eta) t) / sqrt(eta) and, up to the last grid time t_end,
+    Samples sigma_min(J) on a grid of step h = default_scan_step(sys) from
+    h/2, bisecting below 1e-5 (see _samples); |sigma_min'| <= ||J'|| (Weyl).
+    In the ON frame T is skew and R symmetric, so |X'|^2 + <RX, X> is constant
+    along X'' = T X' - R X (energy of a gyroscopic system: Lancaster, LAA 439,
+    2013).  For X(0) = 0 it is |X'(0)|^2, and <RX, X> >= -eta |X|^2, with
+    eta = max(0, -lambda_min(R)) zero up to rounding (build_system refuses an
+    indefinite R).  So ||J(t)|| <= sinh(sqrt(eta) t) / sqrt(eta) and, up to
+    the last grid time t_end,
         ||J'(t)|| <= L = sqrt(1 + eta max ||J||^2) = cosh(sqrt(eta) t_end).
     L is attained at each simple zero (the Wronskian J^T J' - J'^T J - J^T T J
     vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
@@ -306,14 +287,8 @@ def scan_conjugate_times(
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    lipschitz = math.sqrt(np.linalg.norm(sys.R, 2) + np.linalg.norm(sys.T, 2) ** 2)
-    if step is None:
-        step = default_scan_step(sys)
-    elif lipschitz * step > 0.5:
-        raise StepTooCoarse(
-            f"step {step:g} with frequency bound {lipschitz:g} risks missed zeros"
-        )
-    if not (step > 0 and t_max / step <= MAX_GRID_POINTS):
+    step = default_scan_step(sys)
+    if not t_max / step <= MAX_GRID_POINTS:
         raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
     ts, fs, suspicious, lip, delta = _samples(sys, t_max, step)
@@ -339,13 +314,10 @@ def isotropic_derivative_basis(space: ReductiveSpace, u) -> np.ndarray:
     """Orthonormal ON-frame basis of [k, u], the isotropic initial derivatives."""
     uc = np.asarray(u, dtype=float)
     k = space.part_indices("K")
-    m = space.part_indices("M")
     if len(k) == 0:
-        return np.zeros((len(m), 0))
-    ad = space.algebra.ad(uc)
-    cols = -ad[np.ix_(m, k)]  # [z_j, u] = -ad_u z_j, m components
-    cols_on = space.chol_m.T @ cols
-    q, sv, _ = np.linalg.svd(cols_on, full_matrices=False)
+        return np.zeros((space.dim_m, 0))
+    cols = -space.algebra.ad(uc)[:, k]  # [z_j, u] = -ad_u z_j
+    q, sv, _ = np.linalg.svd(space.to_frame(cols.T).T, full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * max(sv[0] if len(sv) else 1.0, 1e-300)))
     return q[:, :rank]
 
@@ -359,9 +331,7 @@ def classify_isotropy(sys: JacobiSystem, event: ConjugateEvent) -> ConjugateEven
     strictly isotropic iff (I - P_W) K vanishes altogether.
     """
     proj = isotropic_complement_projector(sys)
-    m = sys.space.part_indices("M")
-    kernel_on = np.array([sys.to_on_frame(vec[m]) for vec in event.kernel]).T
-    kernel_on, _ = np.linalg.qr(kernel_on)
+    kernel_on, _ = np.linalg.qr(sys.space.to_frame(event.kernel).T)
     outside = kernel_on - proj @ kernel_on
     sv = np.linalg.svd(outside, compute_uv=False)
     s_max, s_min = (sv[0], sv[-1]) if len(sv) else (0.0, 0.0)
@@ -372,12 +342,10 @@ def classify_isotropy(sys: JacobiSystem, event: ConjugateEvent) -> ConjugateEven
     )
 
 
-def conjugate_events(
-    space: ReductiveSpace, u, t_max: float, step: float | None = None
-) -> list[ConjugateEvent]:
+def conjugate_events(space: ReductiveSpace, u, t_max: float) -> list[ConjugateEvent]:
     """Build the system along u, scan for conjugate times, classify each event."""
     sys = build_system(space, u)
-    return [classify_isotropy(sys, ev) for ev in scan_conjugate_times(sys, t_max, step)]
+    return [classify_isotropy(sys, ev) for ev in scan_conjugate_times(sys, t_max)]
 
 
 # -- canonical directions ----------------------------------------------------

@@ -64,7 +64,7 @@ def estimate_pinching(
     runs = np.split(vals, 2)  # the k_max starts, then the k_min starts
     best = (int(np.argmax(runs[0])), multistarts + int(np.argmin(runs[1])))
     k_max, k_min = vals[best[0]], vals[best[1]]
-    argmax, argmin = (PlaneSpec(kernel.to_basis(xs[b]), kernel.to_basis(ys[b])) for b in best)
+    argmax, argmin = (PlaneSpec(space.from_frame(xs[b]), space.from_frame(ys[b])) for b in best)
     tols = CONVERGENCE_RTOL * np.maximum(np.abs([k_max, k_min]), 1e-30)
     converged = all(np.sum(np.abs(r - k) <= t) >= 3 for r, k, t in zip(runs, (k_max, k_min), tols))
 

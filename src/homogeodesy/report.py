@@ -359,12 +359,11 @@ def conjugate_table(
     space: ReductiveSpace,
     theta: float,
     t_max: float,
-    step: float | None = None,
     aux: dict | None = None,
 ) -> dict:
     """Scan one geodesic and annotate events with closed-form matches."""
     u, v = geodesic_pair(space, theta, aux)
-    events = conjugate_events(space, u, t_max, step)
+    events = conjugate_events(space, u, t_max)
     predictions = []
     try:
         data = extract_cp_data(space, u, v)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from homogeodesy.matrices import (
@@ -277,3 +278,12 @@ def berger_table_residual(space) -> float:
         got = coeffs(f"e_{r}", f"f_{r}")
         worst = max(worst, np.max(np.abs(got - expected(parts))))
     return worst
+
+
+def ad_orbit_direction(space, z, u, t: float) -> np.ndarray:
+    """exp(t ad_z) u computed by matrix exponential of ad_z restricted to m."""
+    m = space.part_indices("M")
+    ad_m = space.algebra.ad(np.asarray(z, dtype=float))[np.ix_(m, m)]
+    out = np.zeros(len(u))
+    out[m] = scipy.linalg.expm(t * ad_m) @ np.asarray(u, dtype=float)[m]
+    return out

@@ -108,7 +108,7 @@ def test_round_berger_s1_m1_is_constant_curvature(rng):
     xs = space.random_unit_m(rng, 1000)
     ys = space.random_unit_m(rng, 1000)
     kernel = BracketKernel(space, 1.0, 0.25)
-    ks = kernel.value(kernel.to_frame(xs), kernel.to_frame(ys))
+    ks = kernel.value(space.to_frame(xs), space.to_frame(ys))
     np.testing.assert_allclose(ks, kappa, atol=1e-10)
 
 
@@ -117,7 +117,7 @@ def test_round_sphere_family_is_constant_curvature(rng):
     xs = space.random_unit_m(rng, 500)
     ys = space.random_unit_m(rng, 500)
     kernel = BracketKernel(space, 1.0, 0.25)
-    ks = kernel.value(kernel.to_frame(xs), kernel.to_frame(ys))
+    ks = kernel.value(space.to_frame(xs), space.to_frame(ys))
     np.testing.assert_allclose(ks, 0.5, atol=1e-10)
 
 

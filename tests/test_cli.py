@@ -137,6 +137,24 @@ def test_oversized_scan_grid_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "desc,theta,tmax",
+    [
+        ("berger:m=1,s=0.5", "0", "inf"),  # 2p*pi family
+        ("berger:m=1,s=0.5", "0.7", "inf"),  # tan family
+        ("berger:m=1,s=0.5", "0.7", "nan"),
+        ("b13", repr(math.pi / 2), "1e12"),  # ~1e12 tan roots
+    ],
+)
+def test_closedform_refuses_unbounded_tmax(capsys, desc, theta, tmax):
+    code = main(["closedform", desc, "--theta", theta, "--tmax", tmax])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: t_max")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_bad_arguments_exit_code(capsys):
     assert main(["reproduce", "nonsense"]) == 3
     assert main(["pinching", "cpodd:m=1", "--multistarts", "0"]) == 3

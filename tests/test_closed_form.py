@@ -20,10 +20,9 @@ from homogeodesy.closed_form import (
     extract_cp_data,
     solve_tan_family,
 )
-from homogeodesy.homogeneous import ad_orbit_direction
 from homogeodesy.jacobi import conjugate_events, geodesic_pair
 
-from oracles import bisect_tan_root
+from oracles import ad_orbit_direction, bisect_tan_root
 
 
 def test_tan_family_against_bisection_oracle():
@@ -64,6 +63,18 @@ def test_tan_family_rejects_nonnegative_mu():
         solve_tan_family(0.0, 1)
     with pytest.raises(ValueError):
         solve_tan_family(0.3, 1)
+
+
+def test_unbounded_t_max_is_refused_before_any_root():
+    space = build_space("berger:m=1,s=0.5")
+    for theta in (0.0, 0.7):  # the 2p*pi branch, then the tan branch
+        u, v = geodesic_pair(space, theta)
+        data = extract_cp_data(space, u, v)
+        for t_max in (math.inf, math.nan, 0.0, -1.0, 1e12):
+            with pytest.raises(ValueError, match="t_max"):
+                closed_form_times(data, t_max)
+        with pytest.raises(ValueError, match="t_max"):
+            cross_validate(space, u, v, math.inf)
 
 
 @pytest.mark.parametrize("desc", ["berger:m=1,s=1e-6", "cpodd:m=1,kappa=1e4"])

@@ -11,7 +11,6 @@ from homogeodesy.homogeneous import (
     MissingSplit,
     NoWitness,
     ReductiveSpace,
-    ad_orbit_direction,
     isotropy_transitivity_check,
     jacobi_op,
     lts_check,
@@ -23,7 +22,7 @@ from homogeodesy.homogeneous import (
 )
 from homogeodesy.matrices import alpha_coeff
 
-from oracles import optimize_pairs_one_sign, sampled_bracket_minimum
+from oracles import ad_orbit_direction, optimize_pairs_one_sign, sampled_bracket_minimum
 
 CATALOG = (
     "round:n=3,kappa=1",
@@ -45,6 +44,20 @@ def test_random_unit_m_shapes(rng):
     batch = space.random_unit_m(rng, 3)
     assert batch.shape == (3, dim)
     np.testing.assert_allclose([space.algebra.norm(x) for x in batch], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+def test_frame_round_trip_and_orthonormality(desc, rng):
+    space = build_space(desc)
+    m, k = space.part_indices("M"), space.part_indices("K")
+    xs = np.zeros((16, space.algebra.dim))
+    xs[:, m] = rng.standard_normal((16, len(m)))
+    np.testing.assert_allclose(space.from_frame(space.to_frame(xs)), xs, rtol=0, atol=1e-14)
+    frame = space.from_frame(np.eye(space.dim_m))
+    np.testing.assert_allclose(frame @ space.algebra.gram @ frame.T, np.eye(len(m)), atol=1e-14)
+    with_k = xs.copy()
+    with_k[:, k] = rng.standard_normal((16, len(k)))
+    assert np.array_equal(space.to_frame(with_k), space.to_frame(xs))
 
 
 def test_projection_direct_sum():
@@ -168,7 +181,7 @@ def test_bracket_kernel_matches_scalar(rng):
         kernel = BracketKernel(space, 1.0, 0.25)
         xs = space.random_unit_m(rng, 16)
         ys = space.random_unit_m(rng, 16)
-        batch = kernel.value(kernel.to_frame(xs), kernel.to_frame(ys))
+        batch = kernel.value(space.to_frame(xs), space.to_frame(ys))
         for i in range(16):
             ref = sectional_curvature(space, xs[i], ys[i], mode="naturally_reductive")
             assert abs(batch[i] - ref) < 1e-10 * max(1.0, abs(ref))
@@ -279,8 +292,8 @@ def test_rank_one_check_matches_one_sign_reference(desc):
     vals, xs, ys = optimize_pairs_one_sign(kernel, -1.0, np.random.default_rng(3), 64)
     best = int(np.argmin(vals))
     assert rep.min_bracket_sq == vals[best]
-    assert np.array_equal(rep.argmin.x, kernel.to_basis(xs[best]))
-    assert np.array_equal(rep.argmin.y, kernel.to_basis(ys[best]))
+    assert np.array_equal(rep.argmin.x, space.from_frame(xs[best]))
+    assert np.array_equal(rep.argmin.y, space.from_frame(ys[best]))
 
 
 def test_rank_one_fails_on_abelian(abelian_space):
