@@ -206,6 +206,9 @@ def cmd_pinching(args) -> int:
             sys.stderr.write("--grid is required with --family\n")
             return 3
         grid = [float(x) for x in args.grid.split(",") if x.strip()]
+        if not grid:
+            sys.stderr.write(f"--grid {args.grid!r} holds no s values\n")
+            return 3
         rows = pinching_curve(
             args.family,
             args.m,

@@ -9,6 +9,7 @@ estimate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -134,7 +135,10 @@ class ReductiveSpace:
 
     def unit(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        n = self.algebra.norm(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = self.algebra.norm(coeffs)
+        if not math.isfinite(n):
+            raise ValueError(f"cannot normalize a vector of norm {n}")
         if n < 1e-14:
             raise ValueError("cannot normalize the zero vector")
         return coeffs / n

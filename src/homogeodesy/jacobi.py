@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .homogeneous import ReductiveSpace, jacobi_op, torsion_op
 
@@ -29,6 +29,17 @@ _LEAF = 1e-5  # width below which a suspicious interval stops being bisected
 _NEWTON_RTOL = 1e-14
 _MAX_NEWTON = 100
 _BLOCK = 1024  # grid cells per block of batched products and SVDs
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scipy.linalg.expm, imported here so that only a scan loads scipy.
+
+    The attribute is looked up at every call, so a binding patched onto
+    scipy.linalg (a tracer or a counting test) sees every exponential.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
 
 
 class JacobiError(RuntimeError):
@@ -64,6 +75,16 @@ class JacobiSystem:
     @property
     def n(self) -> int:
         return self.T.shape[0]
+
+    @cached_property
+    def complement_projector(self) -> np.ndarray:
+        """Read-only projector onto (Ker R_u)-perp, one eigh of R per system."""
+        evals, evecs = np.linalg.eigh(self.R)
+        cutoff = RANK_TOL * max(evals[-1], 1e-300)
+        w = evecs[:, evals > cutoff]
+        proj = w @ w.T
+        proj.setflags(write=False)
+        return proj
 
 
 @dataclass(frozen=True)
@@ -122,7 +143,7 @@ def fundamental_block(sys: JacobiSystem, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     n = sys.n
-    return scipy.linalg.expm(t * sys.companion)[:n, n:]
+    return _expm(t * sys.companion)[:n, n:]
 
 
 def default_scan_step(sys: JacobiSystem) -> float:
@@ -141,7 +162,7 @@ def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip):
     n = sys.n
     dx = dx_old = hi - lo
     for _ in range(_MAX_NEWTON):
-        e = scipy.linalg.expm(t * sys.companion)
+        e = _expm(t * sys.companion)
         u, sv, vt = np.linalg.svd(e[:n, n:])
         slopes = np.einsum("ij,ji->i", u.T @ (e[:n, :n] + e[:n, n:] @ sys.T), vt.T)
         probe = (t, sv, vt, slopes)
@@ -232,8 +253,8 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
     delta *= chain * (2 + zeta + t_end * r) + zeta**2
     delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
-    stepper = scipy.linalg.expm(step * a)
-    row = scipy.linalg.expm(ts[0] * a)[:n]
+    stepper = _expm(step * a)
+    row = _expm(ts[0] * a)[:n]
     shifts = []  # shifts[k] = exp(w A) with w = step / 2^(k+1), the level-k half width
     parts = []
     for start in range(0, len(ts) - 1, _BLOCK):
@@ -254,7 +275,7 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
             at, heads = np.flatnonzero(split), heads[split[rows]]
             half = step / 2.0 ** (level + 1)
             if level == len(shifts):
-                shifts.append(scipy.linalg.expm(half * a))
+                shifts.append(_expm(half * a))
             mid_heads = (heads.reshape(-1, 2 * n) @ shifts[level]).reshape(heads.shape)
             smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
             t, f = np.insert(t, at + 1, t[at] + half), np.insert(f, at + 1, smin)
@@ -304,10 +325,7 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
 
 def isotropic_complement_projector(sys: JacobiSystem) -> np.ndarray:
     """Projector onto (Ker R_u)-perp in the ON frame of m."""
-    evals, evecs = np.linalg.eigh(sys.R)
-    cutoff = RANK_TOL * max(evals[-1], 1e-300)
-    w = evecs[:, evals > cutoff]
-    return w @ w.T
+    return sys.complement_projector
 
 
 def isotropic_derivative_basis(space: ReductiveSpace, u) -> np.ndarray:
@@ -366,6 +384,15 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
     extra = set(aux) - _AUX_KEYS[family]
     if extra:
         raise BadAux(f"unknown aux parameters {sorted(extra)} for {family}")
+    for key, value in aux.items():
+        if not math.isfinite(float(value)):
+            raise BadAux(f"{key} must be finite, got {value}")
+
+    def unit(x):
+        try:
+            return space.unit(x)
+        except ValueError as exc:
+            raise BadAux(f"aux parameters {aux} give no direction: {exc}") from None
 
     bv = space.basis_vector
     m = int(space.params.get("m", 0))
@@ -390,17 +417,17 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
         return u0 + math.cos(phi1) * bv("d_3s"), u1
     if family == "cpodd":
         phi = float(aux.get("phi", 0.0))
-        return space.unit(math.cos(phi) * bv("X_2") + math.sin(phi) * bv("X_3")), u1
+        return unit(math.cos(phi) * bv("X_2") + math.sin(phi) * bv("X_3")), u1
     x0 = float(aux.get("x0", 0.0))
     if family == "b13":
         phi1, phi2 = float(aux.get("phi1", 0.0)), float(aux.get("phi2", 0.0))
         s1 = math.sin(phi1)
         x = x0 * bv("u_0") + math.cos(phi1) * bv("u_1") + s1 * math.cos(phi2) * bv("u_2")
-        return space.unit(x + s1 * math.sin(phi2) * bv("v_1")), u1
+        return unit(x + s1 * math.sin(phi2) * bv("v_1")), u1
     # w7
     phi = float(aux.get("phi", 0.0))
     x = x0 * bv("u_0s") + math.cos(phi) * bv("u_1s") + math.sin(phi) * bv("v_1s")
-    return space.unit(x), u1
+    return unit(x), u1
 
 
 def geodesic_pair(

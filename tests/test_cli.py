@@ -34,6 +34,40 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert loaded == "False"
 
 
+def test_only_a_scan_loads_scipy():
+    # scipy.linalg.expm is imported at the first scan; nothing else needs scipy
+    src = str(Path(homogeodesy.__file__).resolve().parents[1])
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import homogeodesy as hg
+from homogeodesy.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = []
+steps.append(("import", scipy_modules()))
+space = hg.build_space("berger:m=1,s=0.5")
+steps.append(("build_space", scipy_modules()))
+hg.estimate_pinching(space, multistarts=4)
+steps.append(("estimate_pinching", scipy_modules()))
+hg.closed_form_times(hg.extract_cp_data(space, *hg.geodesic_pair(space, 0.7)), 6.0)
+steps.append(("closed_form_times", scipy_modules()))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "cpodd:m=1"]) == 0
+steps.append(("verify", scipy_modules()))
+for step, loaded in steps:
+    assert not loaded, (step, loaded)
+hg.scan_conjugate_times(hg.build_system(space, hg.geodesic_direction(space, 0.7)), 2.0)
+assert "scipy.linalg" in sys.modules
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 def test_list_command(capsys):
     code, out = run_cli(capsys, "list")
     assert code == 0
@@ -130,6 +164,37 @@ def test_bad_descriptor_exit_code(capsys):
             warnings.simplefilter("error")
             code, _ = run_cli(capsys, "verify", desc)
         assert code == 3, desc
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["conjugate", "b13", "--x0", "nan"], "x0"),
+        (["conjugate", "cpodd:m=1", "--phi", "nan"], "phi"),
+        (["conjugate", "spsphere:m=1,s=0.5", "--phi1", "inf"], "phi1"),
+        (["conjugate", "w7:s=0.5", "--x0", "inf"], "x0"),
+        (["conjugate", "b13", "--x0", "1e300"], "x0"),  # finite, but its norm overflows
+        (["closedform", "b13", "--x0", "nan"], "x0"),
+    ],
+)
+def test_non_finite_aux_exit_code_names_the_key(capsys, argv, key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--theta", "0.7", "--tmax", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and key in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("grid", [",", ""])
+def test_pinching_refuses_empty_grid(capsys, grid):
+    code = main(["pinching", "--family", "berger", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("--grid") and captured.err.count("\n") == 1
 
 
 def test_oversized_scan_grid_exit_code(capsys):

@@ -166,6 +166,20 @@ def test_expm_budget_per_event(monkeypatch):
     assert len(calls) <= 200 * len(events)
 
 
+def test_expm_is_looked_up_at_each_call(monkeypatch):
+    # a binding patched onto scipy.linalg after the first exponential (as the
+    # benchmark tracer does) still sees every later one
+    space = build_space("b13")
+    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
+    fundamental_block(sys, 1.0)
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    fundamental_block(sys, 1.0)
+    assert len(calls) == 1
+    assert scan_conjugate_times(sys, 3.0) and len(calls) > 1
+
+
 def test_bisection_costs_one_expm_per_level(monkeypatch):
     calls = []
     expm = scipy.linalg.expm
@@ -343,3 +357,24 @@ def test_bad_angle_and_aux():
         geodesic_direction(space, 0.3, {"alpha": 5})
     with pytest.raises(BadAux):
         geodesic_direction(build_space("round:n=3"), 0.0)
+
+
+def test_non_finite_aux_is_refused_by_name():
+    b13 = build_space("b13")
+    with pytest.raises(BadAux, match="x0 must be finite"):
+        geodesic_pair(b13, 0.7, {"x0": math.nan})
+    with pytest.raises(BadAux, match="phi1 must be finite"):
+        geodesic_pair(build_space("spsphere:m=1,s=0.5"), 0.7, {"phi1": math.inf})
+    with pytest.raises(BadAux, match="x0"):  # finite, but the direction's norm overflows
+        geodesic_pair(b13, 0.7, {"x0": 1e300})
+    for bad in ([math.nan] + [0.0] * 23, [1e300] + [0.0] * 23):
+        with pytest.raises(ValueError, match="cannot normalize a vector of norm"):
+            b13.unit(bad)
+
+
+def test_complement_projector_is_computed_once_per_system():
+    space = build_space("b13")
+    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
+    proj = isotropic_complement_projector(sys)
+    assert isotropic_complement_projector(sys) is proj
+    assert not proj.flags.writeable
