@@ -3,8 +3,9 @@
 Everything is computed at the origin in the m-basis: projections are index
 masks (the Gram is block-diagonal across k + m), the canonical-connection
 operators come straight from the structure tensor, and sectional curvature is
-evaluated from bracket norms.  One bracket kernel with exact gradients and one
-projected-gradient optimizer serve both the rank-one check and the pinching
+evaluated from bracket norms.  One bracket kernel with an exact gradient and
+projected Hessian, and one damped Riemannian Newton optimizer on the
+Grassmannian of planes, serve both the rank-one check and the pinching
 estimate.
 """
 from __future__ import annotations
@@ -254,6 +255,9 @@ def jacobi_op(space: ReductiveSpace, u) -> np.ndarray:
 
 
 KERNEL_BLOCK = 512  # rows per evaluation block; bounds the (rows, n*p) products
+HESSIAN_BLOCK = 1 << 16  # Hessian entries per block: keeps a block's temporaries in cache
+GRAD_RTOL = 1e-14  # a gradient below this times |f| + max|H| is zero to rounding
+STOP_RTOL = 1e-13  # a predicted gain and a trial change below this times |f| are rounding
 
 
 class BracketKernel:
@@ -266,8 +270,18 @@ class BracketKernel:
     The bracket tensor B[a, b, :] = [e_a, e_b] of an orthonormal frame e of m,
     written in orthonormal frames of k and m and scaled by sqrt(w_k), sqrt(w_m),
     is stored as an (n, n*p) matrix: B(x, .) is one GEMM and, B being
-    antisymmetric, B(., y) = -B(y, .) is another.  The gradient is exact:
-    dN/dx = 2 B(., y)^T B(x, y) and df/dx = (dN/dx - f d(area^2)/dx) / area^2.
+    antisymmetric, B(., y) = -B(y, .) is another.  With z = (x, y) and
+    J = [-B(y, .); B(x, .)], the gradient is exact: dN/dz = 2 J B(x, y) and
+    df/dz = (dN/dz - f d(area^2)/dz) / area^2.
+
+    At an orthonormal pair, f is invariant under GL(2) acting on (x, y), so
+    its gradient is horizontal (orthogonal to span(x, y) in both blocks), and
+    its Riemannian Hessian on the Grassmannian of planes is P H P, where P
+    applies Q = I - xx^T - yy^T to both blocks and, for horizontal z = (xi, eta),
+      z^T H z = 2 |B(xi, y) + B(x, eta)|^2 + 4 <B(x, y), B(xi, eta)> - 2 f |z|^2.
+    The first term gives 2 (PJ)(PJ)^T.  The second gives the off-diagonal
+    blocks +-2 QCQ, with C = B(., ., B(x, y)) antisymmetric: one GEMM against
+    the tensor laid out as (p, n*n).  The third gives -2 f Q on the diagonal.
     """
 
     def __init__(self, space: ReductiveSpace, w_k: float, w_m: float):
@@ -282,6 +296,7 @@ class BracketKernel:
         tensor = np.concatenate(parts, axis=2)
         tensor = 0.5 * (tensor - tensor.transpose(1, 0, 2))
         self._tensor = tensor.reshape(n, -1)
+        self._contract = tensor.reshape(n * n, -1).T.copy()  # b -> B(., ., b)
 
     def random_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal pairs from two Gaussian draws (the stream of random_unit_m)."""
@@ -291,21 +306,27 @@ class BracketKernel:
 
     def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """f at each row pair."""
-        return self._evaluate(xs, ys, gradient=False)[0]
+        return self._evaluate(xs, ys, 0)[0]
 
     def value_and_gradient(self, xs: np.ndarray, ys: np.ndarray):
         """f, df/dx and df/dy at each row pair."""
-        return self._evaluate(xs, ys, gradient=True)
+        f, g, _ = self._evaluate(xs, ys, 1)
+        return f, g[:, : self.n], g[:, self.n :]
 
-    def _evaluate(self, xs, ys, gradient):
-        count = len(xs)
+    def second_order(self, xs: np.ndarray, ys: np.ndarray):
+        """f, df/d(x, y) and the projected Hessian P H P at orthonormal row pairs."""
+        return self._evaluate(xs, ys, 2)
+
+    def _evaluate(self, xs, ys, order):
+        count, n = len(xs), self.n
         f = np.empty(count)
-        gx = np.empty((count, self.n)) if gradient else None
-        gy = np.empty((count, self.n)) if gradient else None
-        for lo in range(0, count, KERNEL_BLOCK):
-            rows = slice(lo, lo + KERNEL_BLOCK)
+        g = np.empty((count, 2 * n)) if order else None
+        h = np.empty((count, 2 * n, 2 * n)) if order == 2 else None
+        block = KERNEL_BLOCK if order < 2 else max(1, HESSIAN_BLOCK // (2 * n) ** 2)
+        for lo in range(0, count, block):
+            rows = slice(lo, lo + block)
             x, y = xs[rows], ys[rows]
-            bx = (x @ self._tensor).reshape(len(x), self.n, -1)  # B(x, .)
+            bx = (x @ self._tensor).reshape(len(x), n, -1)  # B(x, .)
             bxy = np.einsum("nb,nbc->nc", y, bx)
             xx = np.einsum("na,na->n", x, x)[:, None]
             yy = np.einsum("na,na->n", y, y)[:, None]
@@ -313,13 +334,25 @@ class BracketKernel:
             area2 = xx * yy - xy**2
             fb = np.einsum("nc,nc->n", bxy, bxy)[:, None] / area2
             f[rows] = fb[:, 0]
-            if gradient:
-                by = (y @ self._tensor).reshape(len(y), self.n, -1)  # B(y, .) = -B(., y)
-                dn_x = -2.0 * np.einsum("nac,nc->na", by, bxy)
-                dn_y = 2.0 * np.einsum("nbc,nc->nb", bx, bxy)
-                gx[rows] = (dn_x - 2.0 * fb * (yy * x - xy * y)) / area2
-                gy[rows] = (dn_y - 2.0 * fb * (xx * y - xy * x)) / area2
-        return f, gx, gy
+            if not order:
+                continue
+            by = (y @ self._tensor).reshape(len(y), n, -1)  # B(y, .) = -B(., y)
+            jac = np.concatenate([-by, bx], axis=1)
+            darea2 = 2.0 * np.concatenate([yy * x - xy * y, xx * y - xy * x], axis=1)
+            g[rows] = (2.0 * np.einsum("nac,nc->na", jac, bxy) - fb * darea2) / area2
+            if order == 2:
+                # B(x, x) = B(y, y) = 0, so P J = J - (x; y) B(x, y)^T
+                jac -= np.concatenate([x, y], axis=1)[:, :, None] * bxy[:, None]
+                hb = np.matmul(jac, jac.transpose(0, 2, 1), out=h[rows])
+                q = np.eye(n) - x[:, :, None] * x[:, None] - y[:, :, None] * y[:, None]
+                qcq = q @ (bxy @ self._contract).reshape(len(x), n, n) @ q
+                hb[:, :n, n:] += qcq
+                hb[:, n:, :n] -= qcq
+                fq = fb[:, :, None] * q
+                hb[:, :n, :n] -= fq
+                hb[:, n:, n:] -= fq
+                hb *= 2.0
+        return f, g, h
 
 
 def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,39 +364,57 @@ def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def optimize_pairs(
     kernel: BracketKernel, signs: tuple[float, ...], rng, multistarts: int, max_iter: int = 400
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Multistart projected-gradient ascent (sign +1) and descent (sign -1) of f.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Multistart Riemannian Newton ascent (sign +1) and descent (sign -1) of f.
 
     Each sign gets `multistarts` starts from `rng`, in order, and all rows
-    advance in one loop.  A row steps along its normalized exact gradient and
-    is projected back onto orthonormal pairs by Gram-Schmidt, a retraction onto
-    the Stiefel manifold.  A step that improves f is kept and grows by 1.3 up
-    to 0.5; one that does not is halved; a row stops once its step is below
-    1e-10.  Each step makes one kernel call, on the trial pairs, and an accepted
-    row keeps that gradient.  Returns f and the ON-frame pairs (x, y) by row.
+    advance in one loop of at most `max_iter` steps.  A row takes the damped
+    (Levenberg-Marquardt) Newton step d = s (mu I - s PHP)^-1 g on the
+    Grassmannian of planes and is retracted onto orthonormal pairs by
+    Gram-Schmidt.  mu starts at |f| + max|PHP|; it also regularizes the flat
+    directions along isotropy orbits and the vertical ones.  A step that
+    improves f along an ascent direction (s g.d > 0) is kept and divides mu by
+    5; any other step multiplies it by 8.  A row stops once its gradient is
+    zero to rounding, or once its predicted gain g.(mu I - s PHP)^-1 g (the
+    damped Newton decrement) and its trial's change of f both fall to rounding
+    relative to |f|.  Each step makes
+    one kernel call, on the trial pairs, and an accepted row keeps that
+    gradient and Hessian.  Returns f, the ON-frame pairs (x, y) and the
+    Riemannian gradient norm |g| by row, and the number of steps taken.
     """
     if multistarts < 1:
         raise ValueError("multistarts must be >= 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+    n = kernel.n
     starts = [kernel.random_pairs(rng, multistarts) for _ in signs]
-    xs, ys = (np.concatenate(part) for part in zip(*starts))
+    z = np.concatenate([np.hstack(pair) for pair in starts])
     sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
-    f, gx, gy = kernel.value_and_gradient(xs, ys)
-    step = np.full(len(f), 0.1)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(step > 1e-10)
-        if not len(idx):
-            break
-        gnorm = np.sqrt(np.sum(gx[idx] ** 2, axis=1) + np.sum(gy[idx] ** 2, axis=1)) + 1e-30
-        scale = (sign[idx] * step[idx] / gnorm)[:, None]
-        nx, ny = _orthonormalize(xs[idx] + scale * gx[idx], ys[idx] + scale * gy[idx])
-        nf, ngx, ngy = kernel.value_and_gradient(nx, ny)
-        better = sign[idx] * nf > sign[idx] * f[idx]
+    f, g, h = kernel.second_order(z[:, :n], z[:, n:])
+    mu = np.abs(f) + np.max(np.abs(h), axis=(1, 2))
+    flat = GRAD_RTOL * mu  # a gradient norm at or below this is zero to rounding
+    active = np.linalg.norm(g, axis=1) > flat
+    diag = np.arange(2 * n)
+    steps = 0
+    while steps < max_iter and active.any():
+        steps += 1
+        idx = np.flatnonzero(active)
+        s, fi = sign[idx], f[idx]
+        lhs = -s[:, None, None] * h[idx]
+        lhs[:, diag, diag] += mu[idx, None]
+        d = s[:, None] * np.linalg.solve(lhs, g[idx][:, :, None])[:, :, 0]
+        gain = s * np.einsum("na,na->n", g[idx], d)
+        trial = np.hstack(_orthonormalize(z[idx, :n] + d[:, :n], z[idx, n:] + d[:, n:]))
+        nf, ng, nh = kernel.second_order(trial[:, :n], trial[:, n:])
+        better = (gain > 0) & (s * nf > s * fi)
         good = idx[better]
-        xs[good], ys[good], f[good] = nx[better], ny[better], nf[better]
-        gx[good], gy[good] = ngx[better], ngy[better]
-        step[good] = np.minimum(step[good] * 1.3, 0.5)
-        step[idx[~better]] *= 0.5
-    return f, xs, ys
+        z[good], f[good], g[good], h[good] = trial[better], nf[better], ng[better], nh[better]
+        mu[idx] *= np.where(better, 0.2, 8.0)
+        rounding = STOP_RTOL * np.abs(fi)
+        done = (gain <= rounding) & (np.abs(nf - fi) <= rounding)
+        done |= better & (np.linalg.norm(ng, axis=1) <= flat[idx])
+        active[idx[done]] = False
+    return f, z[:, :n], z[:, n:], np.linalg.norm(g, axis=1), steps
 
 
 def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> float:
@@ -490,9 +541,9 @@ def rank_one_check(
     seed: int = 0,
     threshold: float = RANK_ONE_THRESHOLD,
 ) -> RankOneReport:
-    """Minimize |[x,y]|^2 over g-orthonormal pairs in m by projected gradient."""
+    """Minimize |[x,y]|^2 over g-orthonormal pairs in m by Riemannian Newton."""
     kernel = BracketKernel(space, 1.0, 1.0)
-    vals, xs, ys = optimize_pairs(kernel, (-1.0,), np.random.default_rng(seed), multistarts)
+    vals, xs, ys, _, _ = optimize_pairs(kernel, (-1.0,), np.random.default_rng(seed), multistarts)
     best = int(np.argmin(vals))
     return RankOneReport(
         space=space.name,

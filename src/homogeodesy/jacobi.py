@@ -404,10 +404,10 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
         "b13": (4, 1, "e_"),
         "w7": (2, 1, "e_"),
     }[family]
-    alpha = int(aux.get("alpha", default))
-    if not 1 <= alpha <= top:
-        raise BadAux(f"alpha must be in 1..{top}")
-    u1 = bv(f"{prefix}{alpha}")
+    alpha = float(aux.get("alpha", default))
+    if not (alpha.is_integer() and 1 <= alpha <= top):
+        raise BadAux(f"alpha must be an integer in 1..{top}, got {aux['alpha']}")
+    u1 = bv(f"{prefix}{int(alpha)}")
     if family == "berger":
         return bv("d_s"), u1
     if family == "spsphere":

@@ -1,10 +1,12 @@
 """Curvature extremes and the pinching constant delta = min K / max K.
 
-Both extremes come from one run of the shared multistart projected-gradient
-optimizer over orthonormal tangent pairs (homogeneous.optimize_pairs): its
-k_max and k_min starts advance together, one call of the exact-gradient
-normal-mode bracket kernel per step.  A large random audit then guards the
-reported bracket [k_min, k_max].
+Both extremes come from one run of the shared multistart damped Riemannian
+Newton optimizer over tangent 2-planes (homogeneous.optimize_pairs): its
+k_max and k_min starts advance together, one call of the normal-mode bracket
+kernel (value, exact gradient and projected Hessian) per step, and each start
+stops on its own Newton decrement.  A large random audit then guards the
+reported bracket [k_min, k_max].  The report also carries the optimizer's
+step count and the Riemannian gradient norm at both extreme planes.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ class PinchingReport:
     converged: bool
     multistarts: int
     seed: int
+    optimizer_steps: int
+    grad_norm_argmax: float
+    grad_norm_argmin: float
 
     def to_dict(self) -> dict:
         return {
@@ -45,6 +50,9 @@ class PinchingReport:
             "converged": self.converged,
             "multistarts": self.multistarts,
             "seed": self.seed,
+            "optimizer_steps": self.optimizer_steps,
+            "grad_norm_argmax": self.grad_norm_argmax,
+            "grad_norm_argmin": self.grad_norm_argmin,
         }
 
 
@@ -60,7 +68,9 @@ def estimate_pinching(
         raise ValueError("audit_samples must be >= 1")
     kernel = BracketKernel(space, 1.0, 0.25)
     rng = np.random.default_rng(seed)
-    vals, xs, ys = optimize_pairs(kernel, (+1.0, -1.0), rng, multistarts, max_iter)
+    vals, xs, ys, grad_norm, steps = optimize_pairs(
+        kernel, (+1.0, -1.0), rng, multistarts, max_iter
+    )
     runs = np.split(vals, 2)  # the k_max starts, then the k_min starts
     best = (int(np.argmax(runs[0])), multistarts + int(np.argmin(runs[1])))
     k_max, k_min = vals[best[0]], vals[best[1]]
@@ -87,6 +97,9 @@ def estimate_pinching(
         converged=bool(converged),
         multistarts=multistarts,
         seed=seed,
+        optimizer_steps=steps,
+        grad_norm_argmax=float(grad_norm[best[0]]),
+        grad_norm_argmin=float(grad_norm[best[1]]),
     )
 
 

@@ -372,6 +372,17 @@ def test_non_finite_aux_is_refused_by_name():
             b13.unit(bad)
 
 
+def test_non_integral_alpha_is_refused_by_name():
+    berger = build_space("berger:m=2,s=0.5")
+    with pytest.raises(BadAux, match="alpha must be an integer in 1..2, got 1.5"):
+        geodesic_pair(berger, 0.7, {"alpha": 1.5})
+    with pytest.raises(BadAux, match="alpha must be an integer in 1..2, got 3"):
+        geodesic_pair(berger, 0.7, {"alpha": 3})
+    assert np.array_equal(
+        geodesic_pair(berger, 0.7, {"alpha": 2.0})[0], geodesic_pair(berger, 0.7, {"alpha": 2})[0]
+    )
+
+
 def test_complement_projector_is_computed_once_per_system():
     space = build_space("b13")
     sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))

@@ -82,6 +82,26 @@ def test_zero_audit_samples_rejected_before_optimizing(monkeypatch):
         estimate_pinching(build_space("round:n=3"), audit_samples=0)
 
 
+def test_negative_max_iter_rejected_before_any_kernel_call(monkeypatch):
+    def kernel_must_not_run(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(BracketKernel, "_evaluate", kernel_must_not_run)
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        estimate_pinching(build_space("round:n=3"), max_iter=-1)
+
+
+def test_report_carries_optimizer_stats():
+    space = build_space("berger:m=2,s=0.5")
+    doc = estimate_pinching(space, multistarts=8, seed=2).to_dict()
+    assert doc == estimate_pinching(space, multistarts=8, seed=2).to_dict()
+    assert 0 < doc["optimizer_steps"] < 400
+    assert 0 <= doc["grad_norm_argmax"] < 1e-6
+    assert 0 <= doc["grad_norm_argmin"] < 1e-6
+    assert estimate_pinching(space, multistarts=8, seed=2, max_iter=3).optimizer_steps == 3
+    assert estimate_pinching(build_space("round:n=3"), multistarts=8).optimizer_steps == 0
+
+
 def test_pinching_kernel_evaluation_budget(monkeypatch):
     # one kernel call for the starts of both extremes, at most one per
     # optimizer step, one for the audit
