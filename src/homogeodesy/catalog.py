@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-
 from .algebra import BasisMatrix, GramRule, assemble_algebra
+from .closed_form import _periodic_times
 from .homogeneous import ReductiveSpace
 from .matrices import (
     a_matrix,
@@ -117,14 +117,7 @@ def symmetric_conjugate_times(ref: SymmetricReference, t_max: float) -> list[flo
     if t_max <= 0:
         raise BadParams("t_max must be positive")
     base = math.pi / math.sqrt(ref.kappa)
-    if ref.kind == "projective":
-        base /= 2.0
-    out = []
-    p = 1
-    while p * base <= t_max + 1e-15:
-        out.append(p * base)
-        p += 1
-    return out
+    return _periodic_times(base / 2.0 if ref.kind == "projective" else base, t_max)
 
 
 # -- space builders ----------------------------------------------------------
@@ -408,13 +401,14 @@ class SpaceDescriptor:
         return f"{self.family}:{args}"
 
 
-_FAMILY_PARAMS = {
-    "round": {"n": (int, 3), "kappa": (float, 1.0)},
-    "berger": {"m": (int, 1), "s": (float, 1.0), "kappa": (float, 1.0)},
-    "spsphere": {"m": (int, 1), "s": (float, 1.0), "kappa": (float, 1.0)},
-    "cpodd": {"m": (int, 1), "kappa": (float, 1.0)},
-    "b13": {},
-    "w7": {"s": (float, 1.0)},
+# family -> builder and its parameters: name -> (type, default), the builder's keywords
+_FAMILIES = {
+    "round": (build_round_sphere, {"n": (int, 3), "kappa": (float, 1.0)}),
+    "berger": (build_berger_sphere, {"m": (int, 1), "s": (float, 1.0), "kappa": (float, 1.0)}),
+    "spsphere": (build_sp_sphere, {"m": (int, 1), "s": (float, 1.0), "kappa": (float, 1.0)}),
+    "cpodd": (build_cp_odd, {"m": (int, 1), "kappa": (float, 1.0)}),
+    "b13": (build_b13, {}),
+    "w7": (build_w7, {"s": (float, 1.0)}),
 }
 
 
@@ -434,9 +428,9 @@ def parse_descriptor(text: str) -> SpaceDescriptor:
     text = text.strip()
     family, _, argstr = text.partition(":")
     family = family.lower()
-    if family not in _FAMILY_PARAMS:
+    if family not in _FAMILIES:
         raise BadParams(f"unknown space family {family!r}")
-    spec = _FAMILY_PARAMS[family]
+    spec = _FAMILIES[family][1]
     values = {k: d for k, (_, d) in spec.items()}
     if argstr:
         for item in argstr.split(","):
@@ -459,20 +453,12 @@ def parse_descriptor(text: str) -> SpaceDescriptor:
 
 @lru_cache(maxsize=None)
 def _build_cached(family: str, params: tuple) -> ReductiveSpace:
+    if family not in _FAMILIES:
+        raise BadParams(f"unknown family {family!r}")
+    builder, spec = _FAMILIES[family]
     kw = dict(params)
-    if family == "round":
-        return build_round_sphere(int(kw["n"]), kw["kappa"])
-    if family == "berger":
-        return build_berger_sphere(int(kw["m"]), kw["s"], kw["kappa"])
-    if family == "spsphere":
-        return build_sp_sphere(int(kw["m"]), kw["s"], kw["kappa"])
-    if family == "cpodd":
-        return build_cp_odd(int(kw["m"]), kw["kappa"])
-    if family == "b13":
-        return build_b13()
-    if family == "w7":
-        return build_w7(kw["s"])
-    raise BadParams(f"unknown family {family!r}")
+    _check(set(kw) <= set(spec), f"bad parameters {sorted(set(kw) - set(spec))} for {family!r}")
+    return builder(**{k: d for k, (_, d) in spec.items()} | kw)
 
 
 def build_space(descriptor) -> ReductiveSpace:
@@ -485,5 +471,5 @@ def build_space(descriptor) -> ReductiveSpace:
 def known_families() -> dict:
     return {
         fam: {k: ("int" if t is int else "float", d) for k, (t, d) in spec.items()}
-        for fam, spec in _FAMILY_PARAMS.items()
+        for fam, (_, spec) in _FAMILIES.items()
     }

@@ -210,14 +210,9 @@ def cmd_pinching(args) -> int:
             sys.stderr.write(f"--grid {args.grid!r} holds no s values\n")
             return 3
         rows = pinching_curve(
-            args.family,
-            args.m,
-            grid,
-            kappa=args.kappa,
-            multistarts=args.multistarts,
-            seed=args.seed,
+            args.family, args.m, grid, multistarts=args.multistarts, seed=args.seed
         )
-        doc = {"family": args.family, "m": args.m, "kappa": args.kappa, "rows": rows}
+        doc = {"family": args.family, "m": args.m, "rows": rows}
         _emit(
             doc,
             args,
@@ -293,7 +288,6 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=["berger", "spsphere"])
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--grid", type=str, default=None, help="comma-separated s values")
-    p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
     p.add_argument("--seed", type=_seed, default=0)
     _output_args(p)

@@ -75,12 +75,8 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
     alg = space.algebra
     uc = np.asarray(u, dtype=float)
     vc = np.asarray(v, dtype=float)
-    ortho = max(
-        abs(alg.inner(uc, uc) - 1.0),
-        abs(alg.inner(vc, vc) - 1.0),
-        abs(alg.inner(uc, vc)),
-    )
-    if ortho > tol:
+    ortho = np.abs([alg.inner(uc, uc) - 1.0, alg.inner(vc, vc) - 1.0, alg.inner(uc, vc)]).max()
+    if not ortho <= tol:  # NaN-safe: a non-finite u or v fails here
         raise HypothesisViolated(f"u, v not orthonormal (residual {ortho:.2e})")
 
     b = bracket(alg.element(uc), alg.element(vc)).coeffs
@@ -168,16 +164,31 @@ def solve_tan_family(mu: float, n_roots: int) -> list[float]:
     return roots
 
 
+def _periodic_times(period: float, t_max: float) -> list[float]:
+    """p * period for p = 1, 2, ... up to t_max; refuses a non-finite t_max or
+    one that would give over MAX_GRID_POINTS times."""
+    if not t_max / period <= MAX_GRID_POINTS:
+        raise ValueError(f"t_max = {t_max:g} gives over {MAX_GRID_POINTS:g} periodic times")
+    out, p = [], 1
+    while p * period <= t_max + 1e-15:
+        out.append(p * period)
+        p += 1
+    return out
+
+
 def closed_form_times(data: CpData, t_max: float) -> list[ClosedFormTime]:
     """All closed-form conjugate times up to t_max, annotated with their class."""
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be finite and positive")
     omega = math.sqrt(data.lam + data.rho)  # rho = 0 off the rho-positive branch
     period = (math.pi if data.branch == BRANCH_COMMUTING else 2 * math.pi) / omega
+    isotropy_class, family = {
+        BRANCH_COMMUTING: (CLASS_ISOTROPIC, FAMILY_PI),
+        BRANCH_RHO_ZERO: (CLASS_NOT_STRICT, FAMILY_TWO_PI),
+        BRANCH_RHO_POSITIVE: (CLASS_ISOTROPIC, FAMILY_TWO_PI),
+    }[data.branch]
+    out = [ClosedFormTime(t, isotropy_class, family) for t in _periodic_times(period, t_max)]
     tan = data.branch == BRANCH_RHO_POSITIVE
-    if (1 + tan) * t_max / period > MAX_GRID_POINTS:
-        raise ValueError(f"t_max = {t_max:g} gives over {MAX_GRID_POINTS:g} closed-form times")
-    out: list[ClosedFormTime] = []
     if tan:
         mu = -data.rho / (2.0 * data.lam)
         n_roots = max(1, int(math.ceil((omega * t_max / math.pi + 1.0) / 2.0)))
@@ -185,15 +196,6 @@ def closed_form_times(data: CpData, t_max: float) -> list[ClosedFormTime]:
             t = s / omega
             if t <= t_max + 1e-15:
                 out.append(ClosedFormTime(t, CLASS_NOT_STRICT, FAMILY_TAN))
-    isotropy_class, family = {
-        BRANCH_COMMUTING: (CLASS_ISOTROPIC, FAMILY_PI),
-        BRANCH_RHO_ZERO: (CLASS_NOT_STRICT, FAMILY_TWO_PI),
-        BRANCH_RHO_POSITIVE: (CLASS_ISOTROPIC, FAMILY_TWO_PI),
-    }[data.branch]
-    p = 1
-    while p * period <= t_max + 1e-15:
-        out.append(ClosedFormTime(p * period, isotropy_class, family))
-        p += 1
     out.sort(key=lambda item: item.t)
     if tan and any(second.t - first.t < 1e-6 for first, second in zip(out, out[1:])):
         raise ClosedFormError("tan-family and 2p*pi-family times collide")

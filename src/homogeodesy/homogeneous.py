@@ -428,7 +428,7 @@ def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> fl
     xc, yc = project(space, x, "M"), project(space, y, "M")
     alg = space.algebra
     area2 = alg.inner(xc, xc) * alg.inner(yc, yc) - alg.inner(xc, yc) ** 2
-    if area2 < PLANE_TOL:
+    if not PLANE_TOL <= area2 < math.inf:  # NaN-safe: non-finite vectors span no plane
         raise DegeneratePlane(f"plane area^2 = {area2:.2e}")
     if mode == "normal":
         kernel = BracketKernel(space, 1.0, 0.25)

@@ -64,24 +64,36 @@ class BadAux(JacobiError):
 
 @dataclass(frozen=True)
 class JacobiSystem:
-    """T, R and the companion matrix for a unit direction u, in an ON frame of m."""
+    """T, R and the companion matrix for a unit direction u, in an ON frame of m.
+
+    build_system owns the spectral data: r_evals and r_evecs come from its one
+    eigh of R (ascending), norm_t is its one ||T||_2.  The R >= 0 check,
+    complement_projector, default_scan_step and the certificate of _samples
+    all read these fields; the arrays are read-only.
+    """
 
     space: ReductiveSpace
     u: np.ndarray
     T: np.ndarray
     R: np.ndarray
     companion: np.ndarray
+    r_evals: np.ndarray
+    r_evecs: np.ndarray
+    norm_t: float
 
     @property
     def n(self) -> int:
         return self.T.shape[0]
 
+    @property
+    def norm_r(self) -> float:
+        return float(max(-self.r_evals[0], self.r_evals[-1]))
+
     @cached_property
     def complement_projector(self) -> np.ndarray:
-        """Read-only projector onto (Ker R_u)-perp, one eigh of R per system."""
-        evals, evecs = np.linalg.eigh(self.R)
-        cutoff = RANK_TOL * max(evals[-1], 1e-300)
-        w = evecs[:, evals > cutoff]
+        """Read-only projector onto (Ker R_u)-perp, from the eigenvectors of R."""
+        cutoff = RANK_TOL * max(self.r_evals[-1], 1e-300)
+        w = self.r_evecs[:, self.r_evals > cutoff]
         proj = w @ w.T
         proj.setflags(write=False)
         return proj
@@ -109,9 +121,12 @@ class ConjugateEvent:
 
 
 def build_system(space: ReductiveSpace, u) -> JacobiSystem:
-    """Assemble T, R and the companion [[0, I], [-R, T]] for the direction u."""
+    """Assemble T, R and the companion [[0, I], [-R, T]] for the direction u,
+    with the one eigendecomposition of R and the one ||T||_2 of the system."""
     uc = np.asarray(u, dtype=float).copy()
     norm = space.algebra.norm(uc)
+    if not math.isfinite(norm):
+        raise ValueError(f"geodesic direction must be finite, got norm {norm}")
     if norm < 1e-14:
         raise ZeroVector("geodesic direction must be nonzero")
     uc /= norm
@@ -129,13 +144,14 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
         )
     r_on = 0.5 * (r_on + r_on.T)
     t_on = 0.5 * (t_on - t_on.T)
-    evals = np.linalg.eigvalsh(r_on)
-    if evals[0] < -1e-9 * np.abs(evals).max():  # the energy bound needs R >= 0
-        raise JacobiError(f"R_u is indefinite on {space.name}: lambda_min = {evals[0]:.1e}")
+    evals, evecs = np.linalg.eigh(r_on)
     companion = np.block([[np.zeros_like(r_on), np.eye(len(r_on))], [-r_on, t_on]])
-    for arr in (t_on, r_on, companion, uc):
+    for arr in (t_on, r_on, companion, uc, evals, evecs):
         arr.setflags(write=False)
-    return JacobiSystem(space=space, u=uc, T=t_on, R=r_on, companion=companion)
+    sys = JacobiSystem(space, uc, t_on, r_on, companion, evals, evecs, np.linalg.norm(t_on, 2))
+    if evals[0] < -1e-9 * sys.norm_r:  # the energy bound needs R >= 0
+        raise JacobiError(f"R_u is indefinite on {space.name}: lambda_min = {evals[0]:.1e}")
+    return sys
 
 
 def fundamental_block(sys: JacobiSystem, t: float) -> np.ndarray:
@@ -147,9 +163,8 @@ def fundamental_block(sys: JacobiSystem, t: float) -> np.ndarray:
 
 
 def default_scan_step(sys: JacobiSystem) -> float:
-    norm_r = np.linalg.norm(sys.R, 2)
-    norm_t = np.linalg.norm(sys.T, 2)
-    return 0.25 / math.sqrt(norm_r + norm_t**2 + 1.0)
+    """h = 0.25 / sqrt(||R|| + ||T||^2 + 1), from the system's spectral fields."""
+    return 0.25 / math.sqrt(sys.norm_r + sys.norm_t**2 + 1.0)
 
 
 def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip):
@@ -223,7 +238,9 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     Returns the sample times and values, whether sigma_min may vanish between
     consecutive samples, L and delta.  Rows Z = [E_11 | J] are right-multiplied
     by exp(hA) along the grid and by exp(wA/2) to the midpoints of width-w
-    intervals (one expm per level), in blocks of _BLOCK cells.
+    intervals (one expm per level), in blocks of _BLOCK cells.  eta, ||R||
+    and ||T|| come from the system's fields (build_system's eigh of R and
+    ||T||_2); L, r and zeta below are built from them.
 
     delta >= |sigma_hat - sigma| (Weyl: <= ||J_hat - J||) to first order in u:
     a sample is fl(..fl(Z_0 S_1)..S_K), Z_0 = [I 0], S_k = exp(s_k A), sum s_k
@@ -245,8 +262,8 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     """
     n, a = sys.n, sys.companion
     ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    t_end, evals = ts[-1], np.linalg.eigvalsh(sys.R)
-    eta, norm_r, norm_t = max(0.0, -evals[0]), np.abs(evals).max(), np.linalg.norm(sys.T, 2)
+    t_end = ts[-1]
+    eta, norm_r, norm_t = max(0.0, -sys.r_evals[0]), sys.norm_r, sys.norm_t
     lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
     zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
     chain = len(ts) + max(0, math.ceil(math.log2(step / _LEAF))) + 1  # K + 1
@@ -289,14 +306,15 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
 def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Samples sigma_min(J) on a grid of step h = default_scan_step(sys) from
-    h/2, bisecting below 1e-5 (see _samples); |sigma_min'| <= ||J'|| (Weyl).
-    In the ON frame T is skew and R symmetric, so |X'|^2 + <RX, X> is constant
-    along X'' = T X' - R X (energy of a gyroscopic system: Lancaster, LAA 439,
-    2013).  For X(0) = 0 it is |X'(0)|^2, and <RX, X> >= -eta |X|^2, with
-    eta = max(0, -lambda_min(R)) zero up to rounding (build_system refuses an
-    indefinite R).  So ||J(t)|| <= sinh(sqrt(eta) t) / sqrt(eta) and, up to
-    the last grid time t_end,
+    Samples sigma_min(J) on a grid of step h = default_scan_step(sys), read
+    from the system's ||R|| and ||T||, from h/2, bisecting below 1e-5 (see
+    _samples); |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew and
+    R symmetric, so |X'|^2 + <RX, X> is constant along X'' = T X' - R X
+    (energy of a gyroscopic system: Lancaster, LAA 439, 2013).  For X(0) = 0
+    it is |X'(0)|^2, and <RX, X> >= -eta |X|^2, with eta = max(0,
+    -lambda_min(R)) read from sys.r_evals, zero up to rounding (build_system
+    refuses an indefinite R).  So ||J(t)|| <= sinh(sqrt(eta) t) / sqrt(eta)
+    and, up to the last grid time t_end,
         ||J'(t)|| <= L = sqrt(1 + eta max ||J||^2) = cosh(sqrt(eta) t_end).
     L is attained at each simple zero (the Wronskian J^T J' - J'^T J - J^T T J
     vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
@@ -368,20 +386,22 @@ def conjugate_events(space: ReductiveSpace, u, t_max: float) -> list[ConjugateEv
 
 # -- canonical directions ----------------------------------------------------
 
-_AUX_KEYS = {
-    "berger": {"alpha"},
-    "spsphere": {"phi1", "phi2", "alpha"},
-    "cpodd": {"phi", "alpha"},
-    "b13": {"phi1", "phi2", "x0", "alpha"},
-    "w7": {"phi", "x0", "alpha"},
+# family -> aux keys, largest and default alpha (None: the space's m), prefix of u1
+_CANONICAL = {
+    "berger": ({"alpha"}, None, None, "e_"),
+    "spsphere": ({"phi1", "phi2", "alpha"}, None, 1, "Y_"),
+    "cpodd": ({"phi", "alpha"}, None, 1, "Y_"),
+    "b13": ({"phi1", "phi2", "x0", "alpha"}, 4, 1, "e_"),
+    "w7": ({"phi", "x0", "alpha"}, 2, 1, "e_"),
 }
 
 
 def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.ndarray]:
     family = space.params.get("family")
-    if family not in _AUX_KEYS:
+    if family not in _CANONICAL:
         raise BadAux(f"no canonical vertical/horizontal directions for {space.name}")
-    extra = set(aux) - _AUX_KEYS[family]
+    keys, top, default, prefix = _CANONICAL[family]
+    extra = set(aux) - keys
     if extra:
         raise BadAux(f"unknown aux parameters {sorted(extra)} for {family}")
     for key, value in aux.items():
@@ -395,15 +415,7 @@ def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.n
             raise BadAux(f"aux parameters {aux} give no direction: {exc}") from None
 
     bv = space.basis_vector
-    m = int(space.params.get("m", 0))
-    # family -> largest and default alpha, label prefix of the horizontal u1
-    top, default, prefix = {
-        "berger": (m, m, "e_"),
-        "spsphere": (m, 1, "Y_"),
-        "cpodd": (m, 1, "Y_"),
-        "b13": (4, 1, "e_"),
-        "w7": (2, 1, "e_"),
-    }[family]
+    top, default = (space.params.get("m") if x is None else x for x in (top, default))
     alpha = float(aux.get("alpha", default))
     if not (alpha.is_integer() and 1 <= alpha <= top):
         raise BadAux(f"alpha must be an integer in 1..{top}, got {aux['alpha']}")

@@ -120,18 +120,20 @@ def pinching_curve(
     family: str,
     m: int,
     s_grid,
-    kappa: float = 1.0,
     multistarts: int = DEFAULT_MULTISTARTS,
     seed: int = 0,
 ) -> list[dict]:
-    """estimate_pinching along an s-grid with the closed-form delta(s) column."""
+    """estimate_pinching along an s-grid with the closed-form delta(s) column.
+
+    delta is scale-invariant (g_kappa = g / kappa scales every curvature by
+    kappa), so the curve is taken at kappa = 1."""
     from .catalog import build_space, parse_descriptor
 
     if family not in ("berger", "spsphere"):
         raise ValueError("pinching curves are defined for berger and spsphere")
     rows = []
     for s in s_grid:
-        desc = parse_descriptor(f"{family}:m={m},s={s:.12g},kappa={kappa:.12g}")
+        desc = parse_descriptor(f"{family}:m={m},s={s:.12g}")
         report = estimate_pinching(build_space(desc), multistarts=multistarts, seed=seed)
         formula = expected_delta(family, m=m, s=float(s))
         rows.append(

@@ -53,6 +53,11 @@ HARD_CHECKS = (
 INFO_CHECKS = ("m0-transitivity", "m1-transitivity", "m-transitivity")
 OPTIONAL_CHECKS = ("rank-one",)
 ALL_CHECKS = HARD_CHECKS + INFO_CHECKS + OPTIONAL_CHECKS
+_RESIDUALS = {
+    "antisymmetry": antisymmetry_residual,
+    "jacobi-identity": jacobi_identity_residual,
+    "reconstruction": reconstruction_residual,
+}
 
 
 def run_verify(space: ReductiveSpace, checks=None, seed: int = 0) -> dict:
@@ -65,27 +70,20 @@ def run_verify(space: ReductiveSpace, checks=None, seed: int = 0) -> dict:
             selected += ["m0-transitivity", "m1-transitivity"]
         elif "M" in space.witnesses:
             selected += ["m-transitivity"]
+    reports = {  # checks that return a report with .passed and .to_dict()
+        "bi-invariance": lambda: check_biinvariance(space.algebra),
+        "reductive": space.validate,
+        "rank-one": lambda: rank_one_check(space, seed=seed),
+    }
     results = {}
     failed = []
     for check in selected:
-        if check == "antisymmetry":
-            res = antisymmetry_residual(space.algebra)
+        if check in _RESIDUALS:
+            res = _RESIDUALS[check](space.algebra)
             ok = res <= 1e-12
             results[check] = {"pass": ok, "residual": res}
-        elif check == "jacobi-identity":
-            res = jacobi_identity_residual(space.algebra)
-            ok = res <= 1e-12
-            results[check] = {"pass": ok, "residual": res}
-        elif check == "reconstruction":
-            res = reconstruction_residual(space.algebra)
-            ok = res <= 1e-12
-            results[check] = {"pass": ok, "residual": res}
-        elif check == "bi-invariance":
-            rep = check_biinvariance(space.algebra)
-            ok = rep.passed
-            results[check] = rep.to_dict()
-        elif check == "reductive":
-            rep = space.validate()
+        elif check in reports:
+            rep = reports[check]()
             ok = rep.passed
             results[check] = rep.to_dict()
         elif check == "lts":
@@ -106,10 +104,6 @@ def run_verify(space: ReductiveSpace, checks=None, seed: int = 0) -> dict:
             except (NoWitness, MissingSplit) as exc:
                 results[check] = {"pass": False, "error": str(exc)}
                 ok = False
-        elif check == "rank-one":
-            rep = rank_one_check(space, seed=seed)
-            ok = rep.passed
-            results[check] = rep.to_dict()
         else:
             raise ValueError(f"unknown check {check!r}")
         if not ok:
@@ -262,8 +256,9 @@ def _reproduce_cimp1(t_max_factor: float) -> dict:
         for kappa in (1.0, 2.0):
             space = build_space(f"cpodd:m={m},kappa={kappa:.12g}")
             for phi in (0.0, 0.7):
+                # u is the vertical geodesic; v_mixed its companion in the mixed pair
+                u, v_mixed = geodesic_pair(space, 0.0, {"phi": phi})
                 x2, x3 = space.basis_vector("X_2"), space.basis_vector("X_3")
-                u = space.unit(math.cos(phi) * x2 + math.sin(phi) * x3)
                 v_plane = space.unit(math.cos(phi) * x3 - math.sin(phi) * x2)
                 cell = {
                     "space": space.name,
@@ -280,7 +275,6 @@ def _reproduce_cimp1(t_max_factor: float) -> dict:
                         abs(c.t - first_iso) < FIBRATION_TOL for c in cv_a.closed_form
                     )
                     # non-strict family from the mixed pair, lambda = 2 kappa
-                    _, v_mixed = geodesic_pair(space, 0.0, {"phi": phi})
                     t_max_b = t_max_factor / math.sqrt(2 * kappa)
                     cv_b = cross_validate(space, u, v_mixed, t_max_b)
                     lam_b_ok = abs(cv_b.lam - 2 * kappa) <= LAMBDA_RHO_RTOL * 2 * kappa

@@ -6,12 +6,13 @@ import pytest
 from homogeodesy.algebra import algebra_from_json, algebra_to_json
 from homogeodesy.catalog import (
     BadParams,
+    SpaceDescriptor,
     SymmetricReference,
     build_space,
     parse_descriptor,
     symmetric_conjugate_times,
 )
-from homogeodesy.homogeneous import BracketKernel, sectional_curvature
+from homogeodesy.homogeneous import BracketKernel, DegeneratePlane, sectional_curvature
 
 
 @pytest.mark.parametrize(
@@ -157,3 +158,36 @@ def test_sp_sphere_s1_vertical_norms():
     space = build_space("spsphere:m=1,s=1")
     g = space.gram_m
     np.testing.assert_allclose(g, np.eye(space.dim_m), atol=1e-12)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, 1e12])
+def test_symmetric_conjugate_times_refuses_unbounded_t_max(t_max):
+    ref = SymmetricReference("projective", 1.0)
+    with pytest.raises(ValueError, match="t_max"):
+        symmetric_conjugate_times(ref, t_max)
+    with pytest.raises(BadParams, match="t_max must be positive"):
+        symmetric_conjugate_times(ref, -1.0)
+
+
+def test_hand_built_descriptor_is_not_truncated():
+    desc = SpaceDescriptor("berger", (("kappa", 1.0), ("m", 2.5), ("s", 0.5)))
+    with pytest.raises(BadParams, match="integer m"):
+        build_space(desc)
+    with pytest.raises(BadParams, match="unknown family"):
+        build_space(SpaceDescriptor("flag", ()))
+    with pytest.raises(BadParams, match=r"bad parameters \['n'\]"):
+        build_space(SpaceDescriptor("berger", (("n", 3),)))
+    assert build_space(SpaceDescriptor("berger", (("s", 0.5),))).name == "berger:m=1,s=0.5,kappa=1"
+    assert build_space(SpaceDescriptor("berger", (("kappa", 1.0), ("m", 2), ("s", 0.5)))) is (
+        build_space("berger:m=2,s=0.5")
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_plane_is_degenerate(bad):
+    space = build_space("b13")
+    x = space.basis_vector("e_1").copy()
+    x[-1] = bad
+    with pytest.raises(DegeneratePlane):
+        sectional_curvature(space, x, space.basis_vector("f_1"))

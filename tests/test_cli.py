@@ -294,3 +294,9 @@ def test_pinching_cli_single_space(capsys):
 
 def test_pinching_cli_requires_space_or_family(capsys):
     assert main(["pinching"]) == 3
+
+
+def test_pinching_curve_has_no_kappa_option(capsys):
+    # delta is scale-invariant, so a kappa knob would change no row
+    assert main(["pinching", "--family", "berger", "--grid", "0.5", "--kappa", "2"]) == 3
+    assert "unrecognized arguments: --kappa" in capsys.readouterr().err

@@ -308,3 +308,12 @@ def test_events_invariant_along_isotropy_orbit(geodesic, data):
 
     assert kinds(after) == kinds(before)
     np.testing.assert_allclose([ev.t for ev in after], [ev.t for ev in before], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_non_finite_pair_violates_the_hypotheses(which):
+    space = build_space("berger:m=1,s=0.5")
+    pair = [p.copy() for p in geodesic_pair(space, 0.7)]
+    pair[which][-1] = math.nan
+    with pytest.raises(HypothesisViolated, match="not orthonormal"):
+        extract_cp_data(space, *pair)

@@ -389,3 +389,49 @@ def test_complement_projector_is_computed_once_per_system():
     proj = isotropic_complement_projector(sys)
     assert isotropic_complement_projector(sys) is proj
     assert not proj.flags.writeable
+
+
+def test_one_eigendecomposition_of_r_and_one_norm_of_t_per_geodesic(monkeypatch):
+    space = build_space("b13")
+    u = geodesic_direction(space, 0.7)
+    calls = []
+    for name in ("eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kw):
+            if _name != "norm" or (args[0] if args else kw.get("ord")) == 2:
+                calls.append((_name, np.array(a)))
+            return _real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    events = conjugate_events(space, u, 12.0)
+    monkeypatch.undo()
+    assert len(events) > 0
+    assert [name for name, _ in calls] == ["eigh", "norm"]
+    sys = build_system(space, u)
+    assert np.array_equal(calls[0][1], sys.R) and np.array_equal(calls[1][1], sys.T)
+
+
+def test_system_spectral_fields_are_read_only():
+    space = build_space("w7:s=0.5")
+    sys = build_system(space, geodesic_direction(space, 0.7))
+    for arr in (sys.r_evals, sys.r_evecs):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        sys.r_evals[0] = 0.0
+    assert np.all(np.diff(sys.r_evals) >= 0)
+    np.testing.assert_allclose((sys.r_evecs * sys.r_evals) @ sys.r_evecs.T, sys.R, atol=1e-12)
+    assert sys.norm_t == pytest.approx(np.linalg.norm(sys.T, 2), rel=1e-14)
+    assert sys.norm_r == pytest.approx(np.linalg.norm(sys.R, 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_direction_is_a_value_error(bad):
+    space = build_space("b13")
+    u = space.basis_vector("e_1").copy()
+    u[-1] = bad
+    with pytest.raises(ValueError, match="geodesic direction must be finite"):
+        build_system(space, u)
+    with pytest.raises(ValueError, match="geodesic direction must be finite"):
+        conjugate_events(space, u, 2.0)
