@@ -165,7 +165,9 @@ class StructuredAlgebra:
     # -- metric ---------------------------------------------------------
 
     def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
+        """<x, y> in the Gram; NaN or +-inf, with no numpy warning, on non-finite input."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.asarray(x) @ self.gram @ np.asarray(y))
 
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))

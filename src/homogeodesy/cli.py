@@ -201,6 +201,9 @@ def cmd_closedform(args) -> int:
 
 
 def cmd_pinching(args) -> int:
+    if args.family and args.space:
+        sys.stderr.write(f"give a space descriptor or --family, not both ({args.space!r})\n")
+        return 3
     if args.family:
         if args.grid is None:
             sys.stderr.write("--grid is required with --family\n")

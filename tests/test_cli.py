@@ -296,6 +296,15 @@ def test_pinching_cli_requires_space_or_family(capsys):
     assert main(["pinching"]) == 3
 
 
+def test_pinching_cli_refuses_space_and_family_together(capsys):
+    code = main(["pinching", "b13", "--family", "berger", "--grid", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not both" in captured.err and "b13" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_pinching_curve_has_no_kappa_option(capsys):
     # delta is scale-invariant, so a kappa knob would change no row
     assert main(["pinching", "--family", "berger", "--grid", "0.5", "--kappa", "2"]) == 3

@@ -24,7 +24,12 @@ from homogeodesy.homogeneous import (
 from homogeodesy.matrices import alpha_coeff
 from homogeodesy.pinching import estimate_pinching
 
-from oracles import ad_orbit_direction, optimize_pairs_one_sign, sampled_bracket_minimum
+from oracles import (
+    ad_orbit_direction,
+    bracket_tensor_einsum,
+    optimize_pairs_one_sign,
+    sampled_bracket_minimum,
+)
 
 CATALOG = (
     "round:n=3,kappa=1",
@@ -213,6 +218,29 @@ def test_bracket_kernel_gradient_matches_central_differences(desc, weights):
         fd_y = (kernel.value(xs, ys + e) - kernel.value(xs, ys - e)) / (2 * h)
         assert np.all(np.abs(fd_x - gx[:, i]) <= 1e-6 * scale)
         assert np.all(np.abs(fd_y - gy[:, i]) <= 1e-6 * scale)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.25), (1.0, 1.0)])
+@pytest.mark.parametrize("desc", CATALOG)
+def test_bracket_tensor_matches_three_index_einsum(desc, weights):
+    space = build_space(desc)
+    got = BracketKernel(space, *weights)._tensor
+    want = bracket_tensor_einsum(space, *weights)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+def test_value_is_gl2_invariant_on_raw_gaussian_pairs(desc):
+    # order 0 reads the plane through x ^ y, so raw draws (more than one
+    # block of them) and their Gram-Schmidt pairs give the same f
+    kernel = BracketKernel(build_space(desc), 1.0, 0.25)
+    xs, ys = kernel.gaussian_pairs(np.random.default_rng(17), 1100)
+    raw = kernel.value(xs, ys)
+    orthonormal = kernel.value(*kernel.random_pairs(np.random.default_rng(17), 1100))
+    assert np.all(np.abs(raw - orthonormal) <= 1e-13 * np.abs(orthonormal))
+    # and a rescaled, sheared basis of the same planes
+    assert np.all(np.abs(kernel.value(3.0 * xs - ys, 0.5 * ys) - raw) <= 1e-13 * np.abs(raw))
 
 
 def test_bracket_kernel_blocks_agree_with_rows(rng):

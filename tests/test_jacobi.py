@@ -8,6 +8,7 @@ from homogeodesy import homogeneous, jacobi
 from homogeodesy.catalog import build_space
 from homogeodesy.closed_form import cross_validate
 from homogeodesy.jacobi import (
+    _BLOCK,
     _LEAF,
     _samples,
     BadAngle,
@@ -26,7 +27,7 @@ from homogeodesy.jacobi import (
     scan_conjugate_times,
 )
 
-from oracles import ad_orbit_direction, ode_fundamental
+from oracles import ad_orbit_direction, ode_fundamental, samples_by_insertion
 
 
 def test_build_system_normalizes_and_validates():
@@ -215,6 +216,43 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
         e = scipy.linalg.expm(t * sys.companion)
         want = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
         assert abs(f - want) <= 1e-12 * max(1.0, np.linalg.norm(e, 2)), (t, f, want)
+
+
+def _assert_samples_match_insertion_reference(sys, t_max):
+    step = default_scan_step(sys)
+    got, want = _samples(sys, t_max, step), samples_by_insertion(sys, t_max, step)
+    for column, reference in zip(got[:3], want[:3]):
+        assert column.dtype == reference.dtype
+        np.testing.assert_array_equal(column, reference)
+    assert got[3:] == want[3:]  # L and delta
+    return got
+
+
+@pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
+def test_bisection_levels_match_insertion_reference(desc, theta, aux):
+    # live intervals per level and one sort at the end give the samples,
+    # suspicious flags, L and delta of whole-array inserts, bit for bit
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    ts = _assert_samples_match_insertion_reference(sys, 6.0)[0]
+    assert np.diff(ts).min() < 2 * _LEAF
+
+
+@pytest.mark.parametrize(
+    "desc,t_max", [("cpodd:m=1,kappa=1e4", 1.0), ("spsphere:m=1,s=1e-6", 0.5), ("w7:s=1e-6", 0.5)]
+)
+def test_bisection_levels_match_insertion_reference_on_edge_inputs(desc, t_max):
+    # the CI edge inputs (largest kappa, smallest s) at theta = 0.7, cut short
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, 0.7))
+    _assert_samples_match_insertion_reference(sys, t_max)
+
+
+def test_bisection_levels_match_insertion_reference_across_blocks():
+    space = build_space("berger:m=2,s=0.5")
+    sys = build_system(space, geodesic_direction(space, 0.7))
+    assert 300.0 / default_scan_step(sys) > 2 * _BLOCK
+    _assert_samples_match_insertion_reference(sys, 300.0)
 
 
 def test_bisection_samples_per_event():
@@ -426,7 +464,7 @@ def test_system_spectral_fields_are_read_only():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the typed error, and no numpy warning
 def test_non_finite_direction_is_a_value_error(bad):
     space = build_space("b13")
     u = space.basis_vector("e_1").copy()

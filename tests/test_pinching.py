@@ -117,6 +117,28 @@ def test_pinching_kernel_evaluation_budget(monkeypatch):
     assert len(calls) <= 20 + 2
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_audit_reads_raw_draws_of_the_seed_plus_one_stream(monkeypatch, seed):
+    # the audit evaluates default_rng(seed + 1)'s Gaussian pairs, xs first, as
+    # drawn: the same values as on their Gram-Schmidt pairs
+    audits = []
+    value = BracketKernel.value
+
+    def recorded(self, xs, ys):
+        audits.append(value(self, xs, ys))
+        return audits[-1]
+
+    monkeypatch.setattr(BracketKernel, "value", recorded)
+    space = build_space("spsphere:m=1,s=0.5")
+    rep = estimate_pinching(space, multistarts=8, seed=seed, audit_samples=3000)
+    monkeypatch.undo()
+    kernel = BracketKernel(space, 1.0, 0.25)
+    want = kernel.value(*kernel.random_pairs(np.random.default_rng(seed + 1), 3000))
+    assert len(audits) == 1 and audits[0].shape == want.shape
+    np.testing.assert_allclose(audits[0], want, rtol=1e-13, atol=0)
+    assert rep.k_min <= audits[0].min() and rep.k_max >= audits[0].max()
+
+
 # k_min, k_max, delta, converged of estimate_pinching(space, multistarts=32,
 # seed=0), recorded with one optimizer run per extreme
 PINNED = {
