@@ -1,19 +1,20 @@
 """Constructions of the rank-one normal homogeneous catalog.
 
-Each builder assembles the ambient algebra from explicit matrices, declares
-the k / m0 / m1 index partition and the block-scaled trace form, and registers
-the isotropy-transitivity witnesses and the symmetric base of the associated
-homogeneous fibration.  The s = 1 sphere metrics live on the bare group; for
-s < 1 an auxiliary U(1) or Sp(1) block is appended and weighted by s/(1-s),
-which is exactly what makes the listed basis orthonormal and the form
-bi-invariant.
+Each builder lists labelled generators of k, m0 and m1, the block-scaled
+trace form, the isotropy-transitivity witnesses and the symmetric base of the
+associated homogeneous fibration; `_space` assembles the ambient algebra and
+derives the k / m0 / m1 index partition from the part lengths.  The s = 1
+sphere metrics live on the bare group; for s < 1 an auxiliary U(1) or Sp(1)
+block is appended and weighted by s/(1-s), which is exactly what makes the
+listed basis orthonormal and the form bi-invariant.  `_squashed_fiber` states
+the fiber directions this gives, for both families.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import BasisMatrix, GramRule, assemble_algebra
 from .closed_form import _periodic_times
@@ -46,18 +47,15 @@ def su_algebra(n: int, coeff: float = 0.5) -> "StructuredAlgebra":
     return assemble_algebra(basis, GramRule(coeff=coeff), name=f"su({n})")
 
 
-def _sp_matrices(m: int, n: int | None = None, blocks: tuple[int, ...] | None = None):
+def _sp_matrices(m: int, blocks: tuple[int, ...] | None = None):
     """Labelled generators of sp(m+1) inside su(2(m+1)).
 
     Returns (x, y, z) lists of (label, matrix) with the X_p, the quaternionic
-    Y_alpha / Y_{alpha p}, and the sp(m) part Z_*.
+    Y_alpha / Y_{alpha p}, and the sp(m) part Z_*.  The matrices sit in block 0
+    of `blocks` (default: su(2(m+1)) alone).
     """
     nn = 2 * (m + 1)
-
-    def emb(mat):
-        if blocks is None:
-            return mat
-        return block_embed(blocks, 0, mat)
+    emb = partial(block_embed, blocks or (nn,), 0)
 
     i1, i2 = 2 * m + 1, 2 * m + 2
     x = [
@@ -91,8 +89,7 @@ def _sp_matrices(m: int, n: int | None = None, blocks: tuple[int, ...] | None = 
 def sp_algebra(m: int) -> "StructuredAlgebra":
     """sp(m+1) in su(2(m+1)) with basis {X_p; Y_alpha, Y_{alpha p}; Z_*}, -1/4 trace."""
     x, y, z = _sp_matrices(m)
-    basis = [BasisMatrix(lbl, mat) for lbl, mat in x + y + z]
-    return assemble_algebra(basis, GramRule(coeff=0.25), name=f"sp({m + 1})")
+    return assemble_algebra(x + y + z, GramRule(coeff=0.25), name=f"sp({m + 1})")
 
 
 # -- symmetric reference data ------------------------------------------------
@@ -128,30 +125,62 @@ def _check(cond: bool, msg: str):
         raise BadParams(msg)
 
 
+def _space(name, rule, k, m0, m1, params, witnesses, base, alg_name=None) -> ReductiveSpace:
+    """Assemble labelled (label, matrix) parts, in the order k, m0, m1, into a space.
+
+    The index partition follows from the part lengths.  m1 is None for a space
+    without the m0/m1 split (the round sphere), whose m is m0 alone.  The
+    algebra takes the space's name unless alg_name is given.
+    """
+    alg = assemble_algebra(k + m0 + (m1 or []), rule, name=alg_name or name)
+    nk, nm0 = len(k), len(k) + len(m0)
+    split = m1 is not None
+    return ReductiveSpace(
+        algebra=alg,
+        k_indices=tuple(range(nk)),
+        m_indices=tuple(range(nk, alg.dim)),
+        m0_indices=tuple(range(nk, nm0)) if split else None,
+        m1_indices=tuple(range(nm0, alg.dim)) if split else None,
+        name=name,
+        params=params,
+        witnesses=witnesses,
+        base_reference=base,
+    )
+
+
+def _squashed_fiber(fiber, aux, s, c):
+    """Directions (h in k, d in m0) of a sphere whose fiber is squashed by s in (0, 1].
+
+    Each fiber generator z has |z|^2 = 1/c in the group's trace form.  For
+    s < 1 it is paired with its copy a in an auxiliary U(1) or Sp(1) block
+    weighted by s/(1-s), so |a|^2 = s/(c(1-s)), and
+
+        h = sqrt(c(1-s)) (z + a)          in k,
+        d = sqrt(c s) (z + ((s-1)/s) a)   in m0
+
+    are orthonormal, while z projects to m0 with length sqrt(s/c): the fiber
+    metric is scaled by s.  At s = 1 there is no auxiliary block, k gets
+    nothing and d = sqrt(c) z.  Returns the lists (h, d).
+    """
+    if s == 1:
+        return [], [math.sqrt(c) * z for z in fiber]
+    h = [math.sqrt(c * (1 - s)) * (z + a) for z, a in zip(fiber, aux)]
+    d = [math.sqrt(c * s) * (z + ((s - 1) / s) * a) for z, a in zip(fiber, aux)]
+    return h, d
+
+
 def build_round_sphere(n: int = 3, kappa: float = 1.0) -> ReductiveSpace:
     """Round S^n(kappa) as the symmetric pair SO(n+1)/SO(n)."""
     _check(isinstance(n, int) and n >= 2, "round sphere needs integer n >= 2")
     _check(kappa > 0, "kappa must be positive")
     nn = n + 1
-    basis = []
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            basis.append(BasisMatrix(f"B_{{{j},{k}}}", b_matrix(nn, j, k)))
-    dim_k = len(basis)
-    for j in range(1, n + 1):
-        basis.append(BasisMatrix(f"e_{j}", b_matrix(nn, j, nn)))
-    alg = assemble_algebra(
-        basis, GramRule(coeff=0.5, scale=1.0 / kappa), name=f"so({nn})"
-    )
-    return ReductiveSpace(
-        algebra=alg,
-        k_indices=tuple(range(dim_k)),
-        m_indices=tuple(range(dim_k, alg.dim)),
-        name=f"round:n={n},kappa={kappa:g}",
-        params={"family": "round", "n": n, "kappa": kappa},
-        witnesses={"M": "e_1"},
-        base_reference=None,
-    )
+    pairs = [(j, i) for j in range(1, n + 1) for i in range(j + 1, n + 1)]
+    k = [(f"B_{{{j},{i}}}", b_matrix(nn, j, i)) for j, i in pairs]
+    m = [(f"e_{j}", b_matrix(nn, j, nn)) for j in range(1, n + 1)]
+    rule = GramRule(coeff=0.5, scale=1.0 / kappa)
+    params = {"family": "round", "n": n, "kappa": kappa}
+    name = f"round:n={n},kappa={kappa:g}"
+    return _space(name, rule, k, m, None, params, {"M": "e_1"}, None, alg_name=f"so({nn})")
 
 
 def build_berger_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
@@ -160,56 +189,25 @@ def build_berger_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
     _check(0 < s <= 1, "berger sphere needs 0 < s <= 1")
     _check(kappa > 0, "kappa must be positive")
     n = m + 1
-    aux = s < 1
-    blocks = (n, 2) if aux else (n,)
-
-    def su(mat):
-        return block_embed(blocks, 0, mat) if aux else mat
-
-    z0 = su(s_matrix(n, m))
-    k_basis = []
-    if aux:
-        d_aux = block_embed(blocks, 1, a_matrix(2, 1, 2))
-        k_basis.append(("h_s", math.sqrt(1 - s) * (z0 + d_aux)))
-    for j in range(1, m):
-        k_basis.append((f"S_{j}", su(s_matrix(n, j))))
+    blocks = (n, 2) if s < 1 else (n,)
+    su = partial(block_embed, blocks, 0)
+    aux = [block_embed(blocks, 1, a_matrix(2, 1, 2))] if s < 1 else []
+    h, d = _squashed_fiber([su(s_matrix(n, m))], aux, s, 1)
+    k = [("h_s", mat) for mat in h] + [(f"S_{j}", su(s_matrix(n, j))) for j in range(1, m)]
     for r in range(1, m + 1):
         for j in range(r + 1, m + 1):
-            k_basis.append((f"B_{{{r},{j}}}", su(b_matrix(n, r, j))))
-            k_basis.append((f"C_{{{r},{j}}}", su(c_matrix(n, r, j))))
-
-    if aux:
-        d_s = math.sqrt(s) * (z0 + ((s - 1) / s) * d_aux)
-    else:
-        d_s = z0
-    m_basis = [("d_s", d_s)]
-    for r in range(1, m + 1):
-        m_basis.append((f"e_{r}", su(b_matrix(n, r, n))))
-    for r in range(1, m + 1):
-        m_basis.append((f"f_{r}", su(c_matrix(n, r, n))))
-
-    rule = GramRule(
-        coeff=0.5,
-        blocks=blocks,
-        block_scales=(1.0, s / (1 - s)) if aux else (1.0,),
-        scale=1.0 / kappa,
-    )
-    basis = [BasisMatrix(lbl, mat) for lbl, mat in k_basis + m_basis]
-    name = f"berger:m={m},s={s:g},kappa={kappa:g}"
-    alg = assemble_algebra(basis, rule, name=name)
-    nk = len(k_basis)
+            k.append((f"B_{{{r},{j}}}", su(b_matrix(n, r, j))))
+            k.append((f"C_{{{r},{j}}}", su(c_matrix(n, r, j))))
+    m1 = [(f"e_{r}", su(b_matrix(n, r, n))) for r in range(1, m + 1)]
+    m1 += [(f"f_{r}", su(c_matrix(n, r, n))) for r in range(1, m + 1)]
+    scales = (1.0, s / (1 - s)) if s < 1 else (1.0,)
+    rule = GramRule(coeff=0.5, blocks=blocks, block_scales=scales, scale=1.0 / kappa)
     tau = kappa * s * (m + 1) / (2 * m)
-    return ReductiveSpace(
-        algebra=alg,
-        k_indices=tuple(range(nk)),
-        m_indices=tuple(range(nk, alg.dim)),
-        m0_indices=(nk,),
-        m1_indices=tuple(range(nk + 1, alg.dim)),
-        name=name,
-        params={"family": "berger", "m": m, "s": s, "kappa": kappa, "tau": tau},
-        witnesses={"M0": "d_s", "M1": f"e_{m}", "M": f"e_{m}"},
-        base_reference=SymmetricReference("projective", kappa),
-    )
+    params = {"family": "berger", "m": m, "s": s, "kappa": kappa, "tau": tau}
+    witnesses = {"M0": "d_s", "M1": f"e_{m}", "M": f"e_{m}"}
+    name = f"berger:m={m},s={s:g},kappa={kappa:g}"
+    base = SymmetricReference("projective", kappa)
+    return _space(name, rule, k, [("d_s", d[0])], m1, params, witnesses, base)
 
 
 def build_sp_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
@@ -217,52 +215,20 @@ def build_sp_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
     _check(isinstance(m, int) and m >= 1, "sp sphere needs integer m >= 1")
     _check(0 < s <= 1, "sp sphere needs 0 < s <= 1")
     _check(kappa > 0, "kappa must be positive")
-    aux = s < 1
-    blocks = (2 * (m + 1), 2) if aux else None
-    x, y, z = _sp_matrices(m, blocks=blocks)
-
-    k_basis = list(z)
-    m0_basis = []
-    if aux:
-        d_aux = [
-            block_embed(blocks, 1, a_matrix(2, 1, 2)),
-            block_embed(blocks, 1, b_matrix(2, 1, 2)),
-            block_embed(blocks, 1, c_matrix(2, 1, 2)),
-        ]
-        for p in range(3):
-            xp = x[p][1]
-            k_basis.append(
-                (f"h_{p + 1}s", math.sqrt(2 * (1 - s)) * (xp + d_aux[p]))
-            )
-            m0_basis.append(
-                (f"d_{p + 1}s", math.sqrt(2 * s) * (xp + ((s - 1) / s) * d_aux[p]))
-            )
-    else:
-        for p in range(3):
-            m0_basis.append((f"d_{p + 1}s", math.sqrt(2.0) * x[p][1]))
-
-    rule = GramRule(
-        coeff=0.25,
-        blocks=blocks or (),
-        block_scales=(1.0, s / (1 - s)) if aux else (),
-        scale=1.0 / kappa,
-    )
-    basis = [BasisMatrix(lbl, mat) for lbl, mat in k_basis + m0_basis + y]
+    blocks = (2 * (m + 1), 2) if s < 1 else (2 * (m + 1),)
+    x, y, z = _sp_matrices(m, blocks)
+    sp1 = (a_matrix, b_matrix, c_matrix)
+    aux = [block_embed(blocks, 1, g(2, 1, 2)) for g in sp1] if s < 1 else []
+    h, d = _squashed_fiber([mat for _, mat in x], aux, s, 2)
+    k = z + [(f"h_{p}s", mat) for p, mat in enumerate(h, 1)]
+    m0 = [(f"d_{p}s", mat) for p, mat in enumerate(d, 1)]
+    fiber_rule = {"blocks": blocks, "block_scales": (1.0, s / (1 - s))} if s < 1 else {}
+    rule = GramRule(coeff=0.25, scale=1.0 / kappa, **fiber_rule)
+    params = {"family": "spsphere", "m": m, "s": s, "kappa": kappa, "tau": kappa * s / 2}
+    witnesses = {"M0": "d_1s", "M1": "Y_1", "M": "Y_1"}
     name = f"spsphere:m={m},s={s:g},kappa={kappa:g}"
-    alg = assemble_algebra(basis, rule, name=name)
-    nk = len(k_basis)
-    tau = kappa * s / 2
-    return ReductiveSpace(
-        algebra=alg,
-        k_indices=tuple(range(nk)),
-        m_indices=tuple(range(nk, alg.dim)),
-        m0_indices=tuple(range(nk, nk + 3)),
-        m1_indices=tuple(range(nk + 3, alg.dim)),
-        name=name,
-        params={"family": "spsphere", "m": m, "s": s, "kappa": kappa, "tau": tau},
-        witnesses={"M0": "d_1s", "M1": "Y_1", "M": "Y_1"},
-        base_reference=SymmetricReference("projective", kappa),
-    )
+    base = SymmetricReference("projective", kappa)
+    return _space(name, rule, k, m0, y, params, witnesses, base)
 
 
 def build_cp_odd(m: int, kappa: float = 1.0) -> ReductiveSpace:
@@ -270,35 +236,18 @@ def build_cp_odd(m: int, kappa: float = 1.0) -> ReductiveSpace:
     _check(isinstance(m, int) and m >= 1, "cp odd needs integer m >= 1")
     _check(kappa > 0, "kappa must be positive")
     x, y, z = _sp_matrices(m)
-    k_basis = list(z) + [x[0]]
-    m0_basis = [x[1], x[2]]
-    basis = [BasisMatrix(lbl, mat) for lbl, mat in k_basis + m0_basis + y]
     rule = GramRule(coeff=0.25, scale=1.0 / kappa)
+    params = {"family": "cpodd", "m": m, "kappa": kappa, "tau": kappa / 2}
+    witnesses = {"M0": "X_2", "M1": "Y_1", "M": "Y_1"}
     name = f"cpodd:m={m},kappa={kappa:g}"
-    alg = assemble_algebra(basis, rule, name=name)
-    nk = len(k_basis)
-    tau = kappa / 2
-    return ReductiveSpace(
-        algebra=alg,
-        k_indices=tuple(range(nk)),
-        m_indices=tuple(range(nk, alg.dim)),
-        m0_indices=(nk, nk + 1),
-        m1_indices=tuple(range(nk + 2, alg.dim)),
-        name=name,
-        params={"family": "cpodd", "m": m, "kappa": kappa, "tau": tau},
-        witnesses={"M0": "X_2", "M1": "Y_1", "M": "Y_1"},
-        base_reference=SymmetricReference("projective", kappa),
-    )
+    base = SymmetricReference("projective", kappa)
+    return _space(name, rule, z + x[:1], x[1:], y, params, witnesses, base)
 
 
 def build_b13() -> ReductiveSpace:
     """The Berger space B^13 = SU(5)/H with the -1/4 trace metric."""
     n = 5
-    A, B, C = (
-        lambda j, k: a_matrix(n, j, k),
-        lambda j, k: b_matrix(n, j, k),
-        lambda j, k: c_matrix(n, j, k),
-    )
+    A, B, C = (partial(g, n) for g in (a_matrix, b_matrix, c_matrix))
     h = [
         ("H_1", A(1, 2) + 2 * A(2, 3) + A(3, 4)),
         ("H_2", B(1, 3) + B(2, 4)),
@@ -321,69 +270,44 @@ def build_b13() -> ReductiveSpace:
     ]
     m1 = [(f"e_{r}", math.sqrt(2) * B(r, 5)) for r in range(1, 5)]
     m1 += [(f"f_{r}", math.sqrt(2) * C(r, 5)) for r in range(1, 5)]
-    basis = [BasisMatrix(lbl, mat) for lbl, mat in h + m0 + m1]
-    alg = assemble_algebra(basis, GramRule(coeff=0.25), name="b13")
-    return ReductiveSpace(
-        algebra=alg,
-        k_indices=tuple(range(11)),
-        m_indices=tuple(range(11, 24)),
-        m0_indices=tuple(range(11, 16)),
-        m1_indices=tuple(range(16, 24)),
-        name="b13",
-        params={"family": "b13", "kappa": 1.0},
-        witnesses={"M0": "u_0", "M1": "e_1", "M": "e_1"},
-        base_reference=SymmetricReference("projective", 2.0),
-    )
+    params = {"family": "b13", "kappa": 1.0}
+    witnesses = {"M0": "u_0", "M1": "e_1", "M": "e_1"}
+    base = SymmetricReference("projective", 2.0)
+    return _space("b13", GramRule(coeff=0.25), h, m0, m1, params, witnesses, base)
 
 
 def build_w7(s: float) -> ReductiveSpace:
     """Wilking's W^7 = (SO(3) x SU(3))/U*(2) with the metric s<.,.> + <.,.>."""
     _check(s > 0, "w7 needs s > 0")
     blocks = (2, 3)
-
-    def so3(mat):
-        return block_embed(blocks, 0, mat)
-
-    def su3(mat):
-        return block_embed(blocks, 1, mat)
-
+    so3, su3 = partial(block_embed, blocks, 0), partial(block_embed, blocks, 1)
     a12, b12, c12 = a_matrix(2, 1, 2), b_matrix(2, 1, 2), c_matrix(2, 1, 2)
     a34, b34, c34 = a_matrix(3, 1, 2), b_matrix(3, 1, 2), c_matrix(3, 1, 2)
     a45 = a_matrix(3, 2, 3)
     r1 = 1.0 / math.sqrt(1 + s)
     r0 = 1.0 / math.sqrt(s * (1 + s))
-    k_basis = [
+    k = [
         ("K_1", r1 * (so3(a12) + su3(a34))),
         ("K_2", r1 * (so3(b12) + su3(b34))),
         ("K_3", r1 * (so3(c12) + su3(c34))),
         ("K_4", (1.0 / math.sqrt(3)) * su3(a34 + 2 * a45)),
     ]
-    m0_basis = [
+    m0 = [
         ("u_0s", r0 * (so3(a12) - s * su3(a34))),
         ("u_1s", r0 * (so3(b12) - s * su3(b34))),
         ("v_1s", r0 * (so3(c12) - s * su3(c34))),
     ]
-    m1_basis = [
+    m1 = [
         ("e_1", su3(b_matrix(3, 1, 3))),
         ("e_2", su3(b_matrix(3, 2, 3))),
         ("f_1", su3(c_matrix(3, 1, 3))),
         ("f_2", su3(c_matrix(3, 2, 3))),
     ]
     rule = GramRule(coeff=0.5, blocks=blocks, block_scales=(s, 1.0))
-    basis = [BasisMatrix(lbl, mat) for lbl, mat in k_basis + m0_basis + m1_basis]
-    name = f"w7:s={s:g}"
-    alg = assemble_algebra(basis, rule, name=name)
-    return ReductiveSpace(
-        algebra=alg,
-        k_indices=(0, 1, 2, 3),
-        m_indices=tuple(range(4, 11)),
-        m0_indices=(4, 5, 6),
-        m1_indices=(7, 8, 9, 10),
-        name=name,
-        params={"family": "w7", "s": s, "kappa": 1.0},
-        witnesses={"M0": "u_0s", "M1": "e_1", "M": "e_1"},
-        base_reference=SymmetricReference("projective", 1.0),
-    )
+    params = {"family": "w7", "s": s, "kappa": 1.0}
+    witnesses = {"M0": "u_0s", "M1": "e_1", "M": "e_1"}
+    base = SymmetricReference("projective", 1.0)
+    return _space(f"w7:s={s:g}", rule, k, m0, m1, params, witnesses, base)
 
 
 # -- descriptor grammar ------------------------------------------------------

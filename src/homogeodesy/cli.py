@@ -234,12 +234,7 @@ def cmd_pinching(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    bundle = reproduce(
-        args.name,
-        t_max_factor=args.tmax_factor,
-        seed=args.seed,
-        multistarts=args.multistarts,
-    )
+    bundle = reproduce(args.name, seed=args.seed, multistarts=args.multistarts)
     _emit(bundle, args)
     if not bundle["pass"]:
         sys.stderr.write(f"reproduction of {args.name} failed\n")
@@ -298,9 +293,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="run a theorem-reproduction sweep")
     p.add_argument("name", choices=REPRODUCE_NAMES)
-    p.add_argument("--tmax-factor", dest="tmax_factor", type=float, default=7.0)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
+    p.add_argument("--seed", type=_seed, default=0, help="affects pinching-table only")
+    p.add_argument(
+        "--multistarts", type=int, default=DEFAULT_MULTISTARTS, help="affects pinching-table only"
+    )
     _output_args(p)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -54,7 +54,6 @@ class CpData:
     lam: float
     rho: float
     branch: str
-    w: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "rho": self.rho, "branch": self.branch}
@@ -118,14 +117,14 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
             f"rho*lambda != |[[u,v],u]_k|^2 (residual {identity:.2e})"
         )
     if rho <= 1e-10:
-        return CpData(space, uc, vc, float(lam), 0.0, BRANCH_RHO_ZERO, w=w)
+        return CpData(space, uc, vc, float(lam), 0.0, BRANCH_RHO_ZERO)
     rw = bracket(alg.element(uw_k), alg.element(uc)).coeffs  # [[u,w]_k, u]
     resid_rho = alg.norm(rw - rho * w)
     if resid_rho > tol * max(1.0, rho):
         raise HypothesisViolated(
             f"[[u,[u,v]]_k, u] is not collinear to [u,v] (residual {resid_rho:.2e})"
         )
-    return CpData(space, uc, vc, float(lam), float(rho), BRANCH_RHO_POSITIVE, w=w)
+    return CpData(space, uc, vc, float(lam), float(rho), BRANCH_RHO_POSITIVE)
 
 
 def solve_tan_family(mu: float, n_roots: int) -> list[float]:
@@ -211,23 +210,10 @@ class CrossValidation:
     closed_form: tuple[ClosedFormTime, ...]
     events: tuple[ConjugateEvent, ...]
     matched: tuple[tuple[ClosedFormTime, ConjugateEvent], ...]
-    extras: tuple[ConjugateEvent, ...]
 
     @property
     def all_matched(self) -> bool:
         return len(self.matched) == len(self.closed_form)
-
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "lambda": self.lam,
-            "rho": self.rho,
-            "branch": self.branch,
-            "closed_form": [c.to_dict() for c in self.closed_form],
-            "scanned": [e.to_dict() for e in self.events],
-            "matched": self.all_matched,
-            "extras": [e.to_dict() for e in self.extras],
-        }
 
 
 def _class_compatible(predicted: str, event: ConjugateEvent) -> bool:
@@ -248,7 +234,6 @@ def cross_validate(
     events = conjugate_events(space, u, t_max)
 
     matched = []
-    used = set()
     for pred in predicted:
         idx = next((i for i, ev in enumerate(events) if abs(ev.t - pred.t) < MATCH_TOL), None)
         if idx is None:
@@ -264,9 +249,7 @@ def cross_validate(
                 f"strictly_isotropic={ev.strictly_isotropic}) incompatible with "
                 f"predicted class {pred.isotropy_class!r}"
             )
-        used.add(idx)
         matched.append((pred, ev))
-    extras = tuple(ev for idx, ev in enumerate(events) if idx not in used)
     return CrossValidation(
         space=space.name,
         lam=data.lam,
@@ -275,5 +258,4 @@ def cross_validate(
         closed_form=tuple(predicted),
         events=tuple(events),
         matched=tuple(matched),
-        extras=extras,
     )

@@ -125,6 +125,23 @@ def expected_delta(family: str, m: int | None = None, s: float | None = None) ->
     return None
 
 
+def delta_row(space: ReductiveSpace, family: str, m, s, multistarts: int, seed: int) -> dict:
+    """The measured and the closed-form delta of one space, with their relative error.
+
+    rel_error compares the two deltas as the output prints them, rounded to 12
+    significant digits, so that a drift of delta below the printed precision
+    cannot change it.  A tolerance test should use the unrounded values."""
+    report = estimate_pinching(space, multistarts=multistarts, seed=seed)
+    formula = expected_delta(family, m=m, s=s)
+    measured, expected = (float(f"{x:.12g}") for x in (report.delta, formula))
+    return {
+        "delta_measured": report.delta,
+        "delta_formula": formula,
+        "rel_error": abs(measured - expected) / expected,
+        "converged": report.converged,
+    }
+
+
 def pinching_curve(
     family: str,
     m: int,
@@ -141,17 +158,7 @@ def pinching_curve(
     if family not in ("berger", "spsphere"):
         raise ValueError("pinching curves are defined for berger and spsphere")
     rows = []
-    for s in s_grid:
-        desc = parse_descriptor(f"{family}:m={m},s={s:.12g}")
-        report = estimate_pinching(build_space(desc), multistarts=multistarts, seed=seed)
-        formula = expected_delta(family, m=m, s=float(s))
-        rows.append(
-            {
-                "s": float(s),
-                "delta_measured": report.delta,
-                "delta_formula": formula,
-                "rel_error": abs(report.delta - formula) / formula,
-                "converged": report.converged,
-            }
-        )
+    for s in map(float, s_grid):
+        space = build_space(parse_descriptor(f"{family}:m={m},s={s:.12g}"))
+        rows.append({"s": s} | delta_row(space, family, m, s, multistarts, seed))
     return rows

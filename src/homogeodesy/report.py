@@ -12,6 +12,7 @@ from .algebra import (
 from .catalog import build_space, symmetric_conjugate_times
 from .closed_form import (
     FAMILY_TAN,
+    MATCH_TOL,
     CrossValidation,
     HypothesisViolated,
     Mismatch,
@@ -29,7 +30,7 @@ from .homogeneous import (
     sectional_curvature,
 )
 from .jacobi import conjugate_events, geodesic_pair
-from .pinching import DEFAULT_MULTISTARTS, estimate_pinching, expected_delta
+from .pinching import DEFAULT_MULTISTARTS, delta_row, estimate_pinching
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 S_GRID = (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0)
@@ -37,6 +38,7 @@ M_GRID = (1, 2)
 LAMBDA_RHO_RTOL = 1e-9
 FIBRATION_TOL = 1e-7
 DELTA_RTOL = 0.01
+T_MAX_FACTOR = 7.0  # sweeps cross-validate to t_max = T_MAX_FACTOR / sqrt(lambda + rho)
 REPRODUCE_NAMES = ("conj", "conjB13", "conjW7", "cimp1", "pinching-table")
 
 
@@ -157,14 +159,9 @@ def _fibration_consistent(space: ReductiveSpace, cv: CrossValidation, t_max: flo
     return True
 
 
-def run_theorem_cell(
-    space: ReductiveSpace,
-    theta: float,
-    aux: dict | None = None,
-    t_max_factor: float = 7.0,
-) -> dict:
+def run_theorem_cell(space: ReductiveSpace, theta: float) -> dict:
     """One (space, theta) cell: lambda/rho agreement + scan cross-validation."""
-    u, v = geodesic_pair(space, theta, aux)
+    u, v = geodesic_pair(space, theta)
     cell = {"space": space.name, "theta": theta, "pass": False}
     try:
         data = extract_cp_data(space, u, v)
@@ -183,7 +180,7 @@ def run_theorem_cell(
         if max(lam_err, rho_err) > LAMBDA_RHO_RTOL:
             cell["error"] = f"lambda/rho relative error {max(lam_err, rho_err):.2e}"
             return cell
-        t_max = t_max_factor / math.sqrt(data.lam + data.rho)
+        t_max = T_MAX_FACTOR / math.sqrt(data.lam + data.rho)
         cv = cross_validate(space, u, v, t_max)
         cell["matched"] = cv.all_matched
         cell["events"] = [ev.to_dict() for ev in cv.events]
@@ -219,9 +216,10 @@ def _sphere_cells() -> list[tuple[str, float]]:
     return cells
 
 
-def reproduce(name: str, t_max_factor: float = 7.0, seed: int = 0,
-              multistarts: int = DEFAULT_MULTISTARTS) -> dict:
-    """Run one of the theorem-reproduction suites and report a pass/fail matrix."""
+def reproduce(name: str, seed: int = 0, multistarts: int = DEFAULT_MULTISTARTS) -> dict:
+    """Run one of the theorem-reproduction suites and report a pass/fail matrix.
+
+    seed and multistarts affect only pinching-table."""
     if name == "conj":
         cells = _sphere_cells()
     elif name == "conjB13":
@@ -231,16 +229,13 @@ def reproduce(name: str, t_max_factor: float = 7.0, seed: int = 0,
             (f"w7:s={s:.12g}", theta) for s in S_GRID for theta in THETA_GRID
         ]
     elif name == "cimp1":
-        return _reproduce_cimp1(t_max_factor)
+        return _reproduce_cimp1()
     elif name == "pinching-table":
         return _reproduce_pinching_table(seed=seed, multistarts=multistarts)
     else:
         raise ValueError(f"unknown theorem {name!r}; choose from {REPRODUCE_NAMES}")
 
-    results = [
-        run_theorem_cell(build_space(desc), theta, t_max_factor=t_max_factor)
-        for desc, theta in cells
-    ]
+    results = [run_theorem_cell(build_space(desc), theta) for desc, theta in cells]
     return {
         "theorem": name,
         "cells": results,
@@ -248,7 +243,7 @@ def reproduce(name: str, t_max_factor: float = 7.0, seed: int = 0,
     }
 
 
-def _reproduce_cimp1(t_max_factor: float) -> dict:
+def _reproduce_cimp1() -> dict:
     """Vertical CP^{2m+1} geodesics: isotropic family at sqrt(2k)p*pi/(4k) and the
     non-strict family at sqrt(2k)p*pi/k."""
     cells = []
@@ -267,7 +262,7 @@ def _reproduce_cimp1(t_max_factor: float) -> dict:
                 }
                 try:
                     # isotropic family from the vertical 2-plane, lambda = 8 kappa
-                    t_max_a = t_max_factor / math.sqrt(8 * kappa)
+                    t_max_a = T_MAX_FACTOR / math.sqrt(8 * kappa)
                     cv_a = cross_validate(space, u, v_plane, t_max_a)
                     lam_ok = abs(cv_a.lam - 8 * kappa) <= LAMBDA_RHO_RTOL * 8 * kappa
                     first_iso = math.pi * math.sqrt(2 * kappa) / (4 * kappa)
@@ -275,7 +270,7 @@ def _reproduce_cimp1(t_max_factor: float) -> dict:
                         abs(c.t - first_iso) < FIBRATION_TOL for c in cv_a.closed_form
                     )
                     # non-strict family from the mixed pair, lambda = 2 kappa
-                    t_max_b = t_max_factor / math.sqrt(2 * kappa)
+                    t_max_b = T_MAX_FACTOR / math.sqrt(2 * kappa)
                     cv_b = cross_validate(space, u, v_mixed, t_max_b)
                     lam_b_ok = abs(cv_b.lam - 2 * kappa) <= LAMBDA_RHO_RTOL * 2 * kappa
                     first_ns = math.pi * math.sqrt(2 * kappa) / kappa
@@ -308,19 +303,9 @@ def _reproduce_pinching_table(seed: int, multistarts: int) -> dict:
 
     rows = []
     for desc, family, m, s in jobs:
-        report = estimate_pinching(build_space(desc), multistarts=multistarts, seed=seed)
-        formula = expected_delta(family, m=m, s=s)
-        rel = abs(report.delta - formula) / formula
-        rows.append(
-            {
-                "space": desc,
-                "delta_measured": report.delta,
-                "delta_formula": formula,
-                "rel_error": rel,
-                "converged": report.converged,
-                "pass": rel <= DELTA_RTOL,
-            }
-        )
+        row = {"space": desc} | delta_row(build_space(desc), family, m, s, multistarts, seed)
+        measured, formula = row["delta_measured"], row["delta_formula"]
+        rows.append(row | {"pass": abs(measured - formula) / formula <= DELTA_RTOL})
 
     b13 = build_space("b13")
     k_erfr = sectional_curvature(
@@ -367,7 +352,7 @@ def conjugate_table(
     params_text = ";".join(f"{k}={v}" for k, v in space.params.items() if k != "family")
     rows = []
     for ev in events:
-        family = next((p.family for p in predictions if abs(p.t - ev.t) < FIBRATION_TOL), "")
+        family = next((p.family for p in predictions if abs(p.t - ev.t) < MATCH_TOL), "")
         rows.append(
             {
                 "space": space.name,

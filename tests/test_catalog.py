@@ -191,3 +191,41 @@ def test_non_finite_plane_is_degenerate(bad):
     x[-1] = bad
     with pytest.raises(DegeneratePlane):
         sectional_curvature(space, x, space.basis_vector("f_1"))
+
+
+@pytest.mark.parametrize(
+    "desc,k,m0,m1",
+    [
+        ("berger:m=2,s=0.5", "h_s S_1 B_{1,2} C_{1,2}", "d_s", "e_1 e_2 f_1 f_2"),
+        ("berger:m=2,s=1", "S_1 B_{1,2} C_{1,2}", "d_s", "e_1 e_2 f_1 f_2"),
+        (
+            "spsphere:m=1,s=0.5",
+            "Z_{11} Z_{12} Z_{13} h_1s h_2s h_3s",
+            "d_1s d_2s d_3s",
+            "Y_1 Y_{11} Y_{12} Y_{13}",
+        ),
+        ("spsphere:m=1,s=1", "Z_{11} Z_{12} Z_{13}", "d_1s d_2s d_3s", "Y_1 Y_{11} Y_{12} Y_{13}"),
+        ("cpodd:m=1", "Z_{11} Z_{12} Z_{13} X_1", "X_2 X_3", "Y_1 Y_{11} Y_{12} Y_{13}"),
+        (
+            "b13",
+            "H_1 H_2 H_3 H_4 H_5 H_6 H_7 H_8 H_9 H_10 H_11",
+            "u_0 u_1 u_2 v_1 v_2",
+            "e_1 e_2 e_3 e_4 f_1 f_2 f_3 f_4",
+        ),
+        ("w7:s=0.5", "K_1 K_2 K_3 K_4", "u_0s u_1s v_1s", "e_1 e_2 f_1 f_2"),
+        ("round:n=3", "B_{1,2} B_{1,3} B_{2,3}", "e_1 e_2 e_3", None),
+    ],
+)
+def test_partition_by_label_in_order(desc, k, m0, m1):
+    # every orthonormal frame downstream is taken in this basis order
+    space = build_space(desc)
+    labels = space.algebra.labels
+    k, m0, m1 = k.split(), m0.split(), m1.split() if m1 else []
+    assert labels == tuple(k + m0 + m1)
+    assert [labels[i] for i in space.k_indices] == k
+    assert [labels[i] for i in space.m_indices] == m0 + m1
+    if m1:
+        assert [labels[i] for i in space.m0_indices] == m0
+        assert [labels[i] for i in space.m1_indices] == m1
+    else:  # the round sphere has no m0/m1 split
+        assert space.m0_indices is None and space.m1_indices is None

@@ -309,3 +309,20 @@ def test_pinching_curve_has_no_kappa_option(capsys):
     # delta is scale-invariant, so a kappa knob would change no row
     assert main(["pinching", "--family", "berger", "--grid", "0.5", "--kappa", "2"]) == 3
     assert "unrecognized arguments: --kappa" in capsys.readouterr().err
+
+
+def test_reproduce_has_no_tmax_factor_option(capsys):
+    # every sweep cross-validates to t_max = 7 / sqrt(lambda + rho)
+    assert main(["reproduce", "conj", "--tmax-factor", "5"]) == 3
+    assert "unrecognized arguments: --tmax-factor" in capsys.readouterr().err
+
+
+def test_pinching_table_rel_error_follows_the_printed_columns(tmp_path):
+    # a drift of delta below the 12 printed digits must not move rel_error
+    target = tmp_path / "table.json"
+    assert main(["reproduce", "pinching-table", "--out", str(target)]) == 0
+    rows = [r for r in json.loads(target.read_text())["cells"] if r["delta_formula"] is not None]
+    assert len(rows) == 16
+    for row in rows:
+        measured, formula = row["delta_measured"], row["delta_formula"]
+        assert row["rel_error"] == float(f"{abs(measured - formula) / formula:.12g}")
