@@ -5,7 +5,8 @@ n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
 exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
 Conjugate times are the zeros of det J(t): a bisection certified by the
 energy bound ||J'|| <= 1 discards zero-free intervals, and Newton's method on
-sigma_min refines each remaining dip (see scan_conjugate_times).
+sigma_min, run on all remaining dips in lockstep, refines them (see
+scan_conjugate_times).
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -167,68 +168,69 @@ def default_scan_step(sys: JacobiSystem) -> float:
     return 0.25 / math.sqrt(sys.norm_r + sys.norm_t**2 + 1.0)
 
 
-def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip):
-    """Newton on sigma_min from t, bisecting [lo, hi] on the sign of sigma_min'
-    when a step leaves the bracket or fails to halve the step before last.
-    J and J' = E_11 + J T come from one E = exp(tA); sigma_i' = u_i^T J' v_i.
-    Returns the last probe (t, sv, vt, slopes) and whether it landed on a zero,
-    giving up once the bracket collapses or lip keeps sigma_min above the
-    multiplicity cutoff on it."""
+def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip: float):
+    """Newton on sigma_min from t, in lockstep on rows of brackets [lo, hi]: a row
+    bisects its bracket on the sign of sigma_min' when a step leaves it or fails
+    to halve the step before last.  A round takes one stacked E = exp(tA) at the
+    live times and one batched SVD; J' = E_11 + J T, sigma_i' = u_i^T J' v_i.
+    Returns each row's last probe, stacked (t, sv, vt, slopes), and whether it
+    landed on a zero; a row gives up once its bracket collapses or lip keeps
+    sigma_min above the multiplicity cutoff on it."""
     n = sys.n
     dx = dx_old = hi - lo
+    probes = tuple(np.empty((len(t), *shape)) for shape in ((), (n,), (n, n), (n,)))
+    landed, rows = np.zeros(len(t), dtype=bool), np.arange(len(t))
     for _ in range(_MAX_NEWTON):
-        e = _expm(t * sys.companion)
-        u, sv, vt = np.linalg.svd(e[:n, n:])
-        slopes = np.einsum("ij,ji->i", u.T @ (e[:n, :n] + e[:n, n:] @ sys.T), vt.T)
-        probe = (t, sv, vt, slopes)
-        if slopes[-1] < 0:
-            lo, f_lo = t, sv[-1]
-        else:
-            hi, f_hi = t, sv[-1]
-        step = sv[-1] / slopes[-1] if slopes[-1] else math.inf
-        if abs(step) <= _NEWTON_RTOL * t:
-            return probe, True
-        cutoff = MULTIPLICITY_RTOL * sv[0]
-        if hi - lo <= _NEWTON_RTOL * t or f_lo + f_hi - lip * (hi - lo) > 2.0 * cutoff:
+        e = _expm(t[:, None, None] * sys.companion)
+        u, sv, vt = np.linalg.svd(e[:, :n, n:])
+        j_prime = np.swapaxes(u, 1, 2) @ (e[:, :n, :n] + e[:, :n, n:] @ sys.T)
+        slopes = np.einsum("rij,rji->ri", j_prime, np.swapaxes(vt, 1, 2))
+        probes[0][rows], probes[1][rows], probes[2][rows], probes[3][rows] = t, sv, vt, slopes
+        f, d, left = sv[:, -1], slopes[:, -1], slopes[:, -1] < 0
+        lo, f_lo = np.where(left, t, lo), np.where(left, f, f_lo)
+        hi, f_hi = np.where(left, hi, t), np.where(left, f_hi, f)
+        step = np.divide(f, d, out=np.full_like(f, np.inf), where=d != 0)
+        landed[rows] = hit = np.abs(step) <= _NEWTON_RTOL * t
+        cutoff = MULTIPLICITY_RTOL * sv[:, 0]
+        give_up = (hi - lo <= _NEWTON_RTOL * t) | (f_lo + f_hi - lip * (hi - lo) > 2.0 * cutoff)
+        newton = (lo < t - step) & (t - step < hi) & (2.0 * np.abs(step) <= np.abs(dx_old))
+        dx_old, dx = dx, np.where(newton, step, 0.5 * (hi - lo))
+        t = np.where(newton, t - step, lo + dx)
+        rows, t, lo, f_lo, hi, f_hi, dx, dx_old = (
+            x[~(hit | give_up)] for x in (rows, t, lo, f_lo, hi, f_hi, dx, dx_old)
+        )
+        if not len(rows):
             break
-        if lo < t - step < hi and 2.0 * abs(step) <= abs(dx_old):
-            dx_old, dx = dx, step
-            t -= step
-        else:
-            dx_old, dx = dx, 0.5 * (hi - lo)
-            t = lo + dx
-    return probe, False
+    return probes, landed
 
 
-def _refine(sys: JacobiSystem, ts, fs, lip: float) -> list[ConjugateEvent]:
-    """The zeros in one dip, fs <= sigma_min(ts); Newton starts at the lowest sample.
+def _refine(sys: JacobiSystem, probe, start, end, lip: float) -> list[ConjugateEvent]:
+    """The zeros in the dip [start, end], from Newton's probe at its lowest sample.
 
     At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
     far end of the dip) might vanish in the dip too: one Newton step along
     sigma_i' predicts where, and Newton on sigma_min refines the prediction.
     """
-    k = int(np.argmin(fs))
-    lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
-    found = [_newton(sys, ts[lo], fs[lo], ts[hi], fs[hi], ts[k], lip)[0]]
+    found = [probe]
     events: list[ConjugateEvent] = []
     while found and len(events) < sys.n:
         t, sv, vt, slopes = found.pop()
         mult = int(np.sum(sv < MULTIPLICITY_RTOL * sv[0]))
         if mult == 0:
             continue
-        kernel = sys.space.from_frame(vt[sys.n - mult :])
-        events.append(ConjugateEvent(t=float(t), multiplicity=mult, kernel=kernel))
-        reach = lip * max(t - ts[0], ts[-1] - t)
+        events.append(ConjugateEvent(float(t), mult, sys.space.from_frame(vt[sys.n - mult :])))
+        reach = lip * max(t - start, end - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
             if value >= reach or not slope:
                 continue
             guess = t - value / slope
             radius = 0.25 * abs(guess - t)
             known = [ev.t for ev in events] + [other[0] for other in found]
-            if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
-                probe, landed = _newton(sys, guess - radius, 0.0, guess + radius, 0.0, guess, lip)
-                if landed:
-                    found.append(probe)
+            if start < guess < end and all(abs(guess - tk) > radius for tk in known):
+                row = np.array([[guess - radius], [0.0], [guess + radius], [0.0], [guess]])
+                probes, landed = _newton(sys, *row, lip)
+                if landed[0]:
+                    found.append(tuple(x[0] for x in probes))
     return sorted(events, key=lambda ev: ev.t)
 
 
@@ -238,9 +240,9 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     Returns the sample times and values, whether sigma_min may vanish between
     consecutive samples, L and delta.  Rows Z = [E_11 | J] are right-multiplied
     by exp(hA) along the grid and by exp(wA/2) to the midpoints of width-w
-    intervals (one expm per level), in blocks of _BLOCK cells.  A level holds
-    only its live intervals (both ends, their sigma_min and the left end's
-    row, in time order); an interval that is not split is final, and the
+    intervals (one stacked table per scan), in blocks of _BLOCK cells.  A level
+    holds only its live intervals (both ends, their sigma_min and the left
+    end's row, in time order); an interval that is not split is final, and the
     samples and final intervals are put in time order once at the end.
     eta, ||R|| and ||T|| come from the system's fields (build_system's eigh
     of R and ||T||_2); L, r and zeta below are built from them.
@@ -269,13 +271,15 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     eta, norm_r, norm_t = max(0.0, -sys.r_evals[0]), sys.norm_r, sys.norm_t
     lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
     zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
-    chain = len(ts) + max(0, math.ceil(math.log2(step / _LEAF))) + 1  # K + 1
+    # the levels the `width >= _LEAF` test can split: mid - lo and hi - mid are
+    # exact (Sterbenz), so a level-k width is step / 2^k off by < (k + 2) ulp(t_end)
+    levels = max(0, math.floor(math.log2(step / (_LEAF - 64 * math.ulp(t_end)))) + 1)
+    chain = len(ts) + levels + 1  # K + 1
     delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
     delta *= chain * (2 + zeta + t_end * r) + zeta**2
     delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
-    stepper = _expm(step * a)
-    row = _expm(ts[0] * a)[:n]
-    shifts = []  # shifts[k] = exp(w A) with w = step / 2^(k+1), the level-k half width
+    table = _expm(step / 2.0 ** np.arange(max(levels, 1) + 1)[:, None, None] * a)
+    stepper, row = table[0], table[1, :n]  # exp(hA); the first sample's rows, at h/2
     samples, leaves = [], []  # (times, sigma_min); (left ends, suspicious) of unsplit intervals
     for start in range(0, len(ts) - 1, _BLOCK):
         grid = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, n, 2 * n))
@@ -286,28 +290,27 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
         t = ts[start : start + len(grid)]
         f = np.linalg.svd(grid[:, :, n:], compute_uv=False)[:, -1]
         samples.append((t[:-1], f[:-1]))
-        lo, hi, f_lo, f_hi, heads = t[:-1], t[1:], f[:-1], f[1:], grid[:-1]
+        live, heads = np.stack((t[:-1], t[1:], f[:-1], f[1:]), axis=1), grid[:-1]
         for level in itertools.count():
+            lo, hi, f_lo, f_hi = live.T
             width = hi - lo
             suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
             split = suspicious & (width >= _LEAF)
             leaves.append((lo[~split], suspicious[~split]))
             if not split.any():
                 break
-            lo, hi, f_lo, f_hi, heads = (c[split] for c in (lo, hi, f_lo, f_hi, heads))
-            half = step / 2.0 ** (level + 1)
-            if level == len(shifts):
-                shifts.append(_expm(half * a))
-            mid_heads = (heads.reshape(-1, 2 * n) @ shifts[level]).reshape(heads.shape)
+            live, heads = live[split], heads[split]
+            mid_heads = (heads.reshape(-1, 2 * n) @ table[level + 1]).reshape(heads.shape)
             smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
-            mid = lo + half
+            mid = live[:, 0] + step / 2.0 ** (level + 1)
             samples.append((mid, smin))
             # each interval's children stay adjacent and in time order: GEMM
             # rounding depends on a head's row position
-            pairs = ((lo, mid), (mid, hi), (f_lo, smin), (smin, f_hi), (heads, mid_heads))
-            lo, hi, f_lo, f_hi, heads = (
-                np.stack(pair, axis=1).reshape(-1, *pair[0].shape[1:]) for pair in pairs
-            )
+            live = np.repeat(live, 2, axis=0)  # (lo, hi, f_lo, f_hi) of both children
+            live[0::2, 1] = live[1::2, 0] = mid
+            live[0::2, 3] = live[1::2, 2] = smin
+            parents, heads = heads, np.empty((len(live), n, 2 * n))
+            heads[0::2], heads[1::2] = parents, mid_heads
     ts, fs = (np.concatenate(column) for column in zip(*samples, (t[-1:], f[-1:])))
     lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
     order = np.argsort(ts, kind="stable")
@@ -331,9 +334,10 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
     sample, [a, b] holds no zero if sigma(a) + sigma(b) > L (b - a) + 2 delta.
     Runs of failing intervals split at sampled local maxima of sigma_min into
-    dips, each refined once by safeguarded Newton to a relative step of 1e-14
-    (see _refine).  Multiplicity and kernel come from the singular values
-    below 1e-7 * sigma_max at the refined time.
+    dips.  Safeguarded Newton, run on all dips in lockstep from each one's
+    lowest sample, refines them to a relative step of 1e-14, and then searches
+    each dip for close zeros (see _refine).  Multiplicity and kernel come from
+    the singular values below 1e-7 * sigma_max at the refined time.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -342,14 +346,20 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
         raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
     ts, fs, suspicious, lip, delta = _samples(sys, t_max, step)
-    events: list[ConjugateEvent] = []
     runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
+    dips = []  # (first, last) sample of each dip
     for first, last in zip(runs[::2], runs[1::2]):
         peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
-        for lo, hi in zip([first] + peaks, peaks + [last]):
-            dip = _refine(sys, ts[lo : hi + 1], fs[lo : hi + 1] - delta, lip)
-            events += [ev for ev in dip if ev.t <= t_max + 1e-12]
-    return events
+        dips += zip([first] + peaks, peaks + [last])
+    if not dips:
+        return []
+    # Newton starts at each dip's lowest sample, bracketed by its neighbours there
+    low, (first, last) = fs - delta, np.array(dips).T
+    k = np.array([a + np.argmin(low[a : b + 1]) for a, b in dips])
+    lo, hi = np.maximum(k - 1, first), np.minimum(k + 1, last)
+    probes, _ = _newton(sys, ts[lo], low[lo], ts[hi], low[hi], ts[k], lip)
+    refined = (_refine(sys, p, ts[a], ts[b], lip) for a, b, p in zip(first, last, zip(*probes)))
+    return [ev for dip in refined for ev in dip if ev.t <= t_max + 1e-12]
 
 
 def isotropic_complement_projector(sys: JacobiSystem) -> np.ndarray:

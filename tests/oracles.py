@@ -302,6 +302,22 @@ def bracket_tensor_einsum(space, w_k: float, w_m: float) -> np.ndarray:
     return tensor.reshape(len(m), -1)
 
 
+def sample_error_bound(sys, t_max: float, step: float, levels: int):
+    """L and the bound delta of jacobi._samples on its grid, for products
+    chained over the grid points and `levels` bisection levels."""
+    n = sys.n
+    ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
+    t_end = ts[-1]
+    eta, norm_r, norm_t = max(0.0, -sys.r_evals[0]), sys.norm_r, sys.norm_t
+    lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
+    zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
+    chain = len(ts) + levels + 1
+    delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
+    delta *= chain * (2 + zeta + t_end * r) + zeta**2
+    delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
+    return lip, delta
+
+
 def samples_by_insertion(sys, t_max: float, step: float):
     """jacobi._samples with each bisection level inserted into whole sample arrays.
 
@@ -315,14 +331,8 @@ def samples_by_insertion(sys, t_max: float, step: float):
 
     n, a = sys.n, sys.companion
     ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    t_end = ts[-1]
-    eta, norm_r, norm_t = max(0.0, -sys.r_evals[0]), sys.norm_r, sys.norm_t
-    lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
-    zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
-    chain = len(ts) + max(0, math.ceil(math.log2(step / _LEAF))) + 1
-    delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
-    delta *= chain * (2 + zeta + t_end * r) + zeta**2
-    delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
+    levels = max(0, math.floor(math.log2(step / (_LEAF - 64 * math.ulp(ts[-1])))) + 1)
+    lip, delta = sample_error_bound(sys, t_max, step, levels)
     stepper = _expm(step * a)
     row = _expm(ts[0] * a)[:n]
     shifts = []
@@ -354,3 +364,89 @@ def samples_by_insertion(sys, t_max: float, step: float):
         parts.append((t[:-1], f[:-1], suspicious))
     ts, fs, suspicious = (np.concatenate(column) for column in zip(*parts))
     return np.append(ts, t[-1]), np.append(fs, f[-1]), suspicious, lip, delta
+
+
+def newton_scalar(sys, lo, f_lo, hi, f_hi, t, lip):
+    """One safeguarded Newton on sigma_min from t, one exponential per step.
+
+    The bracket [lo, hi] is bisected on the sign of sigma_min' when a step
+    leaves it or fails to halve the step before last; J and J' = E_11 + J T
+    come from one E = exp(tA), and sigma_i' = u_i^T J' v_i.  Returns the last
+    probe (t, sv, vt, slopes) and whether it landed on a zero, giving up once
+    the bracket collapses or lip keeps sigma_min above the multiplicity cutoff.
+    """
+    from homogeodesy.jacobi import _MAX_NEWTON, _NEWTON_RTOL, MULTIPLICITY_RTOL, _expm
+
+    n = sys.n
+    dx = dx_old = hi - lo
+    for _ in range(_MAX_NEWTON):
+        e = _expm(t * sys.companion)
+        u, sv, vt = np.linalg.svd(e[:n, n:])
+        slopes = np.einsum("ij,ji->i", u.T @ (e[:n, :n] + e[:n, n:] @ sys.T), vt.T)
+        probe = (t, sv, vt, slopes)
+        if slopes[-1] < 0:
+            lo, f_lo = t, sv[-1]
+        else:
+            hi, f_hi = t, sv[-1]
+        step = sv[-1] / slopes[-1] if slopes[-1] else math.inf
+        if abs(step) <= _NEWTON_RTOL * t:
+            return probe, True
+        cutoff = MULTIPLICITY_RTOL * sv[0]
+        if hi - lo <= _NEWTON_RTOL * t or f_lo + f_hi - lip * (hi - lo) > 2.0 * cutoff:
+            break
+        if lo < t - step < hi and 2.0 * abs(step) <= abs(dx_old):
+            dx_old, dx = dx, step
+            t -= step
+        else:
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            t = lo + dx
+    return probe, False
+
+
+def refine_scalar(sys, ts, fs, lip):
+    """The zeros in one dip (fs <= sigma_min(ts)) by scalar Newton from the
+    lowest sample, then a Newton from each close zero that another singular
+    value predicts within lip times the distance to the far end of the dip."""
+    from homogeodesy.jacobi import MULTIPLICITY_RTOL, ConjugateEvent
+
+    k = int(np.argmin(fs))
+    lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
+    found = [newton_scalar(sys, ts[lo], fs[lo], ts[hi], fs[hi], ts[k], lip)[0]]
+    events = []
+    while found and len(events) < sys.n:
+        t, sv, vt, slopes = found.pop()
+        mult = int(np.sum(sv < MULTIPLICITY_RTOL * sv[0]))
+        if mult == 0:
+            continue
+        kernel = sys.space.from_frame(vt[sys.n - mult :])
+        events.append(ConjugateEvent(t=float(t), multiplicity=mult, kernel=kernel))
+        reach = lip * max(t - ts[0], ts[-1] - t)
+        for value, slope in zip(sv[: sys.n - mult], slopes):
+            if value >= reach or not slope:
+                continue
+            guess = t - value / slope
+            radius = 0.25 * abs(guess - t)
+            known = [ev.t for ev in events] + [other[0] for other in found]
+            if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
+                probe, landed = newton_scalar(
+                    sys, guess - radius, 0.0, guess + radius, 0.0, guess, lip
+                )
+                if landed:
+                    found.append(probe)
+    return sorted(events, key=lambda ev: ev.t)
+
+
+def scan_by_scalar_newton(sys, t_max: float):
+    """jacobi.scan_conjugate_times with each dip refined on its own by scalar
+    Newton (refine_scalar), on the same samples."""
+    from homogeodesy.jacobi import _samples, default_scan_step
+
+    ts, fs, suspicious, lip, delta = _samples(sys, t_max, default_scan_step(sys))
+    events = []
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
+    for first, last in zip(runs[::2], runs[1::2]):
+        peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
+        for lo, hi in zip([first] + peaks, peaks + [last]):
+            dip = refine_scalar(sys, ts[lo : hi + 1], fs[lo : hi + 1] - delta, lip)
+            events += [ev for ev in dip if ev.t <= t_max + 1e-12]
+    return events

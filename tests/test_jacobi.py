@@ -27,7 +27,18 @@ from homogeodesy.jacobi import (
     scan_conjugate_times,
 )
 
-from oracles import ad_orbit_direction, ode_fundamental, samples_by_insertion
+from oracles import (
+    ad_orbit_direction,
+    ode_fundamental,
+    sample_error_bound,
+    samples_by_insertion,
+    scan_by_scalar_newton,
+)
+
+
+def _matrices(a) -> int:
+    """How many exponentials one expm call takes: a stack holds several."""
+    return math.prod(np.shape(a)[:-2])
 
 
 def test_build_system_normalizes_and_validates():
@@ -156,7 +167,7 @@ def test_expm_budget_per_event(monkeypatch):
     expm = scipy.linalg.expm
 
     def counting(a):
-        calls.append(1)
+        calls.append(_matrices(a))
         return expm(a)
 
     monkeypatch.setattr(scipy.linalg, "expm", counting)
@@ -164,7 +175,7 @@ def test_expm_budget_per_event(monkeypatch):
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
     events = conjugate_events(space, u, 6.0)
     assert len(events) >= 5
-    assert len(calls) <= 200 * len(events)
+    assert sum(calls) <= 200 * len(events)
 
 
 def test_expm_is_looked_up_at_each_call(monkeypatch):
@@ -184,12 +195,47 @@ def test_expm_is_looked_up_at_each_call(monkeypatch):
 def test_bisection_costs_one_expm_per_level(monkeypatch):
     calls = []
     expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(_matrices(a)) or expm(a))
     space = build_space("b13")
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
     events = conjugate_events(space, u, 6.0)
     assert len(events) >= 5
-    assert len(calls) <= 20 * len(events)
+    assert sum(calls) <= 20 * len(events)
+
+
+@pytest.mark.parametrize(
+    "desc,theta,aux,t_max",
+    [
+        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0),  # nine dips, no close-zero search
+        ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3),  # one search
+    ],
+)
+def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
+    monkeypatch, desc, theta, aux, t_max
+):
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    calls, newtons = [], []  # matrices per expm call; (rows, matrices per call) per Newton
+    expm, newton = jacobi._expm, jacobi._newton
+
+    def counting_newton(sys, lo, *rest):
+        before = len(calls)
+        out = newton(sys, lo, *rest)
+        newtons.append((len(lo), calls[before:]))
+        return out
+
+    monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
+    monkeypatch.setattr(jacobi, "_newton", counting_newton)
+    events = scan_conjugate_times(sys, t_max)
+    assert len(events) >= 2
+    # the table comes first; every later call is one Newton round over its live rows
+    assert len(calls) == 1 + sum(len(stacks) for _, stacks in newtons)
+    assert calls[0] >= 2  # exp(hA), exp(hA / 2), ... down to the leaf
+    for rows, stacks in newtons:
+        assert stacks[0] == rows and stacks == sorted(stacks, reverse=True)
+    # one Newton for all dips, then one row per close-zero search
+    assert all(rows == 1 for rows, _ in newtons[1:]) and len(newtons) <= len(events)
+    assert len(calls) <= 1 + 3 * len(newtons)
 
 
 SAMPLED_GEODESICS = [
@@ -203,8 +249,9 @@ SAMPLED_GEODESICS = [
 
 @pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
 def test_propagated_samples_match_fresh_expm(desc, theta, aux):
-    # grid and midpoint samples come from products with one expm per level;
-    # each must agree with the matrix exponential taken at its own time
+    # grid and midpoint samples come from products with factors out of one
+    # stacked table per scan; each must agree with the matrix exponential
+    # taken at its own time
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     ts, fs, suspicious, _, _ = _samples(sys, 6.0, default_scan_step(sys))
@@ -219,7 +266,7 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
 
 
 def _assert_samples_match_insertion_reference(sys, t_max):
-    step = default_scan_step(sys)
+    step = jacobi.default_scan_step(sys)
     got, want = _samples(sys, t_max, step), samples_by_insertion(sys, t_max, step)
     for column, reference in zip(got[:3], want[:3]):
         assert column.dtype == reference.dtype
@@ -253,6 +300,40 @@ def test_bisection_levels_match_insertion_reference_across_blocks():
     sys = build_system(space, geodesic_direction(space, 0.7))
     assert 300.0 / default_scan_step(sys) > 2 * _BLOCK
     _assert_samples_match_insertion_reference(sys, 300.0)
+
+
+def test_power_of_two_leaf_step_counts_every_level(monkeypatch):
+    # step = 2^10 leaves: level 10 intervals have width _LEAF up to rounding
+    # and still split, so the chain of a deepest midpoint has 11 level shifts
+    space = build_space("cpodd:m=1")
+    sys = build_system(space, geodesic_direction(space, 0.7))
+    step = _LEAF * 2**10
+    monkeypatch.setattr(jacobi, "default_scan_step", lambda s: step)
+    assert scan_conjugate_times(sys, 6.0)
+    ts, _, _, _, delta = _assert_samples_match_insertion_reference(sys, 6.0)
+    levels = round(math.log2(step / np.diff(ts).min()))  # deepest midpoints: step / 2^levels
+    assert levels == 11
+    assert delta >= sample_error_bound(sys, 6.0, step, levels)[1]
+
+
+SCALAR_NEWTON_INPUTS = [(desc, theta, aux, 6.0) for desc, theta, aux in SAMPLED_GEODESICS] + [
+    ("b13", 0.22977933257562105, {"phi1": 0.4701283207489579, "phi2": 4.732149539600932}, 6.4),
+    ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3),
+    ("cpodd:m=1,kappa=1e4", 0.7, {}, 1.0),
+    ("spsphere:m=1,s=1e-6", 0.7, {}, 0.5),
+    ("w7:s=1e-6", 0.7, {}, 0.5),
+]
+
+
+@pytest.mark.parametrize("desc,theta,aux,t_max", SCALAR_NEWTON_INPUTS)
+def test_lockstep_newton_matches_scalar_newton(desc, theta, aux, t_max):
+    # every dip refined at once gives the events of one Newton per dip, bit for bit
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    got, want = scan_conjugate_times(sys, t_max), scan_by_scalar_newton(sys, t_max)
+    assert got and [(e.t, e.multiplicity) for e in got] == [(e.t, e.multiplicity) for e in want]
+    for event, reference in zip(got, want):
+        np.testing.assert_array_equal(event.kernel, reference.kernel)
 
 
 def test_bisection_samples_per_event():
