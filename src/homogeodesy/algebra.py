@@ -18,6 +18,9 @@ import numpy as np
 from .matrices import block_offsets
 
 CLOSURE_TOL = 1e-10
+BIINVARIANCE_TOL = 1e-10
+MAX_VIOLATIONS = 200  # violations listed by check_biinvariance, largest first
+CSV_TOL = 1e-12  # structure constants at or below this are left out of the CSV
 
 
 class AlgebraError(RuntimeError):
@@ -148,14 +151,14 @@ class StructuredAlgebra:
         coeffs[self.index(label)] = 1.0
         return AlgebraElement(self, coeffs)
 
-    def coeffs_of_matrix(self, mat: np.ndarray, tol: float = CLOSURE_TOL) -> np.ndarray:
+    def coeffs_of_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Expand a matrix in the basis; NotClosed if it is not in the span."""
         mat = np.asarray(mat, dtype=complex)
         vec = np.concatenate([mat.real.ravel(), mat.imag.ravel()])
         coeffs = vec @ self._flat_pinv
         recon = np.tensordot(coeffs, self._stack, axes=1)
         resid = np.max(np.abs(recon - mat))
-        if resid > tol * max(1.0, np.max(np.abs(mat))):
+        if resid > CLOSURE_TOL * max(1.0, np.max(np.abs(mat))):
             raise NotClosed(f"matrix lies outside span of {self.name} (residual {resid:.2e})")
         return coeffs
 
@@ -230,16 +233,11 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(alg, out)
 
 
-def assemble_algebra(
-    basis,
-    gram_rule: GramRule,
-    name: str = "algebra",
-    closure_tol: float = CLOSURE_TOL,
-) -> StructuredAlgebra:
+def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> StructuredAlgebra:
     """Compute structure constants and Gram matrix from an explicit basis.
 
     Raises NotClosed when some commutator leaves the basis span (residual above
-    ``closure_tol``) and DegenerateGram when the declared form is not positive
+    CLOSURE_TOL) and DegenerateGram when the declared form is not positive
     definite.
     """
     basis = tuple(b if isinstance(b, BasisMatrix) else BasisMatrix(*b) for b in basis)
@@ -270,7 +268,7 @@ def assemble_algebra(
     resid = np.abs(recon - comm).reshape(d, d, -1).max(axis=2)
     scale = max(1.0, np.max(np.abs(comm)))
     worst = np.unravel_index(np.argmax(resid), resid.shape)
-    if resid[worst] > closure_tol * scale:
+    if resid[worst] > CLOSURE_TOL * scale:
         raise NotClosed(
             f"{name}: [{basis[worst[0]].label}, {basis[worst[1]].label}] leaves the "
             f"basis span (residual {resid[worst]:.2e})"
@@ -329,10 +327,7 @@ class BiinvarianceReport:
 
 
 def check_biinvariance(
-    alg: StructuredAlgebra,
-    gram: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_violations: int = 200,
+    alg: StructuredAlgebra, gram: np.ndarray | None = None
 ) -> BiinvarianceReport:
     """Scan <[b_i,b_j],b_k> + <[b_i,b_k],b_j> over all basis triples.
 
@@ -345,19 +340,19 @@ def check_biinvariance(
     absr = np.abs(r)
     worst_idx = np.unravel_index(np.argmax(absr), absr.shape)
     labels = alg.labels
-    bad = np.argwhere(absr > tol)
+    bad = np.argwhere(absr > BIINVARIANCE_TOL)
     order = np.argsort(-absr[tuple(bad.T)]) if len(bad) else []
     violations = tuple(
         (
             (labels[i], labels[j], labels[k]),
             float(absr[i, j, k]),
         )
-        for i, j, k in (bad[o] for o in order[:max_violations])
+        for i, j, k in (bad[o] for o in order[:MAX_VIOLATIONS])
     )
     return BiinvarianceReport(
         algebra=alg.name,
         max_residual=float(absr[worst_idx]),
-        passed=bool(absr[worst_idx] <= tol),
+        passed=bool(absr[worst_idx] <= BIINVARIANCE_TOL),
         worst=tuple(labels[i] for i in worst_idx),
         violations=violations,
     )
@@ -392,12 +387,12 @@ def algebra_from_json(doc: dict) -> StructuredAlgebra:
     return assemble_algebra(basis, rule, name=doc.get("name", "algebra"))
 
 
-def structure_to_csv(alg: StructuredAlgebra, fileobj=None, tol: float = 1e-12) -> str:
+def structure_to_csv(alg: StructuredAlgebra) -> str:
     """Sparse (i, j, k, value) triples of the structure tensor as CSV text."""
-    buf = fileobj or io.StringIO()
+    buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["i", "j", "k", "value"])
     c = alg.structure
-    for i, j, k in np.argwhere(np.abs(c) > tol):
+    for i, j, k in np.argwhere(np.abs(c) > CSV_TOL):
         writer.writerow([i, j, k, f"{c[i, j, k]:.12g}"])
-    return buf.getvalue() if fileobj is None else ""
+    return buf.getvalue()

@@ -80,8 +80,9 @@ def _fmt(value, key="$"):
 
 
 def _emit(doc, args, rows_key=None, columns=None) -> None:
+    """JSON, or with --format csv the rows under rows_key, to --out or stdout."""
     payload = dict(_fmt(doc))
-    if getattr(args, "format", "json") == "csv" and rows_key is not None:
+    if rows_key is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(columns)
@@ -96,7 +97,7 @@ def _emit(doc, args, rows_key=None, columns=None) -> None:
     else:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -226,6 +227,9 @@ def cmd_pinching(args) -> int:
     if not args.space:
         sys.stderr.write("give a space descriptor or --family\n")
         return 3
+    if args.format == "csv":
+        sys.stderr.write("--format csv needs --family: a single-space report has no rows\n")
+        return 3
     report = estimate_pinching(
         build_space(args.space), multistarts=args.multistarts, seed=args.seed
     )
@@ -270,6 +274,8 @@ def build_parser() -> _Parser:
 
     for name, fn in (("conjugate", cmd_conjugate), ("closedform", cmd_closedform)):
         p = sub.add_parser(name, help=f"{name} table along a slope-angle geodesic")
+        if name == "conjugate":
+            p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("space")
         p.add_argument("--theta", type=float, default=math.pi / 2)
         p.add_argument("--tmax", type=float, default=12.0)
@@ -288,6 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=str, default=None, help="comma-separated s values")
     p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)
     p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     _output_args(p)
     p.set_defaults(func=cmd_pinching)
 
@@ -303,7 +310,6 @@ def build_parser() -> _Parser:
 
 
 def _output_args(p) -> None:
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", type=str, default=None)
 
 

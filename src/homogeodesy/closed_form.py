@@ -69,13 +69,13 @@ class ClosedFormTime:
         return {"t": self.t, "class": self.isotropy_class, "family": self.family}
 
 
-def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) -> CpData:
+def extract_cp_data(space: ReductiveSpace, u, v) -> CpData:
     """Extract (lambda, rho) from brackets, verifying every hypothesis residual."""
     alg = space.algebra
     uc = np.asarray(u, dtype=float)
     vc = np.asarray(v, dtype=float)
     ortho = np.abs([alg.inner(uc, uc) - 1.0, alg.inner(vc, vc) - 1.0, alg.inner(uc, vc)]).max()
-    if not ortho <= tol:  # NaN-safe: a non-finite u or v fails here
+    if not ortho <= HYPOTHESIS_TOL:  # NaN-safe: a non-finite u or v fails here
         raise HypothesisViolated(f"u, v not orthonormal (residual {ortho:.2e})")
 
     b = bracket(alg.element(uc), alg.element(vc)).coeffs
@@ -83,14 +83,14 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
     a_m = project(space, a, "M")
     lam = alg.inner(a_m, vc)
     resid = alg.norm(a_m - lam * vc)
-    if resid > tol * max(1.0, abs(lam)):
+    if resid > HYPOTHESIS_TOL * max(1.0, abs(lam)):
         raise HypothesisViolated(
             f"[[u,v],u]_m is not proportional to v (residual {resid:.2e})"
         )
-    if lam <= tol:
+    if lam <= HYPOTHESIS_TOL:
         raise HypothesisViolated(f"lambda = {lam:.2e} is not positive")
     norm_b2 = alg.inner(b, b)
-    if abs(norm_b2 - lam) > tol * max(1.0, lam):
+    if abs(norm_b2 - lam) > HYPOTHESIS_TOL * max(1.0, lam):
         raise HypothesisViolated(
             f"lambda = {lam:.6g} disagrees with |[u,v]|^2 = {norm_b2:.6g}"
         )
@@ -99,9 +99,9 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
     b_m = project(space, b, "M")
     nk, nm = alg.norm(b_k), alg.norm(b_m)
     scale = max(1.0, math.sqrt(norm_b2))
-    if nm <= tol * scale:
+    if nm <= HYPOTHESIS_TOL * scale:
         return CpData(space, uc, vc, float(lam), 0.0, BRANCH_COMMUTING)
-    if nk > tol * scale:
+    if nk > HYPOTHESIS_TOL * scale:
         raise HypothesisViolated(
             f"[u,v] has both k and m components (|k| = {nk:.2e}, |m| = {nm:.2e})"
         )
@@ -112,7 +112,7 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
     rho = alg.inner(uw_k, uw_k)
     a_k = project(space, a, "K")
     identity = abs(rho * lam - alg.inner(a_k, a_k))
-    if identity > tol * max(1.0, rho * lam):
+    if identity > HYPOTHESIS_TOL * max(1.0, rho * lam):
         raise HypothesisViolated(
             f"rho*lambda != |[[u,v],u]_k|^2 (residual {identity:.2e})"
         )
@@ -120,7 +120,7 @@ def extract_cp_data(space: ReductiveSpace, u, v, tol: float = HYPOTHESIS_TOL) ->
         return CpData(space, uc, vc, float(lam), 0.0, BRANCH_RHO_ZERO)
     rw = bracket(alg.element(uw_k), alg.element(uc)).coeffs  # [[u,w]_k, u]
     resid_rho = alg.norm(rw - rho * w)
-    if resid_rho > tol * max(1.0, rho):
+    if resid_rho > HYPOTHESIS_TOL * max(1.0, rho):
         raise HypothesisViolated(
             f"[[u,[u,v]]_k, u] is not collinear to [u,v] (residual {resid_rho:.2e})"
         )

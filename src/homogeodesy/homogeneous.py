@@ -22,6 +22,7 @@ from .algebra import AlgebraElement, StructuredAlgebra
 VALIDATION_TOL = 1e-10
 PLANE_TOL = 1e-14
 RANK_ONE_THRESHOLD = 1e-6
+RANK_ONE_MULTISTARTS = 64
 
 
 class GeometryError(RuntimeError):
@@ -37,7 +38,7 @@ class DegeneratePlane(GeometryError):
 
 
 class NoWitness(GeometryError):
-    """No registered transitivity witness and random search found none."""
+    """No transitivity witness is registered for the part."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,6 @@ class ReductiveSpace:
 
     # -- elements ---------------------------------------------------------
 
-    def element(self, coeffs) -> AlgebraElement:
-        return self.algebra.element(coeffs)
-
     def basis_vector(self, label: str) -> np.ndarray:
         coeffs = np.zeros(self.algebra.dim)
         coeffs[self.algebra.index(label)] = 1.0
@@ -151,7 +149,7 @@ class ReductiveSpace:
 
     # -- validation ------------------------------------------------------
 
-    def validate(self, tol: float = VALIDATION_TOL) -> "SpaceValidation":
+    def validate(self) -> "SpaceValidation":
         c = self.algebra.structure
         g = self.algebra.gram
         k = self.part_indices("K")
@@ -173,7 +171,6 @@ class ReductiveSpace:
             reductivity=red,
             split_invariance=split,
             gram_block_diagonal=blockdiag,
-            tol=tol,
         )
 
 
@@ -184,7 +181,6 @@ class SpaceValidation:
     reductivity: float
     split_invariance: float
     gram_block_diagonal: float
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -195,7 +191,7 @@ class SpaceValidation:
                 self.split_invariance,
                 self.gram_block_diagonal,
             )
-            <= self.tol
+            <= VALIDATION_TOL
         )
 
     def to_dict(self) -> dict:
@@ -474,15 +470,14 @@ class LtsReport:
     m_closure: float
     k_action: float
     subalgebra_closure: float
-    tol: float
 
     @property
     def is_lts(self) -> bool:
-        return max(self.m_closure, self.k_action) <= self.tol
+        return max(self.m_closure, self.k_action) <= VALIDATION_TOL
 
     @property
     def closes_subalgebra(self) -> bool:
-        return self.subalgebra_closure <= self.tol
+        return self.subalgebra_closure <= VALIDATION_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -514,7 +509,7 @@ def _span_residual(vectors: np.ndarray, gram: np.ndarray, tested: np.ndarray) ->
     return float(np.max(np.linalg.norm(resid, axis=0)))
 
 
-def lts_check(space: ReductiveSpace, vectors, tol: float = VALIDATION_TOL) -> LtsReport:
+def lts_check(space: ReductiveSpace, vectors) -> LtsReport:
     """Verify nu is a Lie triple system and that nu + [nu,nu]_k closes."""
     vs = np.array([_coeffs(v) for v in vectors], dtype=float)
     alg = space.algebra
@@ -535,7 +530,6 @@ def lts_check(space: ReductiveSpace, vectors, tol: float = VALIDATION_TOL) -> Lt
         m_closure=m_closure,
         k_action=k_action,
         subalgebra_closure=subalgebra_closure,
-        tol=tol,
     )
 
 
@@ -559,22 +553,19 @@ class RankOneReport:
         }
 
 
-def rank_one_check(
-    space: ReductiveSpace,
-    multistarts: int = 64,
-    seed: int = 0,
-    threshold: float = RANK_ONE_THRESHOLD,
-) -> RankOneReport:
-    """Minimize |[x,y]|^2 over g-orthonormal pairs in m by Riemannian Newton."""
+def rank_one_check(space: ReductiveSpace, seed: int = 0) -> RankOneReport:
+    """Minimize |[x,y]|^2 over g-orthonormal pairs in m by Riemannian Newton,
+    from RANK_ONE_MULTISTARTS starts."""
     kernel = BracketKernel(space, 1.0, 1.0)
-    vals, xs, ys, _, _ = optimize_pairs(kernel, (-1.0,), np.random.default_rng(seed), multistarts)
+    rng = np.random.default_rng(seed)
+    vals, xs, ys, _, _ = optimize_pairs(kernel, (-1.0,), rng, RANK_ONE_MULTISTARTS)
     best = int(np.argmin(vals))
     return RankOneReport(
         space=space.name,
         min_bracket_sq=float(vals[best]),
-        passed=bool(vals[best] > threshold),
+        passed=bool(vals[best] > RANK_ONE_THRESHOLD),
         argmin=PlaneSpec(space.from_frame(xs[best]), space.from_frame(ys[best])),
-        multistarts=multistarts,
+        multistarts=RANK_ONE_MULTISTARTS,
         seed=seed,
     )
 
@@ -583,7 +574,7 @@ def rank_one_check(
 class TransitivityReport:
     space: str
     part: str
-    witness: str | None
+    witness: str
     kernel_dim: int
     transitive: bool
 
@@ -614,36 +605,17 @@ def _kernel_dim_of_witness(space: ReductiveSpace, u: np.ndarray, part_idx: np.nd
 def isotropy_transitivity_check(space: ReductiveSpace, part: str) -> TransitivityReport:
     """Transitivity of the linear isotropy action on the unit sphere of a part.
 
-    Uses the registered witness direction when available (the kernel of
-    v -> [u,v]_k must be exactly span(u)); otherwise searches random witnesses
-    and raises NoWitness when none certifies transitivity.
+    Reads the witness direction registered for the part: the action is
+    transitive iff the kernel of v -> [u,v]_k on the part is exactly span(u).
+    Raises NoWitness when the space registers none.
     """
     part = part.upper()
     part_idx = space.part_indices(part)
     label = space.witnesses.get(part)
-    if label is not None:
-        u = space.basis_vector(label)
-        kdim = _kernel_dim_of_witness(space, u, part_idx)
-        return TransitivityReport(
-            space=space.name,
-            part=part,
-            witness=label,
-            kernel_dim=kdim,
-            transitive=bool(kdim == 1),
-        )
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        u = np.zeros(space.algebra.dim)
-        u[part_idx] = rng.standard_normal(len(part_idx))
-        u = space.unit(u)
-        kdim = _kernel_dim_of_witness(space, u, part_idx)
-        if kdim == 1:
-            return TransitivityReport(
-                space=space.name,
-                part=part,
-                witness=None,
-                kernel_dim=1,
-                transitive=True,
-            )
-    raise NoWitness(f"no transitivity witness registered or found for {space.name}/{part}")
+    if label is None:
+        raise NoWitness(f"no transitivity witness registered for {space.name}/{part}")
+    kdim = _kernel_dim_of_witness(space, space.basis_vector(label), part_idx)
+    return TransitivityReport(
+        space=space.name, part=part, witness=label, kernel_dim=kdim, transitive=bool(kdim == 1)
+    )
 

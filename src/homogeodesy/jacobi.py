@@ -6,7 +6,8 @@ exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
 Conjugate times are the zeros of det J(t): a bisection certified by the
 energy bound ||J'|| <= 1 discards zero-free intervals, and Newton's method on
 sigma_min, run on all remaining dips in lockstep, refines them (see
-scan_conjugate_times).
+scan_conjugate_times).  Each refined event is classified where it is found,
+from its kernel rows (classify_isotropy), so scans return finished events.
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,18 +103,18 @@ class JacobiSystem:
 
 @dataclass(frozen=True)
 class ConjugateEvent:
-    """A conjugate time with its kernel of initial derivatives X'(0)."""
+    """A conjugate time, its kernel of initial derivatives X'(0) and its isotropy flags."""
 
     t: float
     multiplicity: int
     kernel: np.ndarray  # (multiplicity, algebra dim) coefficient vectors
-    isotropic_exists: bool | None = None
-    strictly_isotropic: bool | None = None
+    isotropic_exists: bool
+    strictly_isotropic: bool
 
     def __post_init__(self):
         if self.multiplicity < 1:
             raise ValueError("conjugate events have multiplicity >= 1")
-        if self.strictly_isotropic and self.isotropic_exists is False:
+        if self.strictly_isotropic and not self.isotropic_exists:
             raise ValueError("strictly isotropic events are in particular isotropic")
 
     def to_dict(self) -> dict:
@@ -205,7 +206,7 @@ def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip: float):
 
 
 def _refine(sys: JacobiSystem, probe, start, end, lip: float) -> list[ConjugateEvent]:
-    """The zeros in the dip [start, end], from Newton's probe at its lowest sample.
+    """Classified events in the dip [start, end] from Newton's probe at its lowest sample.
 
     At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
     far end of the dip) might vanish in the dip too: one Newton step along
@@ -218,7 +219,9 @@ def _refine(sys: JacobiSystem, probe, start, end, lip: float) -> list[ConjugateE
         mult = int(np.sum(sv < MULTIPLICITY_RTOL * sv[0]))
         if mult == 0:
             continue
-        events.append(ConjugateEvent(float(t), mult, sys.space.from_frame(vt[sys.n - mult :])))
+        kernel_on = vt[sys.n - mult :]
+        flags = classify_isotropy(sys, kernel_on)
+        events.append(ConjugateEvent(float(t), mult, sys.space.from_frame(kernel_on), *flags))
         reach = lip * max(t - start, end - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
             if value >= reach or not slope:
@@ -337,7 +340,8 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     dips.  Safeguarded Newton, run on all dips in lockstep from each one's
     lowest sample, refines them to a relative step of 1e-14, and then searches
     each dip for close zeros (see _refine).  Multiplicity and kernel come from
-    the singular values below 1e-7 * sigma_max at the refined time.
+    the singular values below 1e-7 * sigma_max at the refined time, and each
+    event comes back classified (classify_isotropy on its kernel).
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -379,30 +383,22 @@ def isotropic_derivative_basis(space: ReductiveSpace, u) -> np.ndarray:
     return q[:, :rank]
 
 
-def classify_isotropy(sys: JacobiSystem, event: ConjugateEvent) -> ConjugateEvent:
-    """Fill the isotropy flags of an event via the (Ker R_u)-perp criterion.
+def classify_isotropy(sys: JacobiSystem, kernel_on: np.ndarray) -> tuple[bool, bool]:
+    """(isotropic_exists, strictly_isotropic) of an event from its kernel rows.
 
-    With K the orthonormal kernel of J(t) and W = (Ker R_u)-perp, an isotropic
-    Jacobi field vanishing at the event exists iff some kernel direction lies
-    entirely inside W, i.e. iff (I - P_W) K is rank-deficient; the event is
-    strictly isotropic iff (I - P_W) K vanishes altogether.
+    The rows K of kernel_on are an orthonormal basis, in the ON frame, of the
+    kernel of J(t).  With W = (Ker R_u)-perp, an isotropic Jacobi field
+    vanishing at the event exists iff some kernel direction lies entirely
+    inside W, i.e. iff K (I - P_W) is rank-deficient; the event is strictly
+    isotropic iff K (I - P_W) vanishes altogether.
     """
-    proj = isotropic_complement_projector(sys)
-    kernel_on, _ = np.linalg.qr(sys.space.to_frame(event.kernel).T)
-    outside = kernel_on - proj @ kernel_on
-    sv = np.linalg.svd(outside, compute_uv=False)
-    s_max, s_min = (sv[0], sv[-1]) if len(sv) else (0.0, 0.0)
-    return replace(
-        event,
-        isotropic_exists=bool(s_min < RANK_TOL),
-        strictly_isotropic=bool(s_max < RANK_TOL),
-    )
+    sv = np.linalg.svd(kernel_on - kernel_on @ sys.complement_projector, compute_uv=False)
+    return bool(sv[-1] < RANK_TOL), bool(sv[0] < RANK_TOL)
 
 
 def conjugate_events(space: ReductiveSpace, u, t_max: float) -> list[ConjugateEvent]:
-    """Build the system along u, scan for conjugate times, classify each event."""
-    sys = build_system(space, u)
-    return [classify_isotropy(sys, ev) for ev in scan_conjugate_times(sys, t_max)]
+    """The classified conjugate events along u up to t_max."""
+    return scan_conjugate_times(build_system(space, u), t_max)
 
 
 # -- canonical directions ----------------------------------------------------

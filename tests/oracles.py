@@ -403,10 +403,23 @@ def newton_scalar(sys, lo, f_lo, hi, f_hi, t, lip):
     return probe, False
 
 
+def classify_two_pass(sys, kernel) -> tuple[bool, bool]:
+    """(isotropic_exists, strictly_isotropic) of kernel rows in algebra
+    coordinates, as a second pass over finished events: back to the ON frame,
+    an orthonormal basis Q by QR, and the singular values of (I - P_W) Q
+    against RANK_TOL, W = (Ker R_u)-perp."""
+    from homogeodesy.jacobi import RANK_TOL
+
+    q, _ = np.linalg.qr(sys.space.to_frame(kernel).T)
+    sv = np.linalg.svd(q - sys.complement_projector @ q, compute_uv=False)
+    return bool(sv[-1] < RANK_TOL), bool(sv[0] < RANK_TOL)
+
+
 def refine_scalar(sys, ts, fs, lip):
     """The zeros in one dip (fs <= sigma_min(ts)) by scalar Newton from the
     lowest sample, then a Newton from each close zero that another singular
-    value predicts within lip times the distance to the far end of the dip."""
+    value predicts within lip times the distance to the far end of the dip;
+    events are classified by classify_two_pass."""
     from homogeodesy.jacobi import MULTIPLICITY_RTOL, ConjugateEvent
 
     k = int(np.argmin(fs))
@@ -419,7 +432,7 @@ def refine_scalar(sys, ts, fs, lip):
         if mult == 0:
             continue
         kernel = sys.space.from_frame(vt[sys.n - mult :])
-        events.append(ConjugateEvent(t=float(t), multiplicity=mult, kernel=kernel))
+        events.append(ConjugateEvent(float(t), mult, kernel, *classify_two_pass(sys, kernel)))
         reach = lip * max(t - ts[0], ts[-1] - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
             if value >= reach or not slope:

@@ -326,3 +326,29 @@ def test_pinching_table_rel_error_follows_the_printed_columns(tmp_path):
     for row in rows:
         measured, formula = row["delta_measured"], row["delta_formula"]
         assert row["rel_error"] == float(f"{abs(measured - formula) / formula:.12g}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list"],
+        ["verify", "b13"],
+        ["brackets", "b13"],
+        ["closedform", "b13", "--theta", "0.7", "--tmax", "3"],
+        ["reproduce", "conj"],
+    ],
+)
+def test_format_is_offered_only_where_rows_are_printed(capsys, argv):
+    # only conjugate and pinching --family print tables; elsewhere csv was ignored
+    assert main([*argv, "--format", "csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --format csv" in captured.err
+
+
+def test_pinching_cli_refuses_csv_for_a_single_space(capsys):
+    code = main(["pinching", "b13", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "--format csv" in captured.err and "--family" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -29,6 +29,7 @@ from homogeodesy.jacobi import (
 
 from oracles import (
     ad_orbit_direction,
+    classify_two_pass,
     ode_fundamental,
     sample_error_bound,
     samples_by_insertion,
@@ -334,6 +335,36 @@ def test_lockstep_newton_matches_scalar_newton(desc, theta, aux, t_max):
     assert got and [(e.t, e.multiplicity) for e in got] == [(e.t, e.multiplicity) for e in want]
     for event, reference in zip(got, want):
         np.testing.assert_array_equal(event.kernel, reference.kernel)
+
+
+@pytest.mark.parametrize("desc,theta,aux,t_max", SCALAR_NEWTON_INPUTS)
+def test_scan_flags_match_two_pass_classification(desc, theta, aux, t_max):
+    # each event is classified where the scan finds it, from its ON-frame
+    # kernel rows; its flags are those of a second pass over finished events
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    events = scan_conjugate_times(sys, t_max)
+    assert events
+    for event in events:
+        flags = (event.isotropic_exists, event.strictly_isotropic)
+        assert all(type(flag) is bool for flag in flags), (event.t, flags)
+        assert flags == classify_two_pass(sys, event.kernel), event.t
+
+
+def test_scan_classifies_once_per_event_without_qr_or_to_frame(monkeypatch):
+    space = build_space("b13")
+    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    monkeypatch.setattr(jacobi, "classify_isotropy", counted("classify", jacobi.classify_isotropy))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    to_frame = homogeneous.ReductiveSpace.to_frame
+    monkeypatch.setattr(homogeneous.ReductiveSpace, "to_frame", counted("to_frame", to_frame))
+    events = scan_conjugate_times(sys, 6.0)
+    assert len(events) >= 5 and calls == ["classify"] * len(events)
 
 
 def test_bisection_samples_per_event():
