@@ -198,19 +198,6 @@ class AlgebraElement:
     def norm(self) -> float:
         return self.algebra.norm(self.coeffs)
 
-    def __add__(self, other):
-        _same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return AlgebraElement(self.algebra, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         terms = [
             f"{c:+.4g}*{lbl}"
@@ -220,14 +207,10 @@ class AlgebraElement:
         return f"<{' '.join(terms) or '0'}>"
 
 
-def _same_algebra(x: AlgebraElement, y: AlgebraElement):
-    if x.algebra is not y.algebra:
-        raise AlgebraMismatch("elements belong to different algebras")
-
-
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """[x, y] through the precomputed structure tensor."""
-    _same_algebra(x, y)
+    if x.algebra is not y.algebra:
+        raise AlgebraMismatch("elements belong to different algebras")
     alg = x.algebra
     out = np.einsum("i,j,ijk->k", x.coeffs, y.coeffs, alg.structure)
     return AlgebraElement(alg, out)

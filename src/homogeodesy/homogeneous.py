@@ -437,30 +437,20 @@ def optimize_pairs(
     return f, z[:, :n], z[:, n:], np.linalg.norm(g, axis=1), steps
 
 
-def sectional_curvature(space: ReductiveSpace, x, y, mode: str = "normal") -> float:
-    """Sectional curvature of the tangent plane spanned by x, y.
+def sectional_curvature(space: ReductiveSpace, x, y) -> float:
+    """Sectional curvature (|[x,y]_k|^2 + |[x,y]_m|^2 / 4) / area^2 of the
+    tangent plane spanned by x, y, the normal homogeneous formula.
 
-    A vector of g stands for the tangent vector of its m-part, so both modes
-    drop k-parts first.
-    normal mode:              (|[x,y]_k|^2 + |[x,y]_m|^2 / 4) / area^2
-    naturally_reductive mode: (<[[x,y]_k, x]_m, y> + |[x,y]_m|^2 / 4) / area^2
+    A vector of g stands for the tangent vector of its m-part, so k-parts are
+    dropped first.
     """
     xc, yc = project(space, x, "M"), project(space, y, "M")
     alg = space.algebra
     area2 = alg.inner(xc, xc) * alg.inner(yc, yc) - alg.inner(xc, yc) ** 2
     if not PLANE_TOL <= area2 < math.inf:  # NaN-safe: non-finite vectors span no plane
         raise DegeneratePlane(f"plane area^2 = {area2:.2e}")
-    if mode == "normal":
-        kernel = BracketKernel(space, 1.0, 0.25)
-        return float(kernel.value(space.to_frame(xc[None]), space.to_frame(yc[None]))[0])
-    if mode != "naturally_reductive":
-        raise ValueError(f"unknown mode {mode!r}")
-    b = np.einsum("i,j,ijk->k", xc, yc, alg.structure)
-    bk = project(space, b, "K")
-    bm = project(space, b, "M")
-    adbk_x = np.einsum("i,j,ijk->k", bk, xc, alg.structure)
-    num = alg.inner(project(space, adbk_x, "M"), yc) + 0.25 * alg.inner(bm, bm)
-    return float(num / area2)
+    kernel = BracketKernel(space, 1.0, 0.25)
+    return float(kernel.value(space.to_frame(xc[None]), space.to_frame(yc[None]))[0])
 
 
 @dataclass(frozen=True)

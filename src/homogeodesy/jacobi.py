@@ -5,7 +5,7 @@ n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
 exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
 Conjugate times are the zeros of det J(t): a bisection certified by the
 energy bound ||J'|| <= 1 discards zero-free intervals, and Newton's method on
-sigma_min, run on all remaining dips in lockstep, refines them (see
+sigma_min refines the remaining dips in rounds of stacked starts (see
 scan_conjugate_times).  Each refined event is classified where it is found,
 from its kernel rows (classify_isotropy), so scans return finished events.
 
@@ -205,13 +205,16 @@ def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip: float):
     return probes, landed
 
 
-def _refine(sys: JacobiSystem, probe, start, end, lip: float) -> list[ConjugateEvent]:
-    """Classified events in the dip [start, end] from Newton's probe at its lowest sample.
-
+def _refine(sys: JacobiSystem, ts, fs, lip: float):
+    """Generator of the classified events in one dip (fs <= sigma_min(ts)): it
+    yields Newton starts (lo, f_lo, hi, f_hi, t), the lowest sample between its
+    neighbours first, is sent each one's (probe, landed) and returns its events.
     At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
     far end of the dip) might vanish in the dip too: one Newton step along
-    sigma_i' predicts where, and Newton on sigma_min refines the prediction.
-    """
+    sigma_i' predicts where, and the next start refines the prediction."""
+    k = int(np.argmin(fs))
+    lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
+    probe, _ = yield ts[lo], fs[lo], ts[hi], fs[hi], ts[k]
     found = [probe]
     events: list[ConjugateEvent] = []
     while found and len(events) < sys.n:
@@ -222,18 +225,17 @@ def _refine(sys: JacobiSystem, probe, start, end, lip: float) -> list[ConjugateE
         kernel_on = vt[sys.n - mult :]
         flags = classify_isotropy(sys, kernel_on)
         events.append(ConjugateEvent(float(t), mult, sys.space.from_frame(kernel_on), *flags))
-        reach = lip * max(t - start, end - t)
+        reach = lip * max(t - ts[0], ts[-1] - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
             if value >= reach or not slope:
                 continue
             guess = t - value / slope
             radius = 0.25 * abs(guess - t)
             known = [ev.t for ev in events] + [other[0] for other in found]
-            if start < guess < end and all(abs(guess - tk) > radius for tk in known):
-                row = np.array([[guess - radius], [0.0], [guess + radius], [0.0], [guess]])
-                probes, landed = _newton(sys, *row, lip)
-                if landed[0]:
-                    found.append(tuple(x[0] for x in probes))
+            if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
+                probe, landed = yield guess - radius, 0.0, guess + radius, 0.0, guess
+                if landed:
+                    found.append(probe)
     return sorted(events, key=lambda ev: ev.t)
 
 
@@ -337,11 +339,13 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
     sample, [a, b] holds no zero if sigma(a) + sigma(b) > L (b - a) + 2 delta.
     Runs of failing intervals split at sampled local maxima of sigma_min into
-    dips.  Safeguarded Newton, run on all dips in lockstep from each one's
-    lowest sample, refines them to a relative step of 1e-14, and then searches
-    each dip for close zeros (see _refine).  Multiplicity and kernel come from
-    the singular values below 1e-7 * sigma_max at the refined time, and each
-    event comes back classified (classify_isotropy on its kernel).
+    dips, each a _refine generator (none for a dip that starts past t_max).
+    Each round stacks the next Newton start of every dip still searching, its
+    lowest sample first and then its close-zero predictions, into one
+    safeguarded Newton (_newton) to a relative step of 1e-14, and sends each
+    row's probe back to its dip.  Multiplicity and kernel come from the
+    singular values below 1e-7 * sigma_max at the refined time, and each event
+    comes back classified (classify_isotropy on its kernel).
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -351,19 +355,24 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
 
     ts, fs, suspicious, lip, delta = _samples(sys, t_max, step)
     runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
-    dips = []  # (first, last) sample of each dip
+    dips = []  # one _refine per dip that starts by t_max
     for first, last in zip(runs[::2], runs[1::2]):
         peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
-        dips += zip([first] + peaks, peaks + [last])
-    if not dips:
-        return []
-    # Newton starts at each dip's lowest sample, bracketed by its neighbours there
-    low, (first, last) = fs - delta, np.array(dips).T
-    k = np.array([a + np.argmin(low[a : b + 1]) for a, b in dips])
-    lo, hi = np.maximum(k - 1, first), np.minimum(k + 1, last)
-    probes, _ = _newton(sys, ts[lo], low[lo], ts[hi], low[hi], ts[k], lip)
-    refined = (_refine(sys, p, ts[a], ts[b], lip) for a, b, p in zip(first, last, zip(*probes)))
-    return [ev for dip in refined for ev in dip if ev.t <= t_max + 1e-12]
+        for a, b in zip([first] + peaks, peaks + [last]):
+            if ts[a] <= t_max + 1e-12:
+                dips.append(_refine(sys, ts[a : b + 1], fs[a : b + 1] - delta, lip))
+    refined, waiting, starts = {}, dips, [next(dip) for dip in dips]
+    while waiting:
+        probes, landed = _newton(sys, *np.array(starts).T, lip)
+        rows = zip(waiting, zip(*probes), landed)
+        waiting, starts = [], []
+        for dip, probe, hit in rows:
+            try:
+                starts.append(dip.send((probe, hit)))
+                waiting.append(dip)
+            except StopIteration as done:
+                refined[dip] = done.value
+    return [ev for dip in dips for ev in refined[dip] if ev.t <= t_max + 1e-12]
 
 
 def isotropic_complement_projector(sys: JacobiSystem) -> np.ndarray:

@@ -308,9 +308,7 @@ def _reproduce_pinching_table(seed: int, multistarts: int) -> dict:
         rows.append(row | {"pass": abs(measured - formula) / formula <= DELTA_RTOL})
 
     b13 = build_space("b13")
-    k_erfr = sectional_curvature(
-        b13, b13.basis_vector("e_1"), b13.basis_vector("f_1"), mode="normal"
-    )
+    k_erfr = sectional_curvature(b13, b13.basis_vector("e_1"), b13.basis_vector("f_1"))
     rep = estimate_pinching(b13, multistarts=multistarts, seed=seed)
     b13_row = {
         "space": "b13",

@@ -76,6 +76,24 @@ def sampled_bracket_minimum(space, samples: int = 100_000, seed: int = 7) -> flo
     return float(np.min(np.einsum("nk,kl,nl->n", b, g, b)))
 
 
+def naturally_reductive_curvature(space, x, y) -> float:
+    """Sectional curvature of the plane of x, y by the naturally reductive
+    formula (<[[x,y]_k, x]_m, y> + |[x,y]_m|^2 / 4) / area^2, k-parts dropped
+    first, by einsums over the structure tensor.  On a normal homogeneous
+    space ad-invariance gives <[[x,y]_k, x], y> = |[x,y]_k|^2, the formula of
+    homogeneous.sectional_curvature."""
+    from homogeodesy.homogeneous import project
+
+    alg = space.algebra
+    xc, yc = project(space, x, "M"), project(space, y, "M")
+    area2 = alg.inner(xc, xc) * alg.inner(yc, yc) - alg.inner(xc, yc) ** 2
+    b = np.einsum("i,j,ijk->k", xc, yc, alg.structure)
+    bk, bm = project(space, b, "K"), project(space, b, "M")
+    adbk_x = np.einsum("i,j,ijk->k", bk, xc, alg.structure)
+    num = alg.inner(project(space, adbk_x, "M"), yc) + 0.25 * alg.inner(bm, bm)
+    return float(num / area2)
+
+
 def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter: int = 400):
     """Reference multistart optimizer: one sign per call, two kernel calls per step.
 

@@ -27,6 +27,7 @@ from homogeodesy.pinching import estimate_pinching
 from oracles import (
     ad_orbit_direction,
     bracket_tensor_einsum,
+    naturally_reductive_curvature,
     optimize_pairs_one_sign,
     sampled_bracket_minimum,
 )
@@ -153,8 +154,8 @@ def test_sectional_curvature_modes_agree(rng):
         space = build_space(desc)
         for _ in range(10):
             x, y = space.random_unit_m(rng), space.random_unit_m(rng)
-            kn = sectional_curvature(space, x, y, mode="normal")
-            kr = sectional_curvature(space, x, y, mode="naturally_reductive")
+            kn = sectional_curvature(space, x, y)
+            kr = naturally_reductive_curvature(space, x, y)
             assert abs(kn - kr) < 1e-10 * max(1.0, abs(kn))
 
 
@@ -163,9 +164,9 @@ def test_sectional_curvature_ignores_k_parts():
     space = build_space("berger:m=2,s=0.5")
     x, y = space.basis_vector("e_1"), space.basis_vector("f_1")
     z = space.basis_vector(space.algebra.labels[space.k_indices[0]])
-    for mode in ("normal", "naturally_reductive"):
-        k = sectional_curvature(space, x, y, mode=mode)
-        assert sectional_curvature(space, x + 0.3 * z, y - 0.7 * z, mode=mode) == k
+    for curvature in (sectional_curvature, naturally_reductive_curvature):
+        k = curvature(space, x, y)
+        assert curvature(space, x + 0.3 * z, y - 0.7 * z) == k
 
 
 def test_commuting_plane_is_flat(abelian_space):
@@ -190,7 +191,7 @@ def test_bracket_kernel_matches_scalar(rng):
         ys = space.random_unit_m(rng, 16)
         batch = kernel.value(space.to_frame(xs), space.to_frame(ys))
         for i in range(16):
-            ref = sectional_curvature(space, xs[i], ys[i], mode="naturally_reductive")
+            ref = naturally_reductive_curvature(space, xs[i], ys[i])
             assert abs(batch[i] - ref) < 1e-10 * max(1.0, abs(ref))
 
 

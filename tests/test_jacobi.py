@@ -209,6 +209,7 @@ def test_bisection_costs_one_expm_per_level(monkeypatch):
     [
         ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0),  # nine dips, no close-zero search
         ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3),  # one search
+        ("w7:s=1e-6", 0.7, {}, 2.0),  # 486 dips, 57 of them search for a close zero
     ],
 )
 def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
@@ -217,7 +218,19 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     calls, newtons = [], []  # matrices per expm call; (rows, matrices per call) per Newton
-    expm, newton = jacobi._expm, jacobi._newton
+    starts = []  # Newton starts each dip yields
+    expm, newton, refine = jacobi._expm, jacobi._newton, jacobi._refine
+
+    def counting_refine(*args):
+        dip, reply, index = refine(*args), None, len(starts)
+        starts.append(0)
+        while True:
+            try:
+                row = dip.send(reply)
+            except StopIteration as done:
+                return done.value
+            starts[index] += 1
+            reply = yield row
 
     def counting_newton(sys, lo, *rest):
         before = len(calls)
@@ -227,6 +240,7 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
 
     monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
     monkeypatch.setattr(jacobi, "_newton", counting_newton)
+    monkeypatch.setattr(jacobi, "_refine", counting_refine)
     events = scan_conjugate_times(sys, t_max)
     assert len(events) >= 2
     # the table comes first; every later call is one Newton round over its live rows
@@ -234,9 +248,12 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     assert calls[0] >= 2  # exp(hA), exp(hA / 2), ... down to the leaf
     for rows, stacks in newtons:
         assert stacks[0] == rows and stacks == sorted(stacks, reverse=True)
-    # one Newton for all dips, then one row per close-zero search
-    assert all(rows == 1 for rows, _ in newtons[1:]) and len(newtons) <= len(events)
-    assert len(calls) <= 1 + 3 * len(newtons)
+    # Newton call r carries the r-th start of every dip that is still searching:
+    # first every dip's lowest sample, then each one's next close-zero search
+    assert [rows for rows, _ in newtons] == [
+        sum(count > r for count in starts) for r in range(max(starts))
+    ]
+    assert sum(calls[1:]) <= 3 * sum(starts)  # exponentials per Newton start
 
 
 SAMPLED_GEODESICS = [
@@ -323,6 +340,7 @@ SCALAR_NEWTON_INPUTS = [(desc, theta, aux, 6.0) for desc, theta, aux in SAMPLED_
     ("cpodd:m=1,kappa=1e4", 0.7, {}, 1.0),
     ("spsphere:m=1,s=1e-6", 0.7, {}, 0.5),
     ("w7:s=1e-6", 0.7, {}, 0.5),
+    ("w7:s=1e-6", 0.7, {}, 2.0),  # 57 close-zero searches in one Newton call
 ]
 
 
@@ -351,9 +369,21 @@ def test_scan_flags_match_two_pass_classification(desc, theta, aux, t_max):
         assert flags == classify_two_pass(sys, event.kernel), event.t
 
 
-def test_scan_classifies_once_per_event_without_qr_or_to_frame(monkeypatch):
+@pytest.mark.parametrize(
+    "theta,aux,t_max",
+    [
+        (0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0),
+        # the last dip starts past t_max: it is not refined, so not classified
+        (
+            1.0177711855734826,
+            {"phi1": 0.1594931532923511, "phi2": 4.393609603929916},
+            5.331103066367819,
+        ),
+    ],
+)
+def test_scan_classifies_once_per_event_without_qr_or_to_frame(monkeypatch, theta, aux, t_max):
     space = build_space("b13")
-    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
+    sys = build_system(space, geodesic_direction(space, theta, aux))
     calls = []
 
     def counted(name, real):
@@ -363,7 +393,7 @@ def test_scan_classifies_once_per_event_without_qr_or_to_frame(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     to_frame = homogeneous.ReductiveSpace.to_frame
     monkeypatch.setattr(homogeneous.ReductiveSpace, "to_frame", counted("to_frame", to_frame))
-    events = scan_conjugate_times(sys, 6.0)
+    events = scan_conjugate_times(sys, t_max)
     assert len(events) >= 5 and calls == ["classify"] * len(events)
 
 
