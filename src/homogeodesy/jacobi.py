@@ -160,8 +160,7 @@ def fundamental_block(sys: JacobiSystem, t: float) -> np.ndarray:
     """J(t): upper-right n x n block of exp(t * companion), maps X'(0) to X(t)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    n = sys.n
-    return _expm(t * sys.companion)[:n, n:]
+    return _expm(t * sys.companion)[: sys.n, sys.n :]
 
 
 def default_scan_step(sys: JacobiSystem) -> float:
@@ -230,7 +229,7 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
             if value >= reach or not slope:
                 continue
             guess = t - value / slope
-            radius = 0.25 * abs(guess - t)
+            radius = 0.25 * abs(guess - t)  # scan_conjugate_times relies on this reach
             known = [ev.t for ev in events] + [other[0] for other in found]
             if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
                 probe, landed = yield guess - radius, 0.0, guess + radius, 0.0, guess
@@ -339,7 +338,9 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
     sample, [a, b] holds no zero if sigma(a) + sigma(b) > L (b - a) + 2 delta.
     Runs of failing intervals split at sampled local maxima of sigma_min into
-    dips, each a _refine generator (none for a dip that starts past t_max).
+    dips, each a _refine generator.  A dip past t_max is skipped: its close-zero
+    brackets (radius |guess - t|/4) keep its events above its start minus a third
+    of its width, where the range is certified zero-free or in earlier dips.
     Each round stacks the next Newton start of every dip still searching, its
     lowest sample first and then its close-zero predictions, into one
     safeguarded Newton (_newton) to a relative step of 1e-14, and sends each
