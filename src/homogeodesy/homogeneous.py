@@ -382,6 +382,34 @@ def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
     return xs, ys
 
 
+def _trial_pairs(z, g, h, s, mu):
+    """Trial pairs and predicted gains of one damped Newton step from each row.
+
+    The step d = s (mu I - s PHP)^-1 g predicts the gain s g.d, which is
+    positive while mu I - s PHP is positive definite.  A gain <= 0 shows that
+    it is not: s PHP has a wrong-sign eigenvalue lam above mu, so the row sits
+    near a saddle of s f.  Such a row steps along the top eigenvector v of
+    s PHP instead, signed so that s g.v >= 0, by the length a = min(lam/mu, 1),
+    and predicts 1/2 lam a^2 + |g.v| a.  a is 1 unless rounding alone made the
+    gain <= 0; then lam <= mu, and a row with lam <= 0 still predicts no gain.
+    Only these rows pay for an eigh, which costs about eight solves.
+    """
+    n = z.shape[1] // 2
+    lhs = -s[:, None, None] * h
+    lhs[:, np.arange(2 * n), np.arange(2 * n)] += mu[:, None]
+    d = s[:, None] * np.linalg.solve(lhs, g[:, :, None])[:, :, 0]
+    gain = s * np.einsum("na,na->n", g, d)
+    bent = gain <= 0
+    if bent.any():
+        lam, vec = np.linalg.eigh(s[bent, None, None] * h[bent])
+        lam, v = lam[:, -1], vec[:, :, -1]
+        slope = s[bent] * np.einsum("na,na->n", g[bent], v)
+        alpha = np.minimum(lam / mu[bent], 1.0)
+        d[bent] = np.where(slope < 0, -alpha, alpha)[:, None] * v
+        gain[bent] = 0.5 * lam * alpha**2 + np.abs(slope) * alpha
+    return np.hstack(_orthonormalize(z[:, :n] + d[:, :n], z[:, n:] + d[:, n:])), gain
+
+
 def optimize_pairs(
     kernel: BracketKernel, signs: tuple[float, ...], rng, multistarts: int, max_iter: int = 400
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
@@ -392,15 +420,19 @@ def optimize_pairs(
     (Levenberg-Marquardt) Newton step d = s (mu I - s PHP)^-1 g on the
     Grassmannian of planes and is retracted onto orthonormal pairs by
     Gram-Schmidt.  mu starts at |f| + max|PHP|; it also regularizes the flat
-    directions along isotropy orbits and the vertical ones.  A step that
-    improves f along an ascent direction (s g.d > 0) is kept and divides mu by
-    5; any other step multiplies it by 8.  A row stops once its gradient is
-    zero to rounding, or once its predicted gain g.(mu I - s PHP)^-1 g (the
-    damped Newton decrement) and its trial's change of f both fall to rounding
-    relative to |f|.  Each step makes
-    one kernel call, on the trial pairs, and an accepted row keeps that
-    gradient and Hessian.  Returns f, the ON-frame pairs (x, y) and the
-    Riemannian gradient norm |g| by row, and the number of steps taken.
+    directions along isotropy orbits and the vertical ones.  Where mu I - s PHP
+    is indefinite and the step predicts no gain, the row is near a saddle and
+    steps along the wrong-sign curvature of s PHP instead (`_trial_pairs`), so
+    that it leaves the saddle in one step rather than waiting for mu to grow
+    past that curvature.  A step that improves f with a positive predicted
+    gain is kept and divides mu by 5; any other step multiplies it by 8.  A row
+    stops once its gradient is zero to rounding, or once its predicted gain
+    g.(mu I - s PHP)^-1 g (the damped Newton decrement) and its trial's change
+    of f both fall to rounding relative to |f|.  A row that reaches a saddle
+    with a gradient zero to rounding stops there.  Each step makes one kernel
+    call, on the trial pairs, and an accepted row keeps that gradient and
+    Hessian.  Returns f, the ON-frame pairs (x, y) and the Riemannian gradient
+    norm |g| by row, and the number of steps taken.
     """
     if multistarts < 1:
         raise ValueError("multistarts must be >= 1")
@@ -414,17 +446,12 @@ def optimize_pairs(
     mu = np.abs(f) + np.max(np.abs(h), axis=(1, 2))
     flat = GRAD_RTOL * mu  # a gradient norm at or below this is zero to rounding
     active = np.linalg.norm(g, axis=1) > flat
-    diag = np.arange(2 * n)
     steps = 0
     while steps < max_iter and active.any():
         steps += 1
         idx = np.flatnonzero(active)
         s, fi = sign[idx], f[idx]
-        lhs = -s[:, None, None] * h[idx]
-        lhs[:, diag, diag] += mu[idx, None]
-        d = s[:, None] * np.linalg.solve(lhs, g[idx][:, :, None])[:, :, 0]
-        gain = s * np.einsum("na,na->n", g[idx], d)
-        trial = np.hstack(_orthonormalize(z[idx, :n] + d[:, :n], z[idx, n:] + d[:, n:]))
+        trial, gain = _trial_pairs(z[idx], g[idx], h[idx], s, mu[idx])
         nf, ng, nh = kernel.second_order(trial[:, :n], trial[:, n:])
         better = (gain > 0) & (s * nf > s * fi)
         good = idx[better]

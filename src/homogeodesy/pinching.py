@@ -4,11 +4,15 @@ Both extremes come from one run of the shared multistart damped Riemannian
 Newton optimizer over tangent 2-planes (homogeneous.optimize_pairs): its
 k_max and k_min starts advance together, one call of the normal-mode bracket
 kernel (value, exact gradient and projected Hessian) per step, and each start
-stops on its own Newton decrement.  A large random audit then guards the
-reported bracket [k_min, k_max]: the kernel's value on planes spanned by raw
-Gaussian pairs, uniform on the Grassmannian, with no orthonormalization, as
-the value is GL(2)-invariant.  The report also carries the optimizer's step
-count and the Riemannian gradient norm at both extreme planes.
+stops on its own Newton decrement.  A start whose damped Newton system is
+indefinite (its step predicts no gain: it sits near a saddle) steps along the
+top eigenvector of its signed projected Hessian instead; an eigh costs about
+eight solves, so only those starts take one.  A large random audit then
+guards the reported bracket [k_min, k_max]: the kernel's value on planes
+spanned by raw Gaussian pairs, uniform on the Grassmannian, with no
+orthonormalization, as the value is GL(2)-invariant.  The report also
+carries the optimizer's step count and the Riemannian gradient norm at both
+extreme planes.
 """
 from __future__ import annotations
 
@@ -71,8 +75,12 @@ def estimate_pinching(
     audit_samples Gaussian pairs from default_rng(seed + 1), xs then ys, and
     evaluates the curvature of the planes they span as drawn.  An audit value
     outside the optimizer's bracket widens it, and one outside it by more than
-    CONVERGENCE_RTOL relative clears `converged`.
+    CONVERGENCE_RTOL relative clears `converged`.  `converged` also needs 3
+    starts within CONVERGENCE_RTOL of each extreme, so fewer than 3 multistarts
+    are rejected.
     """
+    if multistarts < 3:
+        raise ValueError("multistarts must be >= 3")
     if audit_samples < 1:
         raise ValueError("audit_samples must be >= 1")
     kernel = BracketKernel(space, 1.0, 0.25)

@@ -224,6 +224,9 @@ def test_bad_arguments_exit_code(capsys):
     assert main(["reproduce", "nonsense"]) == 3
     assert main(["pinching", "cpodd:m=1", "--multistarts", "0"]) == 3
     assert main(["reproduce", "pinching-table", "--multistarts", "0"]) == 3
+    # converged needs three starts that agree on each extreme
+    assert main(["pinching", "cpodd:m=1", "--multistarts", "2"]) == 3
+    assert "multistarts must be >= 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["pinching", "cpodd:m=1"], ["verify", "b13"]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import homogeodesy.homogeneous as homogeneous
 from homogeodesy.algebra import bracket
 from homogeodesy.catalog import build_space
 from homogeodesy.homogeneous import (
@@ -12,6 +13,7 @@ from homogeodesy.homogeneous import (
     MissingSplit,
     NoWitness,
     ReductiveSpace,
+    _orthonormalize,
     isotropy_transitivity_check,
     jacobi_op,
     lts_check,
@@ -401,6 +403,55 @@ def test_reported_extremes_are_second_order_critical(desc):
         assert grad_norm <= math.sqrt(STOP_RTOL) * (abs(f[0]) + hnorm)
         wrong = (sign * np.linalg.eigvalsh(h[0])).max()
         assert wrong <= 1e-12 * hnorm + 4 * grad_norm
+
+
+def _recorded_trials(monkeypatch, desc):
+    """The inputs and outputs of every _trial_pairs call of one pinching run."""
+    calls = []
+    trial_pairs = homogeneous._trial_pairs
+
+    def recorded(*args):
+        calls.append((args, trial_pairs(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(homogeneous, "_trial_pairs", recorded)
+    estimate_pinching(build_space(desc), multistarts=32, seed=0)
+    return calls
+
+
+@pytest.mark.parametrize("desc", ["b13", "spsphere:m=1,s=0.5", "cpodd:m=1"])
+def test_indefinite_rows_step_along_the_top_eigenvector(monkeypatch, desc):
+    # where the damped step predicts no gain, mu I - s PHP is indefinite: the
+    # trial is the unit pair retracted from z + a v, v the top eigenvector of
+    # s PHP, signed so that s g.v >= 0, a = min(lam / mu, 1)
+    escapes = 0
+    for (z, g, h, s, mu), (trial, gain) in _recorded_trials(monkeypatch, desc):
+        n = z.shape[1] // 2
+        lhs = mu[:, None, None] * np.eye(2 * n) - s[:, None, None] * h
+        bent = np.einsum("na,na->n", g, np.linalg.solve(lhs, g[:, :, None])[:, :, 0]) <= 0
+        lam, vec = np.linalg.eigh(s[bent, None, None] * h[bent])
+        lam, v = lam[:, -1], vec[:, :, -1]
+        assert np.all(lam > mu[bent])
+        slope = s[bent] * np.einsum("na,na->n", g[bent], v)
+        v *= np.sign(slope)[:, None]
+        alpha = np.minimum(lam / mu[bent], 1.0)[:, None]
+        step = z[bent] + alpha * v
+        want = np.hstack(_orthonormalize(step[:, :n], step[:, n:]))
+        np.testing.assert_allclose(trial[bent], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            gain[bent], 0.5 * lam * alpha[:, 0] ** 2 + np.abs(slope) * alpha[:, 0], rtol=1e-12
+        )
+        escapes += int(bent.sum())
+    assert escapes > 0
+
+
+@pytest.mark.parametrize("desc", FAMILIES)
+def test_no_row_is_rejected_for_its_predicted_gain(monkeypatch, desc):
+    # a step is kept iff its predicted gain is positive and f improves: every
+    # gain is positive, so only the trial's value can reject a step
+    calls = _recorded_trials(monkeypatch, desc)
+    assert calls
+    assert all(np.all(gain > 0) for _, (_, gain) in calls)
 
 
 def test_flat_functions_stop_at_once(abelian_space):

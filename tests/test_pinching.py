@@ -82,6 +82,17 @@ def test_zero_audit_samples_rejected_before_optimizing(monkeypatch):
         estimate_pinching(build_space("round:n=3"), audit_samples=0)
 
 
+@pytest.mark.parametrize("multistarts", [1, 2])
+def test_too_few_multistarts_rejected_before_any_kernel_call(monkeypatch, multistarts):
+    # converged needs three starts within CONVERGENCE_RTOL of each extreme
+    def kernel_must_not_run(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(BracketKernel, "_evaluate", kernel_must_not_run)
+    with pytest.raises(ValueError, match="multistarts must be >= 3"):
+        estimate_pinching(build_space("cpodd:m=1"), multistarts=multistarts)
+
+
 def test_negative_max_iter_rejected_before_any_kernel_call(monkeypatch):
     def kernel_must_not_run(*args):
         raise AssertionError("the kernel ran")
@@ -115,6 +126,24 @@ def test_pinching_kernel_evaluation_budget(monkeypatch):
     monkeypatch.setattr(BracketKernel, "_evaluate", counted)
     estimate_pinching(build_space("b13"), multistarts=8, max_iter=20)
     assert len(calls) <= 20 + 2
+
+
+# optimizer_steps of estimate_pinching(space, multistarts=32, seed=0): rows
+# near a saddle, whose damped Newton system is indefinite, used to wait for mu
+# to outgrow the wrong-sign curvature and took 47, 44 and 48 steps; stepping
+# along that curvature they take the 28, 13 and 16 steps allowed here
+STEP_BUDGET = {
+    "b13": 28,
+    "cpodd:m=1,kappa=1.973439333218471": 13,
+    "spsphere:m=1,s=0.8269679852604728,kappa=1.9841362282291077": 16,
+}
+
+
+@pytest.mark.parametrize("desc", sorted(STEP_BUDGET))
+def test_optimizer_step_budget(desc):
+    rep = estimate_pinching(build_space(desc), multistarts=32, seed=0)
+    assert rep.optimizer_steps <= STEP_BUDGET[desc]
+    assert rep.converged
 
 
 @pytest.mark.parametrize("seed", [0, 4])
