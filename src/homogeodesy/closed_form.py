@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import bracket
 from .homogeneous import ReductiveSpace, project
 from .jacobi import MAX_GRID_POINTS, ConjugateEvent, conjugate_events
 from .jacobi import scan_conjugate_times  # noqa: F401  (re-exported for existing callers)
@@ -78,8 +77,9 @@ def extract_cp_data(space: ReductiveSpace, u, v) -> CpData:
     if not ortho <= HYPOTHESIS_TOL:  # NaN-safe: a non-finite u or v fails here
         raise HypothesisViolated(f"u, v not orthonormal (residual {ortho:.2e})")
 
-    b = bracket(alg.element(uc), alg.element(vc)).coeffs
-    a = bracket(alg.element(b), alg.element(uc)).coeffs
+    ad_u = alg.ad(uc)  # ad_u x = [u, x]
+    b = ad_u @ vc
+    a = -ad_u @ b  # [[u, v], u]
     a_m = project(space, a, "M")
     lam = alg.inner(a_m, vc)
     resid = alg.norm(a_m - lam * vc)
@@ -107,7 +107,7 @@ def extract_cp_data(space: ReductiveSpace, u, v) -> CpData:
         )
 
     w = b / math.sqrt(lam)
-    uw = bracket(alg.element(uc), alg.element(w)).coeffs
+    uw = ad_u @ w
     uw_k = project(space, uw, "K")
     rho = alg.inner(uw_k, uw_k)
     a_k = project(space, a, "K")
@@ -118,7 +118,7 @@ def extract_cp_data(space: ReductiveSpace, u, v) -> CpData:
         )
     if rho <= 1e-10:
         return CpData(space, uc, vc, float(lam), 0.0, BRANCH_RHO_ZERO)
-    rw = bracket(alg.element(uw_k), alg.element(uc)).coeffs  # [[u,w]_k, u]
+    rw = -ad_u @ uw_k  # [[u,w]_k, u]
     resid_rho = alg.norm(rw - rho * w)
     if resid_rho > HYPOTHESIS_TOL * max(1.0, rho):
         raise HypothesisViolated(

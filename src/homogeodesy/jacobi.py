@@ -1,11 +1,12 @@
 """The canonical Jacobi equation as a constant-coefficient linear system.
 
 Along gamma_u the Jacobi fields vanishing at the origin are encoded by the
-n x n block J(t) mapping X'(0) to X(t); J(t) is read off E(t) = exp(tA), the
-exponential of the 2n x 2n companion matrix A of X'' - T X' + R X = 0.
-Conjugate times are the zeros of det J(t): a bisection certified by the
-energy bound ||J'|| <= 1 discards zero-free intervals, and Newton's method on
-sigma_min refines the remaining dips in rounds of stacked starts (see
+n x n block J(t) mapping X'(0) to X(t), for X'' - T X' + R X = 0.  Conjugate
+times are the zeros of det J(t).  Samples of sigma_min(J) come from the modes
+of the system in its energy frame (JacobiSystem.modes), and a bisection
+certified by the energy bound ||J'|| <= 1 discards zero-free intervals;
+Newton's method on sigma_min, on E(t) = exp(tA) of the 2n x 2n companion
+matrix A, refines the remaining dips in rounds of stacked starts (see
 scan_conjugate_times).  Each refined event is classified where it is found,
 from its kernel rows (classify_isotropy), so scans return finished events.
 
@@ -30,11 +31,12 @@ MAX_GRID_POINTS = 10**7
 _LEAF = 1e-5  # width below which a suspicious interval stops being bisected
 _NEWTON_RTOL = 1e-14
 _MAX_NEWTON = 100
-_BLOCK = 1024  # grid cells per block of batched products and SVDs
+_BLOCK = 1024  # times per batch of sigma_min evaluations: bounds the (times, n, n) temporaries
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scipy.linalg.expm, imported here so that only a scan loads scipy.
+    """exp(a) by scipy.linalg.expm, imported here: only Newton and fundamental_block load scipy.
 
     The attribute is looked up at every call, so a binding patched onto
     scipy.linalg (a tracer or a counting test) sees every exponential.
@@ -70,8 +72,8 @@ class JacobiSystem:
 
     build_system owns the spectral data: r_evals and r_evecs come from its one
     eigh of R (ascending), norm_t is its one ||T||_2.  The R >= 0 check,
-    complement_projector, default_scan_step and the certificate of _samples
-    all read these fields; the arrays are read-only.
+    complement_projector, modes, default_scan_step and the certificate of
+    _samples all read these fields; the arrays are read-only.
     """
 
     space: ReductiveSpace
@@ -99,6 +101,33 @@ class JacobiSystem:
         proj = w @ w.T
         proj.setflags(write=False)
         return proj
+
+    @cached_property
+    def modes(self) -> tuple:
+        """(w, basis, ||HQ - QW||, ||Q^H Q - I||, ||S^2 - R||) from one eigh of
+        H = iK = Q diag(w) Q^H, K = [[0, S], [-S, T]] the real skew system in the
+        energy frame Y = (S X, X'), S = R^{1/2} from r_evecs and r_evals clamped
+        at 0.  basis stacks Re, then Im, of q_k q_k^H on the X' rows, (4n, n^2);
+        w and basis are read-only.  Each Frobenius residual is raised by the
+        rounding of its own products, to first order in u (see _samples)."""
+        n = self.n
+        root = (self.r_evecs * np.sqrt(np.maximum(self.r_evals, 0.0))) @ self.r_evecs.T
+        root = 0.5 * (root + root.T)
+        herm = np.zeros((2 * n, 2 * n), dtype=complex)
+        herm[:n, n:], herm[n:, :n], herm[n:, n:] = 1j * root, -1j * root, 1j * self.T
+        w, q = np.linalg.eigh(herm)
+        gram = q.conj().T @ q
+        grow, norm_q = (2 * n + 3) * _UNIT_ROUNDOFF, math.sqrt(gram.trace().real)  # gamma_{2n+3}
+        eigen = np.linalg.norm(herm @ q - q * w)
+        eigen += grow * (np.linalg.norm(herm) + np.abs(w).max()) * norm_q
+        orth = np.linalg.norm(gram - np.eye(2 * n)) + grow * (norm_q**2 + 2 * n)
+        root_error = np.linalg.norm(root @ root - self.R)
+        root_error += grow * (np.linalg.norm(root) ** 2 + np.linalg.norm(self.R))
+        outer = np.einsum("ik,jk->kij", q[n:], q[n:].conj()).reshape(2 * n, n * n)
+        basis = np.concatenate((outer.real, outer.imag))
+        for arr in (w, basis):
+            arr.setflags(write=False)
+        return w, basis, float(eigen), float(orth), float(root_error)
 
 
 @dataclass(frozen=True)
@@ -238,84 +267,82 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
     return sorted(events, key=lambda ev: ev.t)
 
 
+def _sigma_min(sys: JacobiSystem, ts: np.ndarray) -> np.ndarray:
+    """sigma_min(J(t)) at the times ts, _BLOCK per batch, as one real GEMM: J(t) =
+    Re(Q_2 diag(phi) Q_2^H), phi_k = int_0^t e^{-i w_k s} ds = t e^{-ix} sin(x)/x
+    with x = w_k t/2, so a flat mode (w_k = 0) needs no division by w_k."""
+    n, (w, basis) = sys.n, sys.modes[:2]
+    out = np.empty(len(ts))
+    for start in range(0, len(ts), _BLOCK):
+        t = ts[start : start + _BLOCK, None]
+        x = t * (0.5 * w)
+        sin = np.sin(x)
+        scale = t * np.divide(sin, x, out=np.ones_like(x), where=x != 0.0)
+        j = np.concatenate((scale * np.cos(x), scale * sin), axis=1) @ basis
+        out[start : start + _BLOCK] = np.linalg.svd(j.reshape(-1, n, n), compute_uv=False)[:, -1]
+    return out
+
+
 def _samples(sys: JacobiSystem, t_max: float, step: float):
     """sigma_min(J) on the grid of scan_conjugate_times and its bisection.
 
     Returns the sample times and values, whether sigma_min may vanish between
-    consecutive samples, L and delta.  Rows Z = [E_11 | J] are right-multiplied
-    by exp(hA) along the grid and by exp(wA/2) to the midpoints of width-w
-    intervals (one stacked table per scan), in blocks of _BLOCK cells.  A level
-    holds only its live intervals (both ends, their sigma_min and the left
-    end's row, in time order); an interval that is not split is final, and the
-    samples and final intervals are put in time order once at the end.
-    eta, ||R|| and ||T|| come from the system's fields (build_system's eigh
-    of R and ||T||_2); L, r and zeta below are built from them.
+    consecutive samples, L and delta.  Samples come from _sigma_min: the whole
+    grid in one batch, then each level's midpoints.  A live interval carries
+    only (lo, hi, f_lo, f_hi); one that is not split is final, and samples and
+    final intervals are put in time order once at the end.
 
-    delta >= |sigma_hat - sigma| (Weyl: <= ||J_hat - J||) to first order in u:
-    a sample is fl(..fl(Z_0 S_1)..S_K), Z_0 = [I 0], S_k = exp(s_k A), sum s_k
-    <= t (the last grid time), K <= grid points + levels.  For s <= t the flow
-    has ||J|| <= L s, ||J'|| <= L, ||E_21|| <= L r with r = sqrt(||R|| + eta) +
-    sqrt(eta) (X(0) = x, X'(0) = 0 has energy <Rx, x>) and ||E_11|| <= L zeta,
-    zeta = 1 + t min(||T||, r) (also E_11 = J' - J T); an error [l_1 | l_2] in
-    Z at t_k reaches J(t) as l_1 J(t - t_k) + l_2 J'(t - t_k).  A product errs
-    by gamma_2n |Z||S| (Higham, Accuracy and Stability, eq. 3.13), and
-    || |X||Y| || <= n ||X|| ||Y|| on n x n blocks; expm gives exp(s_k A + D),
-    ||D|| <= u s_k ||A|| (Al-Mohy and Higham, SIMAX 31, 2009), off by
-    int_0^1 exp((1 - v) s_k A) D exp(v s_k A) dv.  So S_k adds at most
-    gamma_2n n L^3 (t (zeta (1 + s_k min(||T||, r)) + t r) + zeta s_k + t) and
-    L^2 (zeta + t)(1 + t) u s_k ||A||, as ||Z|| <= L (zeta + t).  Summed,
-        delta = gamma_2n n L^3 t ((K + 1)(2 + zeta + t r) + zeta^2)
-                + L^2 u ||A|| t (1 + t)(zeta + t),
-    the extra product and 1 covering the SVD (backward error <= 2 n^2 u ||J||)
-    and the roundings of sample times and of the test.
+    ]0, h/2] needs no sample: J(0) = 0, J'(0) = I, J'' = T J' - R J and
+    ||J'|| <= L give ||J(t) - tI|| <= L (t^2 ||T|| / 2 + t^3 ||R|| / 6), so
+    sigma_min(J(t)) >= t (1 - L (t ||T|| / 2 + t^2 ||R|| / 6)) > 0 while that
+    sum is < 1; at t = h/2, h = default_scan_step(sys), it is <= 0.066.
+
+    delta >= |sigma_hat - sigma_min(J(t))| (Weyl: <= ||J_hat - J||) to first
+    order in u, from the measured residuals of sys.modes, at the last grid
+    time t (every term grows with t).  The modes are those of R_hat = S_hat^2
+    >= 0, S_hat the computed symmetric root; J_hat is taken at its stored t.
+    (1) D = J_hat - J solves D'' = T D' - R D - (R_hat - R) J_hat, D(0) = D'(0)
+        = 0, so D(t) = -int_0^t J(t - s) (R_hat - R) J_hat(s) ds and ||D|| <=
+        ||S_hat^2 - R|| L^2 t^3 / 6.
+    (2) With H = i K_hat, e^{-isH} Q - Q e^{-isW} = -i int_0^s e^{-i(s-r)H} (HQ -
+        QW) e^{-irW} dr, so f(x) = int_0^t e^{-isx} ds has ||f(H) Q - Q f(W)|| <=
+        t^2 ||HQ - QW|| / 2; as ||f(H)|| <= t, f(H) - Q f(W) Q^H = f(H)(I - QQ^H)
+        + (f(H) Q - Q f(W)) Q^H is at most t nu + t^2 ||HQ - QW|| sqrt(1 + nu) / 2,
+        nu = ||Q^H Q - I||.  J_hat is the real part of its X' block.
+    (3) x = fl(w_k t/2) errs by u |x|, sin x, cos x and sin(x)/x by 2u each,
+        two products by u each, so Re phi_k and Im phi_k err by 2ut(|x| + 9)
+        together; q_k q_k^H errs by 2u |q_ik| |q_jk| and the GEMM of 4n terms,
+        each coefficient <= t, by 4nu (Higham, Accuracy and Stability, eq.
+        3.13).  With || sum_k |q_ik| |q_jk| || <= ||Q_2||_F^2 <= n (1 + nu), that
+        is at most n (1 + nu) t u (t max |w_k| + 8n + 22).
+    (4) The SVD (backward error <= 2 n^2 u ||J||, ||J|| <= L t) and the roundings
+        of the clearing test add (2 n^2 + 5) u L t.
     """
-    n, a = sys.n, sys.companion
     ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    t_end = ts[-1]
-    eta, norm_r, norm_t = max(0.0, -sys.r_evals[0]), sys.norm_r, sys.norm_t
-    lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
-    zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
-    # the levels the `width >= _LEAF` test can split: mid - lo and hi - mid are
-    # exact (Sterbenz), so a level-k width is step / 2^k off by < (k + 2) ulp(t_end)
-    levels = max(0, math.floor(math.log2(step / (_LEAF - 64 * math.ulp(t_end)))) + 1)
-    chain = len(ts) + levels + 1  # K + 1
-    delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
-    delta *= chain * (2 + zeta + t_end * r) + zeta**2
-    delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
-    table = _expm(step / 2.0 ** np.arange(max(levels, 1) + 1)[:, None, None] * a)
-    stepper, row = table[0], table[1, :n]  # exp(hA); the first sample's rows, at h/2
-    samples, leaves = [], []  # (times, sigma_min); (left ends, suspicious) of unsplit intervals
-    for start in range(0, len(ts) - 1, _BLOCK):
-        grid = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, n, 2 * n))
-        grid[0] = row
-        for j in range(1, len(grid)):
-            np.matmul(grid[j - 1], stepper, out=grid[j])
-        row = grid[-1]
-        t = ts[start : start + len(grid)]
-        f = np.linalg.svd(grid[:, :, n:], compute_uv=False)[:, -1]
-        samples.append((t[:-1], f[:-1]))
-        live, heads = np.stack((t[:-1], t[1:], f[:-1], f[1:]), axis=1), grid[:-1]
-        for level in itertools.count():
-            lo, hi, f_lo, f_hi = live.T
-            width = hi - lo
-            suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
-            split = suspicious & (width >= _LEAF)
-            leaves.append((lo[~split], suspicious[~split]))
-            if not split.any():
-                break
-            live, heads = live[split], heads[split]
-            mid_heads = (heads.reshape(-1, 2 * n) @ table[level + 1]).reshape(heads.shape)
-            smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
-            mid = live[:, 0] + step / 2.0 ** (level + 1)
-            samples.append((mid, smin))
-            # each interval's children stay adjacent and in time order: GEMM
-            # rounding depends on a head's row position
-            live = np.repeat(live, 2, axis=0)  # (lo, hi, f_lo, f_hi) of both children
-            live[0::2, 1] = live[1::2, 0] = mid
-            live[0::2, 3] = live[1::2, 2] = smin
-            parents, heads = heads, np.empty((len(live), n, 2 * n))
-            heads[0::2], heads[1::2] = parents, mid_heads
-    ts, fs = (np.concatenate(column) for column in zip(*samples, (t[-1:], f[-1:])))
+    t, n, (w, _, eigen, nu, root_error) = ts[-1], sys.n, sys.modes
+    lip = math.cosh(math.sqrt(max(0.0, -sys.r_evals[0])) * t)
+    delta = root_error * lip**2 * t**3 / 6.0 + t * nu + t**2 * eigen * math.sqrt(1.0 + nu) / 2.0
+    delta += _UNIT_ROUNDOFF * t * n * (1.0 + nu) * (t * np.abs(w).max() + 8 * n + 22)
+    delta += _UNIT_ROUNDOFF * t * (2 * n**2 + 5) * lip
+    fs = _sigma_min(sys, ts)
+    # (times, sigma_min); (left ends, suspicious) of the intervals that are not split
+    samples, leaves = [(ts, fs)], []
+    live = np.stack((ts[:-1], ts[1:], fs[:-1], fs[1:]), axis=1)
+    for level in itertools.count(1):
+        lo, hi, f_lo, f_hi = live.T
+        width = hi - lo
+        suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
+        split = suspicious & (width >= _LEAF)
+        leaves.append((lo[~split], suspicious[~split]))
+        if not split.any():
+            break
+        live = np.repeat(live[split], 2, axis=0)  # (lo, hi, f_lo, f_hi) of both children
+        mid = live[0::2, 0] + step / 2.0**level
+        smin = _sigma_min(sys, mid)
+        samples.append((mid, smin))
+        live[0::2, 1] = live[1::2, 0] = mid
+        live[0::2, 3] = live[1::2, 2] = smin
+    ts, fs = (np.concatenate(column) for column in zip(*samples))
     lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
     order = np.argsort(ts, kind="stable")
     return ts[order], fs[order], suspicious[np.argsort(lefts, kind="stable")], lip, delta
@@ -324,9 +351,9 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
 def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Samples sigma_min(J) on a grid of step h = default_scan_step(sys), read
-    from the system's ||R|| and ||T||, from h/2, bisecting below 1e-5 (see
-    _samples); |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew and
+    Samples sigma_min(J), from the modes of K, on a grid of step h =
+    default_scan_step(sys) from h/2, bisecting below 1e-5 (see _samples);
+    |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew and
     R symmetric, so |X'|^2 + <RX, X> is constant along X'' = T X' - R X
     (energy of a gyroscopic system: Lancaster, LAA 439, 2013).  For X(0) = 0
     it is |X'(0)|^2, and <RX, X> >= -eta |X|^2, with eta = max(0,
@@ -343,8 +370,8 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     of its width, where the range is certified zero-free or in earlier dips.
     Each round stacks the next Newton start of every dip still searching, its
     lowest sample first and then its close-zero predictions, into one
-    safeguarded Newton (_newton) to a relative step of 1e-14, and sends each
-    row's probe back to its dip.  Multiplicity and kernel come from the
+    safeguarded Newton on exp(tA) (_newton) to a relative step of 1e-14, and
+    sends each row's probe back to its dip.  Multiplicity and kernel come from the
     singular values below 1e-7 * sigma_max at the refined time, and each event
     comes back classified (classify_isotropy on its kernel).
     """

@@ -320,68 +320,30 @@ def bracket_tensor_einsum(space, w_k: float, w_m: float) -> np.ndarray:
     return tensor.reshape(len(m), -1)
 
 
-def sample_error_bound(sys, t_max: float, step: float, levels: int):
-    """L and the bound delta of jacobi._samples on its grid, for products
-    chained over the grid points and `levels` bisection levels."""
-    n = sys.n
-    ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    t_end = ts[-1]
-    eta, norm_r, norm_t = max(0.0, -sys.r_evals[0]), sys.norm_r, sys.norm_t
-    lip, r = math.cosh(math.sqrt(eta) * t_end), math.sqrt(norm_r + eta) + math.sqrt(eta)
-    zeta, u = 1.0 + t_end * min(norm_t, r), np.finfo(float).eps / 2.0
-    chain = len(ts) + levels + 1
-    delta = 2 * n * u / (1 - 2 * n * u) * n * lip**3 * t_end
-    delta *= chain * (2 + zeta + t_end * r) + zeta**2
-    delta += lip**2 * u * (1 + norm_r + norm_t) * t_end * (1 + t_end) * (zeta + t_end)
-    return lip, delta
-
-
-def samples_by_insertion(sys, t_max: float, step: float):
+def samples_by_insertion(sys, t_max: float, step: float, lip: float, delta: float):
     """jacobi._samples with each bisection level inserted into whole sample arrays.
 
-    The same grid, products, shifts, certificate constants and tests; after a
-    level the midpoints are inserted into the block's time and value arrays
-    and the next level's heads are found through the inserted positions.
+    The same grid, midpoints, clearing test and sigma_min evaluator, called on
+    the same batches (the grid, then each level's midpoints in time order), for
+    the L and delta of jacobi._samples; after a level the midpoints are
+    inserted into the time and value arrays.
     """
     import itertools
 
-    from homogeodesy.jacobi import _BLOCK, _LEAF, _expm
+    from homogeodesy.jacobi import _LEAF, _sigma_min
 
-    n, a = sys.n, sys.companion
-    ts = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    levels = max(0, math.floor(math.log2(step / (_LEAF - 64 * math.ulp(ts[-1])))) + 1)
-    lip, delta = sample_error_bound(sys, t_max, step, levels)
-    stepper = _expm(step * a)
-    row = _expm(ts[0] * a)[:n]
-    shifts = []
-    parts = []
-    for start in range(0, len(ts) - 1, _BLOCK):
-        grid = np.empty((min(_BLOCK, len(ts) - 1 - start) + 1, n, 2 * n))
-        grid[0] = row
-        for j in range(1, len(grid)):
-            np.matmul(grid[j - 1], stepper, out=grid[j])
-        row = grid[-1]
-        t = ts[start : start + len(grid)]
-        f = np.linalg.svd(grid[:, :, n:], compute_uv=False)[:, -1]
-        rows, heads = np.arange(len(grid) - 1), grid[:-1]
-        for level in itertools.count():
-            width = np.diff(t)
-            suspicious = f[:-1] + f[1:] <= lip * width + 2.0 * delta
-            split = suspicious & (width >= _LEAF)
-            if not split.any():
-                break
-            at, heads = np.flatnonzero(split), heads[split[rows]]
-            half = step / 2.0 ** (level + 1)
-            if level == len(shifts):
-                shifts.append(_expm(half * a))
-            mid_heads = (heads.reshape(-1, 2 * n) @ shifts[level]).reshape(heads.shape)
-            smin = np.linalg.svd(mid_heads[:, :, n:], compute_uv=False)[:, -1]
-            t, f = np.insert(t, at + 1, t[at] + half), np.insert(f, at + 1, smin)
-            rows = ((at + np.arange(len(at)))[:, None] + [0, 1]).ravel()
-            heads = np.stack((heads, mid_heads), axis=1).reshape(-1, n, 2 * n)
-        parts.append((t[:-1], f[:-1], suspicious))
-    ts, fs, suspicious = (np.concatenate(column) for column in zip(*parts))
-    return np.append(ts, t[-1]), np.append(fs, f[-1]), suspicious, lip, delta
+    t = np.arange(step / 2.0, t_max + 1.5 * step, step)
+    f = _sigma_min(sys, t)
+    for level in itertools.count(1):
+        width = np.diff(t)
+        suspicious = f[:-1] + f[1:] <= lip * width + 2.0 * delta
+        split = suspicious & (width >= _LEAF)
+        if not split.any():
+            break
+        at = np.flatnonzero(split)
+        mid = t[at] + step / 2.0**level
+        t, f = np.insert(t, at + 1, mid), np.insert(f, at + 1, _sigma_min(sys, mid))
+    return t, f, suspicious
 
 
 def newton_scalar(sys, lo, f_lo, hi, f_hi, t, lip):

@@ -35,7 +35,9 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_only_a_scan_loads_scipy():
-    # scipy.linalg.expm is imported at the first scan; nothing else needs scipy
+    # scipy.linalg.expm is imported at the first Newton round of a scan, or at
+    # fundamental_block; samples come from the modes of K, so a scan that finds
+    # no dip and nothing else needs scipy
     src = str(Path(homogeodesy.__file__).resolve().parents[1])
     code = """
 import contextlib, io, sys
@@ -57,15 +59,23 @@ steps.append(("closed_form_times", scipy_modules()))
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify", "cpodd:m=1"]) == 0
 steps.append(("verify", scipy_modules()))
+sys_ = hg.build_system(space, hg.geodesic_direction(space, 0.7))
+assert hg.scan_conjugate_times(sys_, 2.0) == []
+steps.append(("scan without a dip", scipy_modules()))
 for step, loaded in steps:
     assert not loaded, (step, loaded)
-hg.scan_conjugate_times(hg.build_system(space, hg.geodesic_direction(space, 0.7)), 2.0)
+if sys.argv[2] == "scan":
+    assert hg.scan_conjugate_times(sys_, 6.0)  # two events, so Newton rounds
+else:
+    hg.fundamental_block(sys_, 1.0)
 assert "scipy.linalg" in sys.modules
 print("ok")
 """
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    for loader in ("scan", "fundamental_block"):
+        argv = [sys.executable, "-c", code, src, loader]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 def test_list_command(capsys):

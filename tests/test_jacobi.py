@@ -31,7 +31,6 @@ from oracles import (
     ad_orbit_direction,
     classify_two_pass,
     ode_fundamental,
-    sample_error_bound,
     samples_by_insertion,
     scan_by_scalar_newton,
 )
@@ -194,6 +193,8 @@ def test_expm_is_looked_up_at_each_call(monkeypatch):
 
 
 def test_bisection_costs_one_expm_per_level(monkeypatch):
+    # samples take no exponential; those counted are Newton's, within the same
+    # per-event budget
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(_matrices(a)) or expm(a))
@@ -208,7 +209,8 @@ def test_bisection_costs_one_expm_per_level(monkeypatch):
     "desc,theta,aux,t_max,rounds",
     [
         # rounds: Newton rounds allowed over the whole scan; three per Newton
-        # call where a call converges that fast, the measured count otherwise
+        # call where a call converges that fast, the measured count otherwise.
+        # The samples take no exponential, so every call is a Newton round
         ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine dips, no close-zero search
         ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3, 6),  # one search
         ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 dips, 57 search; the first call takes 10 rounds
@@ -245,9 +247,8 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     monkeypatch.setattr(jacobi, "_refine", counting_refine)
     events = scan_conjugate_times(sys, t_max)
     assert len(events) >= 2
-    # the table comes first; every later call is one Newton round over its live rows
-    assert len(calls) == 1 + sum(len(stacks) for _, stacks in newtons)
-    assert calls[0] >= 2  # exp(hA), exp(hA / 2), ... down to the leaf
+    # every call is one Newton round over its live rows
+    assert len(calls) == sum(len(stacks) for _, stacks in newtons)
     for rows, stacks in newtons:
         assert stacks[0] == rows and stacks == sorted(stacks, reverse=True)
     # Newton call r carries the r-th start of every dip that is still searching:
@@ -255,8 +256,8 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     assert [rows for rows, _ in newtons] == [
         sum(count > r for count in starts) for r in range(max(starts))
     ]
-    assert len(calls) - 1 <= rounds  # Python-level Newton rounds
-    assert sum(calls[1:]) <= 3 * sum(starts)  # exponentials per Newton start
+    assert len(calls) <= rounds  # Python-level Newton rounds
+    assert sum(calls) <= 3 * sum(starts)  # exponentials per Newton start
 
 
 SAMPLED_GEODESICS = [
@@ -270,15 +271,14 @@ SAMPLED_GEODESICS = [
 
 @pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
 def test_propagated_samples_match_fresh_expm(desc, theta, aux):
-    # grid and midpoint samples come from products with factors out of one
-    # stacked table per scan; each must agree with the matrix exponential
-    # taken at its own time
+    # grid and midpoint samples come from the modes of K; each must agree with
+    # the matrix exponential taken at its own time
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     ts, fs, suspicious, _, _ = _samples(sys, 6.0, default_scan_step(sys))
     assert len(ts) == len(fs) == len(suspicious) + 1
     assert np.all(np.diff(ts) > 0) and suspicious.any()
-    # bisection reaches the leaf, so every level's exp(w A / 2) is exercised
+    # bisection reaches the leaf, so every level's midpoints are exercised
     assert np.diff(ts).min() < 2 * _LEAF
     for t, f in zip(ts, fs):
         e = scipy.linalg.expm(t * sys.companion)
@@ -288,29 +288,29 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
 
 def _assert_samples_match_insertion_reference(sys, t_max):
     step = jacobi.default_scan_step(sys)
-    got, want = _samples(sys, t_max, step), samples_by_insertion(sys, t_max, step)
-    for column, reference in zip(got[:3], want[:3]):
+    got = _samples(sys, t_max, step)
+    for column, reference in zip(got[:3], samples_by_insertion(sys, t_max, step, *got[3:])):
         assert column.dtype == reference.dtype
         np.testing.assert_array_equal(column, reference)
-    assert got[3:] == want[3:]  # L and delta
     return got
 
 
 @pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
 def test_bisection_levels_match_insertion_reference(desc, theta, aux):
-    # live intervals per level and one sort at the end give the samples,
-    # suspicious flags, L and delta of whole-array inserts, bit for bit
+    # live intervals per level and one sort at the end give the samples and
+    # suspicious flags of whole-array inserts, for the same L and delta, bit for bit
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     ts = _assert_samples_match_insertion_reference(sys, 6.0)[0]
     assert np.diff(ts).min() < 2 * _LEAF
 
 
-@pytest.mark.parametrize(
-    "desc,t_max", [("cpodd:m=1,kappa=1e4", 1.0), ("spsphere:m=1,s=1e-6", 0.5), ("w7:s=1e-6", 0.5)]
-)
+# the CI edge inputs (largest kappa, smallest s) at theta = 0.7, cut short
+EDGE_INPUTS = [("cpodd:m=1,kappa=1e4", 1.0), ("spsphere:m=1,s=1e-6", 0.5), ("w7:s=1e-6", 0.5)]
+
+
+@pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
 def test_bisection_levels_match_insertion_reference_on_edge_inputs(desc, t_max):
-    # the CI edge inputs (largest kappa, smallest s) at theta = 0.7, cut short
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, 0.7))
     _assert_samples_match_insertion_reference(sys, t_max)
@@ -325,16 +325,15 @@ def test_bisection_levels_match_insertion_reference_across_blocks():
 
 def test_power_of_two_leaf_step_counts_every_level(monkeypatch):
     # step = 2^10 leaves: level 10 intervals have width _LEAF up to rounding
-    # and still split, so the chain of a deepest midpoint has 11 level shifts
+    # and still split, so the deepest midpoints sit step / 2^11 from a neighbour
     space = build_space("cpodd:m=1")
     sys = build_system(space, geodesic_direction(space, 0.7))
     step = _LEAF * 2**10
     monkeypatch.setattr(jacobi, "default_scan_step", lambda s: step)
     assert scan_conjugate_times(sys, 6.0)
-    ts, _, _, _, delta = _assert_samples_match_insertion_reference(sys, 6.0)
+    ts = _assert_samples_match_insertion_reference(sys, 6.0)[0]
     levels = round(math.log2(step / np.diff(ts).min()))  # deepest midpoints: step / 2^levels
     assert levels == 11
-    assert delta >= sample_error_bound(sys, 6.0, step, levels)[1]
 
 
 SCALAR_NEWTON_INPUTS = [(desc, theta, aux, 6.0) for desc, theta, aux in SAMPLED_GEODESICS] + [
@@ -416,8 +415,8 @@ def test_bisection_samples_per_event():
 @pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
 def test_certificate_bounds_j_prime_inside_cells(desc, theta, aux):
     # the one constant L must bound ||J'(t)|| = ||E_22(t)|| at every t, not only
-    # at the samples; delta, a bound on a whole chain of products, leaves room
-    # for the rounding of one fresh expm
+    # at the samples; delta, the error bound of a modal sample, leaves room for
+    # the rounding of one fresh expm
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     n, step = sys.n, default_scan_step(sys)
@@ -432,17 +431,45 @@ def test_certificate_bounds_j_prime_inside_cells(desc, theta, aux):
             assert np.max(np.abs(e[n:, n:] - j_prime)) <= 1e-12 * np.linalg.norm(e, 2)
 
 
-@pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
-def test_sample_error_within_delta(desc, theta, aux):
-    # delta is the derived forward-error bound of a propagated sample; the
-    # clearing test sigma(a) + sigma(b) > L w + 2 delta relies on it
-    space = build_space(desc)
-    sys = build_system(space, geodesic_direction(space, theta, aux))
-    ts, fs, _, _, delta = _samples(sys, 6.0, default_scan_step(sys))
-    assert 0.0 < delta < 1e-8
+def _assert_sample_error_within_delta(sys, t_max):
+    # delta is the derived forward-error bound of a modal sample; the clearing
+    # test sigma(a) + sigma(b) > L w + 2 delta relies on it, and it stays far
+    # below the leaf so that it does not set how deep the bisection goes
+    ts, fs, _, _, delta = _samples(sys, t_max, default_scan_step(sys))
+    assert 0.0 < delta <= 1e-3 * _LEAF
     for t, f in zip(ts, fs):
         want = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
         assert abs(f - want) <= delta, (t, f, want, delta)
+
+
+@pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
+def test_sample_error_within_delta(desc, theta, aux):
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    _assert_sample_error_within_delta(sys, 6.0)
+
+
+@pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
+def test_sample_error_within_delta_on_edge_inputs(desc, t_max):
+    space = build_space(desc)
+    _assert_sample_error_within_delta(build_system(space, geodesic_direction(space, 0.7)), t_max)
+
+
+@pytest.mark.parametrize(
+    "desc,theta,aux", SAMPLED_GEODESICS + [(desc, 0.7, {}) for desc, _ in EDGE_INPUTS]
+)
+def test_no_sample_needed_before_half_a_step(desc, theta, aux):
+    # ||J(t) - tI|| <= L (t^2 ||T|| / 2 + t^3 ||R|| / 6) keeps sigma_min(J) > 0
+    # on ]0, h/2], so the grid may start at h/2 (see _samples)
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    half = default_scan_step(sys) / 2.0
+    lip = math.cosh(math.sqrt(max(0.0, -sys.r_evals[0])) * half)
+    for t in half * np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0]):
+        spread = lip * (t * sys.norm_t / 2.0 + t**2 * sys.norm_r / 6.0)
+        assert spread <= 0.066
+        sigma = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
+        assert sigma >= t * (1.0 - spread), (t, sigma, spread)
 
 
 def test_indefinite_jacobi_operator_is_refused(monkeypatch):
@@ -590,9 +617,14 @@ def test_one_eigendecomposition_of_r_and_one_norm_of_t_per_geodesic(monkeypatch)
     events = conjugate_events(space, u, 12.0)
     monkeypatch.undo()
     assert len(events) > 0
-    assert [name for name, _ in calls] == ["eigh", "norm"]
+    assert [name for name, _ in calls] == ["eigh", "norm", "eigh"]
     sys = build_system(space, u)
     assert np.array_equal(calls[0][1], sys.R) and np.array_equal(calls[1][1], sys.T)
+    # the third is iK, K = [[0, S], [-S, T]] with S^2 = R: the modes of the samples
+    herm, n = calls[2][1], sys.n
+    assert np.array_equal(herm, herm.conj().T) and np.array_equal(herm[n:, n:], 1j * sys.T)
+    assert not herm[:n, :n].any()
+    np.testing.assert_allclose((herm @ herm)[:n, :n].real, sys.R, atol=1e-12)
 
 
 def test_system_spectral_fields_are_read_only():
