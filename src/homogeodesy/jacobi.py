@@ -3,8 +3,10 @@
 Along gamma_u the Jacobi fields vanishing at the origin are encoded by the
 n x n block J(t) mapping X'(0) to X(t), for X'' - T X' + R X = 0.  Conjugate
 times are the zeros of det J(t).  Samples of sigma_min(J) come from the modes
-of the system in its energy frame (JacobiSystem.modes), and a bisection
-certified by the energy bound ||J'|| <= 1 discards zero-free intervals;
+of the system in its energy frame (JacobiSystem.modes), and a search
+certified by the energy bound ||J'|| <= 1 discards zero-free intervals, each
+new sample placed where the zero-free zone certified from an end of a
+suspicious interval stops, else at its midpoint (see _samples);
 Newton's method on sigma_min, on E(t) = exp(tA) of the 2n x 2n companion
 matrix A, refines the remaining dips in rounds of stacked starts (see
 scan_conjugate_times).  Each refined event is classified where it is found,
@@ -15,7 +17,6 @@ and orthogonal complements use plain Euclidean geometry.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -169,10 +170,6 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     t_on = space.chol_m.T @ torsion_op(space, uc) @ space.frame_m
     r_on = space.chol_m.T @ jacobi_op(space, uc) @ space.frame_m
     skew, sym = np.max(np.abs(t_on + t_on.T)), np.max(np.abs(r_on - r_on.T))
-    if max(skew, sym) > 1e-9:
-        raise JacobiError(
-            f"operators violate (skew-)adjointness on {space.name}: {skew:.1e}/{sym:.1e}"
-        )
     r_on = 0.5 * (r_on + r_on.T)
     t_on = 0.5 * (t_on - t_on.T)
     evals, evecs = np.linalg.eigh(r_on)
@@ -180,6 +177,12 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     for arr in (t_on, r_on, companion, uc, evals, evecs):
         arr.setflags(write=False)
     sys = JacobiSystem(space, uc, t_on, r_on, companion, evals, evecs, np.linalg.norm(t_on, 2))
+    # rounding in T and R grows with their size, so (skew-)adjointness is tested relative to it
+    if skew > 1e-9 * max(1.0, sys.norm_t) or sym > 1e-9 * max(1.0, sys.norm_r):
+        raise JacobiError(
+            f"operators violate (skew-)adjointness on {space.name}: {skew:.1e}/{sym:.1e}"
+            f" against ||T|| = {sys.norm_t:.1e}, ||R|| = {sys.norm_r:.1e}"
+        )
     if evals[0] < -1e-9 * sys.norm_r:  # the energy bound needs R >= 0
         raise JacobiError(f"R_u is indefinite on {space.name}: lambda_min = {evals[0]:.1e}")
     return sys
@@ -239,11 +242,23 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
     neighbours first, is sent each one's (probe, landed) and returns its events.
     At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
     far end of the dip) might vanish in the dip too: one Newton step along
-    sigma_i' predicts where, and the next start refines the prediction."""
+    sigma_i' predicts where, and the next start refines the prediction.  A
+    first probe that stops on an end of the dip with sigma_min' pointing out
+    of it, without landing, has found no zero: it is no event, and the dip
+    starts once more from its other end, with the whole dip as bracket."""
     k = int(np.argmin(fs))
     lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
-    probe, _ = yield ts[lo], fs[lo], ts[hi], fs[hi], ts[k]
-    found = [probe]
+
+    def stuck(probe, landed) -> bool:
+        # the probe stopped on an end of the dip, sigma_min' pointing out of it
+        t, slope = probe[0], probe[3][-1]
+        end = ts[0] if slope > 0 else ts[-1]
+        return not landed and slope != 0 and abs(end - t) <= _NEWTON_RTOL * t
+
+    probe, landed = yield ts[lo], fs[lo], ts[hi], fs[hi], ts[k]
+    if stuck(probe, landed):  # restart once from the other end, the whole dip as bracket
+        probe, landed = yield ts[0], fs[0], ts[-1], fs[-1], ts[-1] if probe[3][-1] > 0 else ts[0]
+    found = [] if stuck(probe, landed) else [probe]
     events: list[ConjugateEvent] = []
     while found and len(events) < sys.n:
         t, sv, vt, slopes = found.pop()
@@ -284,13 +299,33 @@ def _sigma_min(sys: JacobiSystem, ts: np.ndarray) -> np.ndarray:
 
 
 def _samples(sys: JacobiSystem, t_max: float, step: float):
-    """sigma_min(J) on the grid of scan_conjugate_times and its bisection.
+    """sigma_min(J) on the grid of scan_conjugate_times and inside its suspicious cells.
 
     Returns the sample times and values, whether sigma_min may vanish between
     consecutive samples, L and delta.  Samples come from _sigma_min: the whole
-    grid in one batch, then each level's midpoints.  A live interval carries
-    only (lo, hi, f_lo, f_hi); one that is not split is final, and samples and
-    final intervals are put in time order once at the end.
+    grid in one batch, then one batch per level, of every jump point and
+    midpoint of the level.  A live interval carries only (lo, hi, f_lo, f_hi);
+    one that is not split is final, and samples and final intervals are put in
+    time order once at the end.
+
+    A suspicious interval [lo, hi] (f_lo + f_hi <= L (hi - lo) + 2 delta) is
+    split where the zero-free zones certified from its ends stop, in the
+    manner of Piyavskii (1972) and Shubert (SIAM J. Numer. Anal. 9, 1972): the
+    energy bound keeps sigma_min > 0 on [lo, a) and (b, hi], a = lo + (f_lo -
+    delta) / L and b = hi - (f_hi - delta) / L.
+    - Jump: if lo < a < b < hi and b - a <= (hi - lo) / 2, sample a and b; the
+      children are [lo, a], [a, b] and [b, hi], at any width.
+    - Bisect: otherwise, sample the midpoint while hi - lo >= _LEAF.
+    The rule only places samples.  Every final interval is cleared, or kept
+    suspicious, by the same test on its own two samples, so the certificate is
+    unchanged.  At a simple zero sigma_min' = +-1 (scan_conjugate_times) while
+    |sigma_min'| <= L = 1 up to rounding everywhere, so sigma_min'' vanishes
+    there too, and a jump from distance d lands within O(d^3) of the zero: a
+    middle child closes onto its zero or clears.  Termination: an outer child
+    recomputes its a (or b) as its own far end, so it never jumps; it clears,
+    halves or stops.  So a row either halves, or jumps and its outer children
+    clear or halve; below _LEAF only middle children, at most half as wide as
+    their parents, go on, until no double lies strictly between lo and hi.
 
     ]0, h/2] needs no sample: J(0) = 0, J'(0) = I, J'' = T J' - R J and
     ||J'|| <= L give ||J(t) - tI|| <= L (t^2 ||T|| / 2 + t^3 ||R|| / 6), so
@@ -328,20 +363,26 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     # (times, sigma_min); (left ends, suspicious) of the intervals that are not split
     samples, leaves = [(ts, fs)], []
     live = np.stack((ts[:-1], ts[1:], fs[:-1], fs[1:]), axis=1)
-    for level in itertools.count(1):
+    while True:
         lo, hi, f_lo, f_hi = live.T
         width = hi - lo
         suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
-        split = suspicious & (width >= _LEAF)
+        a, b = lo + (f_lo - delta) / lip, hi - (f_hi - delta) / lip
+        jump = suspicious & (lo < a) & (a < b) & (b < hi) & (b - a <= 0.5 * width)
+        split = jump | suspicious & (width >= _LEAF)
         leaves.append((lo[~split], suspicious[~split]))
         if not split.any():
             break
-        live = np.repeat(live[split], 2, axis=0)  # (lo, hi, f_lo, f_hi) of both children
-        mid = live[0::2, 0] + step / 2.0**level
-        smin = _sigma_min(sys, mid)
-        samples.append((mid, smin))
-        live[0::2, 1] = live[1::2, 0] = mid
-        live[0::2, 3] = live[1::2, 2] = smin
+        # each split row's nodes lo, a or the midpoint, b if it jumps, hi
+        nodes = np.stack((lo, np.where(jump, a, 0.5 * (lo + hi)), b, hi), axis=1)[split]
+        values = np.stack((f_lo, f_lo, f_hi, f_hi), axis=1)[split]
+        new = np.zeros_like(nodes, dtype=bool)
+        new[:, 1], new[:, 2] = True, jump[split]
+        values[new] = smin = _sigma_min(sys, nodes[new])
+        samples.append((nodes[new], smin))
+        left, right = new.copy(), new.copy()  # children run from a left to a right node
+        left[:, 0], right[:, 3] = True, True
+        live = np.stack((nodes[left], nodes[right], values[left], values[right]), axis=1)
     ts, fs = (np.concatenate(column) for column in zip(*samples))
     lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
     order = np.argsort(ts, kind="stable")
@@ -352,7 +393,9 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
     Samples sigma_min(J), from the modes of K, on a grid of step h =
-    default_scan_step(sys) from h/2, bisecting below 1e-5 (see _samples);
+    default_scan_step(sys) from h/2, and inside each cell that the test below
+    does not clear: at the ends of the zero-free zones that its two samples
+    certify, or at its midpoint down to a width of 1e-5 (see _samples);
     |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew and
     R symmetric, so |X'|^2 + <RX, X> is constant along X'' = T X' - R X
     (energy of a gyroscopic system: Lancaster, LAA 439, 2013).  For X(0) = 0
@@ -369,11 +412,13 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     brackets (radius |guess - t|/4) keep its events above its start minus a third
     of its width, where the range is certified zero-free or in earlier dips.
     Each round stacks the next Newton start of every dip still searching, its
-    lowest sample first and then its close-zero predictions, into one
-    safeguarded Newton on exp(tA) (_newton) to a relative step of 1e-14, and
-    sends each row's probe back to its dip.  Multiplicity and kernel come from the
-    singular values below 1e-7 * sigma_max at the refined time, and each event
-    comes back classified (classify_isotropy on its kernel).
+    lowest sample first (then once its other end, if that start stopped on an
+    end of the dip without landing: see _refine) and then its close-zero
+    predictions, into one safeguarded Newton on exp(tA) (_newton) to a
+    relative step of 1e-14, and sends each row's probe back to its dip.
+    Multiplicity and kernel come from the singular values below 1e-7 *
+    sigma_max at the refined time, and each event comes back classified
+    (classify_isotropy on its kernel).
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")

@@ -321,28 +321,35 @@ def bracket_tensor_einsum(space, w_k: float, w_m: float) -> np.ndarray:
 
 
 def samples_by_insertion(sys, t_max: float, step: float, lip: float, delta: float):
-    """jacobi._samples with each bisection level inserted into whole sample arrays.
+    """jacobi._samples with each level's new samples inserted into whole sample arrays.
 
-    The same grid, midpoints, clearing test and sigma_min evaluator, called on
-    the same batches (the grid, then each level's midpoints in time order), for
-    the L and delta of jacobi._samples; after a level the midpoints are
-    inserted into the time and value arrays.
+    The same grid, clearing test, jump points, midpoints and sigma_min
+    evaluator, called on the same batches (the grid, then each level's new
+    times in time order), for the L and delta of jacobi._samples.  A suspicious
+    interval [lo, hi] whose certified zero-free ends [lo, a) and (b, hi] leave
+    lo < a < b < hi with b - a at most half its width gets a and b; any other
+    suspicious interval at least _LEAF wide gets its midpoint.  After a level
+    the new times are inserted into the time and value arrays; an interval
+    that is not split is tested again at each later level and stays unsplit.
     """
-    import itertools
-
     from homogeodesy.jacobi import _LEAF, _sigma_min
 
     t = np.arange(step / 2.0, t_max + 1.5 * step, step)
     f = _sigma_min(sys, t)
-    for level in itertools.count(1):
-        width = np.diff(t)
-        suspicious = f[:-1] + f[1:] <= lip * width + 2.0 * delta
-        split = suspicious & (width >= _LEAF)
+    while True:
+        lo, hi, f_lo, f_hi = t[:-1], t[1:], f[:-1], f[1:]
+        width = hi - lo
+        suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
+        a, b = lo + (f_lo - delta) / lip, hi - (f_hi - delta) / lip
+        jump = suspicious & (lo < a) & (a < b) & (b < hi) & (b - a <= 0.5 * width)
+        split = jump | suspicious & (width >= _LEAF)
         if not split.any():
             break
-        at = np.flatnonzero(split)
-        mid = t[at] + step / 2.0**level
-        t, f = np.insert(t, at + 1, mid), np.insert(f, at + 1, _sigma_min(sys, mid))
+        at = np.concatenate((np.flatnonzero(split), np.flatnonzero(jump)))
+        new = np.concatenate((np.where(jump, a, 0.5 * (lo + hi))[split], b[jump]))
+        order = np.argsort(at, kind="stable")  # a (or the midpoint) before b
+        at, new = at[order], new[order]
+        t, f = np.insert(t, at + 1, new), np.insert(f, at + 1, _sigma_min(sys, new))
     return t, f, suspicious
 
 
@@ -399,12 +406,26 @@ def refine_scalar(sys, ts, fs, lip):
     """The zeros in one dip (fs <= sigma_min(ts)) by scalar Newton from the
     lowest sample, then a Newton from each close zero that another singular
     value predicts within lip times the distance to the far end of the dip;
-    events are classified by classify_two_pass."""
-    from homogeodesy.jacobi import MULTIPLICITY_RTOL, ConjugateEvent
+    events are classified by classify_two_pass.  A first Newton that stops on
+    an end of the dip, sigma_min' pointing out of it, without landing is no
+    event: the dip starts again from its other end, bracketed by the whole dip,
+    and that probe counts unless it fails the same way."""
+    from homogeodesy.jacobi import _NEWTON_RTOL, MULTIPLICITY_RTOL, ConjugateEvent
+
+    def stuck_at_end(probe, landed):
+        t, slope = probe[0], probe[3][-1]
+        return not landed and (
+            (slope > 0 and t - ts[0] <= _NEWTON_RTOL * t)
+            or (slope < 0 and ts[-1] - t <= _NEWTON_RTOL * t)
+        )
 
     k = int(np.argmin(fs))
     lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
-    found = [newton_scalar(sys, ts[lo], fs[lo], ts[hi], fs[hi], ts[k], lip)[0]]
+    probe, landed = newton_scalar(sys, ts[lo], fs[lo], ts[hi], fs[hi], ts[k], lip)
+    if stuck_at_end(probe, landed):
+        other = ts[-1] if probe[3][-1] > 0 else ts[0]
+        probe, landed = newton_scalar(sys, ts[0], fs[0], ts[-1], fs[-1], other, lip)
+    found = [] if stuck_at_end(probe, landed) else [probe]
     events = []
     while found and len(events) < sys.n:
         t, sv, vt, slopes = found.pop()

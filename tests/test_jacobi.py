@@ -324,16 +324,19 @@ def test_bisection_levels_match_insertion_reference_across_blocks():
 
 
 def test_power_of_two_leaf_step_counts_every_level(monkeypatch):
-    # step = 2^10 leaves: level 10 intervals have width _LEAF up to rounding
-    # and still split, so the deepest midpoints sit step / 2^11 from a neighbour
+    # a bisected row of width exactly _LEAF still splits and one of width
+    # _LEAF / 2 does not.  With sigma_min = 0 no row jumps (a < lo) and every
+    # row is suspicious; a dyadic step and leaf keep every midpoint exact, so
+    # the final rows are exactly _LEAF / 2 wide
     space = build_space("cpodd:m=1")
     sys = build_system(space, geodesic_direction(space, 0.7))
-    step = _LEAF * 2**10
-    monkeypatch.setattr(jacobi, "default_scan_step", lambda s: step)
-    assert scan_conjugate_times(sys, 6.0)
-    ts = _assert_samples_match_insertion_reference(sys, 6.0)[0]
-    levels = round(math.log2(step / np.diff(ts).min()))  # deepest midpoints: step / 2^levels
-    assert levels == 11
+    leaf = 2.0**-17
+    monkeypatch.setattr(jacobi, "_LEAF", leaf)
+    monkeypatch.setattr(jacobi, "default_scan_step", lambda s: leaf * 2**10)
+    monkeypatch.setattr(jacobi, "_sigma_min", lambda s, ts: np.zeros(len(ts)))
+    ts, _, suspicious = _assert_samples_match_insertion_reference(sys, 0.02)[:3]
+    assert len(ts) > 3 * 2**10 and suspicious.all()
+    np.testing.assert_array_equal(np.diff(ts), leaf / 2)
 
 
 SCALAR_NEWTON_INPUTS = [(desc, theta, aux, 6.0) for desc, theta, aux in SAMPLED_GEODESICS] + [
@@ -401,8 +404,10 @@ def test_scan_classifies_once_per_event_without_qr_or_to_frame(monkeypatch, thet
 
 def test_bisection_samples_per_event():
     # the certificate's slack sets how many intervals stay live; the energy
-    # bound ||J'|| <= 1 keeps about 21 samples per event here (about 30 with
-    # the cell bound e^{nu h/2} ||[E_21 | E_22]||, 99 with ||E|| e^{||A|| h/2})
+    # bound ||J'|| <= 1 keeps about 21 samples per event here with midpoints
+    # only (about 30 with the cell bound e^{nu h/2} ||[E_21 | E_22]||, 99 with
+    # ||E|| e^{||A|| h/2}), and about 12 with samples at the ends of the
+    # certified zero-free zones (jumps, see _samples)
     space = build_space("b13")
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
     sys = build_system(space, u)
@@ -410,6 +415,39 @@ def test_bisection_samples_per_event():
     ts = _samples(sys, 6.0, default_scan_step(sys))[0]
     assert len(events) >= 5
     assert len(ts) <= 25 * len(events)
+
+
+@pytest.mark.parametrize(
+    "desc,theta,aux,batches",
+    [
+        # midpoints alone take 15 batches on both: the grid, then 14 levels to
+        # halve a step of about 0.1 to the 1e-5 leaf; jumps take 9 and 4
+        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 10),
+        ("berger:m=1,s=0.5", 0.7, {}, 5),
+    ],
+)
+def test_jumps_cut_the_sigma_min_batches_per_scan(monkeypatch, desc, theta, aux, batches):
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    calls, sigma_min = [], jacobi._sigma_min
+    monkeypatch.setattr(jacobi, "_sigma_min", lambda s, t: calls.append(len(t)) or sigma_min(s, t))
+    assert scan_conjugate_times(sys, 6.0)
+    assert len(calls) <= batches, calls
+
+
+def test_every_event_is_a_zero_on_w7():
+    # a Newton start that stops on an end of its dip without landing is no
+    # event (_refine); reported, such probes put events at t = 3.6063835159
+    # and 3.9473038178 here, where sigma_min / sigma_max is 1.2e-9 and 4.3e-8.
+    # The counts are those of midpoint bisection; Newton lands at a relative
+    # step of 1e-14, and the worst event measured 1.3e-14
+    space = build_space("w7:s=1e-6")
+    sys = build_system(space, geodesic_direction(space, 0.7))
+    events = scan_conjugate_times(sys, 4.0)
+    assert (len(events), sum(e.multiplicity for e in events)) == (1518, 1947)
+    for event in events:
+        sv = np.linalg.svd(fundamental_block(sys, event.t), compute_uv=False)
+        assert sv[-1] <= 1e-12 * sv[0], (event.t, sv[-1] / sv[0])
 
 
 @pytest.mark.parametrize("desc,theta,aux", SAMPLED_GEODESICS)
@@ -480,6 +518,23 @@ def test_indefinite_jacobi_operator_is_refused(monkeypatch):
     monkeypatch.setattr(jacobi, "jacobi_op", lambda *args: r - 0.1 * np.eye(len(r)))
     with pytest.raises(JacobiError, match="indefinite"):
         build_system(space, u)
+
+
+def test_adjointness_is_tested_relative_to_the_operators():
+    # the asymmetry of R at kappa = 1e8 is 8.9e-8, rounding on ||R|| = 5.7e8,
+    # so the system scans; at s = 1e-9 the asymmetry of R, 2.8e-7 on ||R|| =
+    # 3, is cancellation in products of entries near ||T|| = 4.8e4: refused
+    space = build_space("cpodd:m=1,kappa=1e8")
+    sys = build_system(space, geodesic_direction(space, 0.7))
+    assert np.max(np.abs(sys.R)) > 1e8
+    events = scan_conjugate_times(sys, 0.01)
+    assert len(events) >= 100
+    for event in events[::10]:
+        sv = np.linalg.svd(fundamental_block(sys, event.t), compute_uv=False)
+        assert sv[-1] <= 1e-12 * sv[0], (event.t, sv[-1] / sv[0])
+    space = build_space("w7:s=1e-9")
+    with pytest.raises(JacobiError, match="adjointness"):
+        build_system(space, geodesic_direction(space, 0.7))
 
 
 def test_large_kappa_scan_matches_closed_forms():
