@@ -222,20 +222,29 @@ def _class_compatible(predicted: str, event: ConjugateEvent) -> bool:
     return not event.strictly_isotropic
 
 
+def nearest_events(predicted, events) -> list[int | None]:
+    """For each closed-form time, the index of its nearest event, or None when
+    no event lies within MATCH_TOL of it.  The nearest, not the first: a close
+    second zero may sit within MATCH_TOL of a time that has its own event."""
+    times = np.array([ev.t for ev in events] + [math.inf])  # inf pads a scan without events
+    gaps = [np.abs(times - pred.t) for pred in predicted]
+    return [int(gap.argmin()) if gap.min() < MATCH_TOL else None for gap in gaps]
+
+
 def cross_validate(
     space: ReductiveSpace,
     u,
     v,
     t_max: float,
 ) -> CrossValidation:
-    """Check every closed-form time against the ODE scan (hard Mismatch on absence)."""
+    """Check every closed-form time against its nearest event of the ODE scan
+    (hard Mismatch on absence or an incompatible class)."""
     data = extract_cp_data(space, u, v)
     predicted = closed_form_times(data, t_max)
     events = conjugate_events(space, u, t_max)
 
     matched = []
-    for pred in predicted:
-        idx = next((i for i, ev in enumerate(events) if abs(ev.t - pred.t) < MATCH_TOL), None)
+    for pred, idx in zip(predicted, nearest_events(predicted, events)):
         if idx is None:
             raise Mismatch(
                 f"{space.name}: closed-form time {pred.t:.12g} ({pred.family}) "

@@ -8,9 +8,10 @@ certified by the energy bound ||J'|| <= 1 discards zero-free intervals, each
 new sample placed where the zero-free zone certified from an end of a
 suspicious interval stops, else at its midpoint (see _samples);
 Newton's method on sigma_min, on E(t) = exp(tA) of the 2n x 2n companion
-matrix A, refines the remaining dips in rounds of stacked starts (see
-scan_conjugate_times).  Each refined event is classified where it is found,
-from its kernel rows (classify_isotropy), so scans return finished events.
+matrix A, refines each remaining run of suspicious intervals, bracketed by
+the run, in rounds of stacked starts (see scan_conjugate_times).  Each
+refined event is classified where it is found, from its kernel rows
+(classify_isotropy), so scans return finished events.
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -200,14 +201,13 @@ def default_scan_step(sys: JacobiSystem) -> float:
     return 0.25 / math.sqrt(sys.norm_r + sys.norm_t**2 + 1.0)
 
 
-def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip: float):
+def _newton(sys: JacobiSystem, lo, hi, t):
     """Newton on sigma_min from t, in lockstep on rows of brackets [lo, hi]: a row
     bisects its bracket on the sign of sigma_min' when a step leaves it or fails
     to halve the step before last.  A round takes one stacked E = exp(tA) at the
-    live times and one batched SVD; J' = E_11 + J T, sigma_i' = u_i^T J' v_i.
-    Returns each row's last probe, stacked (t, sv, vt, slopes), and whether it
-    landed on a zero; a row gives up once its bracket collapses or lip keeps
-    sigma_min above the multiplicity cutoff on it."""
+    live times and one batched SVD; J = E_12, J' = E_22 (E' = AE) and sigma_i' =
+    u_i^T J' v_i.  Returns each row's last probe, stacked (t, sv, vt, slopes),
+    and whether it landed on a zero; a row stops once its bracket collapses."""
     n = sys.n
     dx = dx_old = hi - lo
     probes = tuple(np.empty((len(t), *shape)) for shape in ((), (n,), (n, n), (n,)))
@@ -215,49 +215,44 @@ def _newton(sys: JacobiSystem, lo, f_lo, hi, f_hi, t, lip: float):
     for _ in range(_MAX_NEWTON):
         e = _expm(t[:, None, None] * sys.companion)
         u, sv, vt = np.linalg.svd(e[:, :n, n:])
-        j_prime = np.swapaxes(u, 1, 2) @ (e[:, :n, :n] + e[:, :n, n:] @ sys.T)
+        j_prime = np.swapaxes(u, 1, 2) @ e[:, n:, n:]
         slopes = np.einsum("rij,rji->ri", j_prime, np.swapaxes(vt, 1, 2))
         probes[0][rows], probes[1][rows], probes[2][rows], probes[3][rows] = t, sv, vt, slopes
         f, d, left = sv[:, -1], slopes[:, -1], slopes[:, -1] < 0
-        lo, f_lo = np.where(left, t, lo), np.where(left, f, f_lo)
-        hi, f_hi = np.where(left, hi, t), np.where(left, f_hi, f)
+        lo, hi = np.where(left, t, lo), np.where(left, hi, t)
         step = np.divide(f, d, out=np.full_like(f, np.inf), where=d != 0)
         landed[rows] = hit = np.abs(step) <= _NEWTON_RTOL * t
-        cutoff = MULTIPLICITY_RTOL * sv[:, 0]
-        give_up = (hi - lo <= _NEWTON_RTOL * t) | (f_lo + f_hi - lip * (hi - lo) > 2.0 * cutoff)
+        done = hit | (hi - lo <= _NEWTON_RTOL * t)
         newton = (lo < t - step) & (t - step < hi) & (2.0 * np.abs(step) <= np.abs(dx_old))
         dx_old, dx = dx, np.where(newton, step, 0.5 * (hi - lo))
         t = np.where(newton, t - step, lo + dx)
-        rows, t, lo, f_lo, hi, f_hi, dx, dx_old = (
-            x[~(hit | give_up)] for x in (rows, t, lo, f_lo, hi, f_hi, dx, dx_old)
-        )
+        rows, t, lo, hi, dx, dx_old = (x[~done] for x in (rows, t, lo, hi, dx, dx_old))
         if not len(rows):
             break
     return probes, landed
 
 
 def _refine(sys: JacobiSystem, ts, fs, lip: float):
-    """Generator of the classified events in one dip (fs <= sigma_min(ts)): it
-    yields Newton starts (lo, f_lo, hi, f_hi, t), the lowest sample between its
-    neighbours first, is sent each one's (probe, landed) and returns its events.
-    At a zero t*, another singular value sigma_i(t*) <= lip * (distance to the
-    far end of the dip) might vanish in the dip too: one Newton step along
-    sigma_i' predicts where, and the next start refines the prediction.  A
-    first probe that stops on an end of the dip with sigma_min' pointing out
-    of it, without landing, has found no zero: it is no event, and the dip
-    starts once more from its other end, with the whole dip as bracket."""
+    """Generator of the classified events in one run of suspicious cells, sampled
+    as sigma_min(ts) = fs: it yields Newton starts (lo, hi, t), the first from
+    the lowest sample with the whole run as bracket, is sent each one's (probe,
+    landed) and returns its events.  At a zero t*, another singular value
+    sigma_i(t*) <= lip * (distance to the far end of the run) might vanish in
+    the run too: one Newton step along sigma_i' predicts where, and the next
+    start refines the prediction.  A first probe that stops on an end of the
+    run with sigma_min' pointing out of it, without landing, has found no zero:
+    it is no event, and the run starts once more from its other end."""
     k = int(np.argmin(fs))
-    lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
 
     def stuck(probe, landed) -> bool:
-        # the probe stopped on an end of the dip, sigma_min' pointing out of it
+        # the probe stopped on an end of the run, sigma_min' pointing out of it
         t, slope = probe[0], probe[3][-1]
         end = ts[0] if slope > 0 else ts[-1]
         return not landed and slope != 0 and abs(end - t) <= _NEWTON_RTOL * t
 
-    probe, landed = yield ts[lo], fs[lo], ts[hi], fs[hi], ts[k]
-    if stuck(probe, landed):  # restart once from the other end, the whole dip as bracket
-        probe, landed = yield ts[0], fs[0], ts[-1], fs[-1], ts[-1] if probe[3][-1] > 0 else ts[0]
+    probe, landed = yield ts[0], ts[-1], ts[k]
+    if stuck(probe, landed):  # restart once from the other end, in the same bracket
+        probe, landed = yield ts[0], ts[-1], ts[-1] if probe[3][-1] > 0 else ts[0]
     found = [] if stuck(probe, landed) else [probe]
     events: list[ConjugateEvent] = []
     while found and len(events) < sys.n:
@@ -276,7 +271,7 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
             radius = 0.25 * abs(guess - t)  # scan_conjugate_times relies on this reach
             known = [ev.t for ev in events] + [other[0] for other in found]
             if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
-                probe, landed = yield guess - radius, 0.0, guess + radius, 0.0, guess
+                probe, landed = yield guess - radius, guess + radius, guess
                 if landed:
                     found.append(probe)
     return sorted(events, key=lambda ev: ev.t)
@@ -392,30 +387,28 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
 def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent]:
     """Locate the zeros of det J(t) on ]0, t_max] and their kernels.
 
-    Samples sigma_min(J), from the modes of K, on a grid of step h =
-    default_scan_step(sys) from h/2, and inside each cell that the test below
-    does not clear: at the ends of the zero-free zones that its two samples
-    certify, or at its midpoint down to a width of 1e-5 (see _samples);
-    |sigma_min'| <= ||J'|| (Weyl).  In the ON frame T is skew and
-    R symmetric, so |X'|^2 + <RX, X> is constant along X'' = T X' - R X
-    (energy of a gyroscopic system: Lancaster, LAA 439, 2013).  For X(0) = 0
-    it is |X'(0)|^2, and <RX, X> >= -eta |X|^2, with eta = max(0,
-    -lambda_min(R)) read from sys.r_evals, zero up to rounding (build_system
-    refuses an indefinite R).  So ||J(t)|| <= sinh(sqrt(eta) t) / sqrt(eta)
+    _samples places the samples of sigma_min(J) and keeps the cells that the
+    test below does not clear; |sigma_min'| <= ||J'|| (Weyl).  In the ON
+    frame T is skew and R symmetric, so |X'|^2 + <RX, X> is constant along
+    X'' = T X' - R X (energy of a gyroscopic system: Lancaster, LAA 439,
+    2013).  For X(0) = 0 it is |X'(0)|^2, and <RX, X> >= -eta |X|^2, with
+    eta = max(0, -lambda_min(R)) read from sys.r_evals, zero up to rounding
+    (build_system refuses an indefinite R).  So ||J(t)|| <= sinh(sqrt(eta) t) / sqrt(eta)
     and, up to the last grid time t_end,
         ||J'(t)|| <= L = sqrt(1 + eta max ||J||^2) = cosh(sqrt(eta) t_end).
     L is attained at each simple zero (the Wronskian J^T J' - J'^T J - J^T T J
     vanishes, so sigma_min' = +-1 there), so with delta the error bound of a
     sample, [a, b] holds no zero if sigma(a) + sigma(b) > L (b - a) + 2 delta.
-    Runs of failing intervals split at sampled local maxima of sigma_min into
-    dips, each a _refine generator.  A dip past t_max is skipped: its close-zero
-    brackets (radius |guess - t|/4) keep its events above its start minus a third
-    of its width, where the range is certified zero-free or in earlier dips.
-    Each round stacks the next Newton start of every dip still searching, its
-    lowest sample first (then once its other end, if that start stopped on an
-    end of the dip without landing: see _refine) and then its close-zero
-    predictions, into one safeguarded Newton on exp(tA) (_newton) to a
-    relative step of 1e-14, and sends each row's probe back to its dip.
+    Each run of consecutive failing cells is a _refine generator and the
+    bracket of its first Newton start.  A run past t_max is skipped: its
+    close-zero brackets (radius |guess - t|/4) keep its events above its start
+    minus a third of its width, where the range is certified zero-free or in
+    earlier runs.  Each round stacks the next Newton start (lo, hi, t) of every
+    run still searching, its lowest sample first (then once its other end, if
+    that start stopped on an end of the run without landing: see _refine) and
+    then its close-zero predictions, into one safeguarded Newton on exp(tA)
+    (_newton) to a relative step of 1e-14, and sends each row's probe back to
+    its run.
     Multiplicity and kernel come from the singular values below 1e-7 *
     sigma_max at the refined time, and each event comes back classified
     (classify_isotropy on its kernel).
@@ -426,26 +419,25 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     if not t_max / step <= MAX_GRID_POINTS:
         raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
-    ts, fs, suspicious, lip, delta = _samples(sys, t_max, step)
-    runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
-    dips = []  # one _refine per dip that starts by t_max
-    for first, last in zip(runs[::2], runs[1::2]):
-        peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
-        for a, b in zip([first] + peaks, peaks + [last]):
-            if ts[a] <= t_max + 1e-12:
-                dips.append(_refine(sys, ts[a : b + 1], fs[a : b + 1] - delta, lip))
-    refined, waiting, starts = {}, dips, [next(dip) for dip in dips]
+    ts, fs, suspicious, lip, _ = _samples(sys, t_max, step)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
+    runs = [  # one _refine per run that starts by t_max
+        _refine(sys, ts[a : b + 1], fs[a : b + 1], lip)
+        for a, b in zip(edges[::2], edges[1::2])
+        if ts[a] <= t_max + 1e-12
+    ]
+    refined, waiting, starts = {}, runs, [next(run) for run in runs]
     while waiting:
-        probes, landed = _newton(sys, *np.array(starts).T, lip)
+        probes, landed = _newton(sys, *np.array(starts).T)
         rows = zip(waiting, zip(*probes), landed)
         waiting, starts = [], []
-        for dip, probe, hit in rows:
+        for run, probe, hit in rows:
             try:
-                starts.append(dip.send((probe, hit)))
-                waiting.append(dip)
+                starts.append(run.send((probe, hit)))
+                waiting.append(run)
             except StopIteration as done:
-                refined[dip] = done.value
-    return [ev for dip in dips for ev in refined[dip] if ev.t <= t_max + 1e-12]
+                refined[run] = done.value
+    return [ev for run in runs for ev in refined[run] if ev.t <= t_max + 1e-12]
 
 
 def isotropic_complement_projector(sys: JacobiSystem) -> np.ndarray:

@@ -12,13 +12,13 @@ from .algebra import (
 from .catalog import build_space, symmetric_conjugate_times
 from .closed_form import (
     FAMILY_TAN,
-    MATCH_TOL,
     CrossValidation,
     HypothesisViolated,
     Mismatch,
     closed_form_times,
     cross_validate,
     extract_cp_data,
+    nearest_events,
 )
 from .homogeneous import (
     MissingSplit,
@@ -348,9 +348,10 @@ def conjugate_table(
     except HypothesisViolated:
         data = None
     params_text = ";".join(f"{k}={v}" for k, v in space.params.items() if k != "family")
+    nearest = nearest_events(predictions, events)  # each prediction labels its nearest event
+    labels = {idx: pred.family for pred, idx in zip(predictions, nearest) if idx is not None}
     rows = []
-    for ev in events:
-        family = next((p.family for p in predictions if abs(p.t - ev.t) < MATCH_TOL), "")
+    for idx, ev in enumerate(events):
         rows.append(
             {
                 "space": space.name,
@@ -360,7 +361,7 @@ def conjugate_table(
                 "multiplicity": ev.multiplicity,
                 "isotropic_exists": ev.isotropic_exists,
                 "strictly_isotropic": ev.strictly_isotropic,
-                "closed_form_match": family,
+                "closed_form_match": labels.get(idx, ""),
             }
         )
     return {

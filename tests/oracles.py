@@ -353,33 +353,32 @@ def samples_by_insertion(sys, t_max: float, step: float, lip: float, delta: floa
     return t, f, suspicious
 
 
-def newton_scalar(sys, lo, f_lo, hi, f_hi, t, lip):
+def newton_scalar(sys, lo, hi, t):
     """One safeguarded Newton on sigma_min from t, one exponential per step.
 
     The bracket [lo, hi] is bisected on the sign of sigma_min' when a step
-    leaves it or fails to halve the step before last; J and J' = E_11 + J T
+    leaves it or fails to halve the step before last; J = E_12 and J' = E_22
     come from one E = exp(tA), and sigma_i' = u_i^T J' v_i.  Returns the last
-    probe (t, sv, vt, slopes) and whether it landed on a zero, giving up once
-    the bracket collapses or lip keeps sigma_min above the multiplicity cutoff.
+    probe (t, sv, vt, slopes) and whether it landed on a zero, stopping once
+    the bracket collapses.
     """
-    from homogeodesy.jacobi import _MAX_NEWTON, _NEWTON_RTOL, MULTIPLICITY_RTOL, _expm
+    from homogeodesy.jacobi import _MAX_NEWTON, _NEWTON_RTOL, _expm
 
     n = sys.n
     dx = dx_old = hi - lo
     for _ in range(_MAX_NEWTON):
         e = _expm(t * sys.companion)
         u, sv, vt = np.linalg.svd(e[:n, n:])
-        slopes = np.einsum("ij,ji->i", u.T @ (e[:n, :n] + e[:n, n:] @ sys.T), vt.T)
+        slopes = np.einsum("ij,ji->i", u.T @ e[n:, n:], vt.T)
         probe = (t, sv, vt, slopes)
         if slopes[-1] < 0:
-            lo, f_lo = t, sv[-1]
+            lo = t
         else:
-            hi, f_hi = t, sv[-1]
+            hi = t
         step = sv[-1] / slopes[-1] if slopes[-1] else math.inf
         if abs(step) <= _NEWTON_RTOL * t:
             return probe, True
-        cutoff = MULTIPLICITY_RTOL * sv[0]
-        if hi - lo <= _NEWTON_RTOL * t or f_lo + f_hi - lip * (hi - lo) > 2.0 * cutoff:
+        if hi - lo <= _NEWTON_RTOL * t:
             break
         if lo < t - step < hi and 2.0 * abs(step) <= abs(dx_old):
             dx_old, dx = dx, step
@@ -403,13 +402,14 @@ def classify_two_pass(sys, kernel) -> tuple[bool, bool]:
 
 
 def refine_scalar(sys, ts, fs, lip):
-    """The zeros in one dip (fs <= sigma_min(ts)) by scalar Newton from the
-    lowest sample, then a Newton from each close zero that another singular
-    value predicts within lip times the distance to the far end of the dip;
-    events are classified by classify_two_pass.  A first Newton that stops on
-    an end of the dip, sigma_min' pointing out of it, without landing is no
-    event: the dip starts again from its other end, bracketed by the whole dip,
-    and that probe counts unless it fails the same way."""
+    """The zeros in one run of suspicious cells (fs = sigma_min(ts)) by scalar
+    Newton from the lowest sample, bracketed by the whole run, then a Newton
+    from each close zero that another singular value predicts within lip times
+    the distance to the far end of the run; events are classified by
+    classify_two_pass.  A first Newton that stops on an end of the run,
+    sigma_min' pointing out of it, without landing is no event: the run starts
+    again from its other end, in the same bracket, and that probe counts
+    unless it fails the same way."""
     from homogeodesy.jacobi import _NEWTON_RTOL, MULTIPLICITY_RTOL, ConjugateEvent
 
     def stuck_at_end(probe, landed):
@@ -419,12 +419,10 @@ def refine_scalar(sys, ts, fs, lip):
             or (slope < 0 and ts[-1] - t <= _NEWTON_RTOL * t)
         )
 
-    k = int(np.argmin(fs))
-    lo, hi = max(k - 1, 0), min(k + 1, len(ts) - 1)
-    probe, landed = newton_scalar(sys, ts[lo], fs[lo], ts[hi], fs[hi], ts[k], lip)
+    probe, landed = newton_scalar(sys, ts[0], ts[-1], ts[int(np.argmin(fs))])
     if stuck_at_end(probe, landed):
         other = ts[-1] if probe[3][-1] > 0 else ts[0]
-        probe, landed = newton_scalar(sys, ts[0], fs[0], ts[-1], fs[-1], other, lip)
+        probe, landed = newton_scalar(sys, ts[0], ts[-1], other)
     found = [] if stuck_at_end(probe, landed) else [probe]
     events = []
     while found and len(events) < sys.n:
@@ -442,25 +440,21 @@ def refine_scalar(sys, ts, fs, lip):
             radius = 0.25 * abs(guess - t)
             known = [ev.t for ev in events] + [other[0] for other in found]
             if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
-                probe, landed = newton_scalar(
-                    sys, guess - radius, 0.0, guess + radius, 0.0, guess, lip
-                )
+                probe, landed = newton_scalar(sys, guess - radius, guess + radius, guess)
                 if landed:
                     found.append(probe)
     return sorted(events, key=lambda ev: ev.t)
 
 
 def scan_by_scalar_newton(sys, t_max: float):
-    """jacobi.scan_conjugate_times with each dip refined on its own by scalar
-    Newton (refine_scalar), on the same samples."""
+    """jacobi.scan_conjugate_times with each run of suspicious cells refined on
+    its own by scalar Newton (refine_scalar), on the same samples."""
     from homogeodesy.jacobi import _samples, default_scan_step
 
-    ts, fs, suspicious, lip, delta = _samples(sys, t_max, default_scan_step(sys))
+    ts, fs, suspicious, lip, _ = _samples(sys, t_max, default_scan_step(sys))
     events = []
-    runs = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
-    for first, last in zip(runs[::2], runs[1::2]):
-        peaks = [j for j in range(first + 1, last) if fs[j - 1] < fs[j] >= fs[j + 1]]
-        for lo, hi in zip([first] + peaks, peaks + [last]):
-            dip = refine_scalar(sys, ts[lo : hi + 1], fs[lo : hi + 1] - delta, lip)
-            events += [ev for ev in dip if ev.t <= t_max + 1e-12]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
+    for first, last in zip(edges[::2], edges[1::2]):
+        run = refine_scalar(sys, ts[first : last + 1], fs[first : last + 1], lip)
+        events += [ev for ev in run if ev.t <= t_max + 1e-12]
     return events

@@ -37,7 +37,7 @@ def test_import_leaves_scipy_optimize_unloaded():
 def test_only_a_scan_loads_scipy():
     # scipy.linalg.expm is imported at the first Newton round of a scan, or at
     # fundamental_block; samples come from the modes of K, so a scan that finds
-    # no dip and nothing else needs scipy
+    # no suspicious run and nothing else needs scipy
     src = str(Path(homogeodesy.__file__).resolve().parents[1])
     code = """
 import contextlib, io, sys
@@ -61,7 +61,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 steps.append(("verify", scipy_modules()))
 sys_ = hg.build_system(space, hg.geodesic_direction(space, 0.7))
 assert hg.scan_conjugate_times(sys_, 2.0) == []
-steps.append(("scan without a dip", scipy_modules()))
+steps.append(("scan without a run", scipy_modules()))
 for step, loaded in steps:
     assert not loaded, (step, loaded)
 if sys.argv[2] == "scan":

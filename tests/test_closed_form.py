@@ -14,6 +14,7 @@ from homogeodesy.closed_form import (
     CLASS_NOT_STRICT,
     FAMILY_TAN,
     FAMILY_TWO_PI,
+    MATCH_TOL,
     HypothesisViolated,
     closed_form_times,
     cross_validate,
@@ -21,6 +22,7 @@ from homogeodesy.closed_form import (
     solve_tan_family,
 )
 from homogeodesy.jacobi import conjugate_events, geodesic_pair
+from homogeodesy.report import conjugate_table
 
 from oracles import ad_orbit_direction, bisect_tan_root
 
@@ -248,6 +250,26 @@ def test_cross_validate_cimp1_families():
         for c in cv2.closed_form
     )
     assert cv2.all_matched
+
+
+def test_each_closed_form_time_is_paired_with_its_nearest_event():
+    # at kappa = 1e8 the tan-family time 0.0057950357689 has an exact event that
+    # is not strictly isotropic, and a strictly isotropic zero 9.8e-8 earlier,
+    # also within MATCH_TOL: pairing the first event in range, not the nearest,
+    # raises Mismatch on that earlier zero
+    space = build_space("cpodd:m=1,kappa=1e8")
+    u, v = geodesic_pair(space, 0.7)
+    report = cross_validate(space, u, v, 0.01)
+    assert report.all_matched and len(report.matched) == 53
+    for pred, event in report.matched:
+        near = [ev for ev in report.events if abs(ev.t - pred.t) < MATCH_TOL]
+        assert event is min(near, key=lambda ev: abs(ev.t - pred.t))
+    # the table labels only the nearest event of each prediction
+    rows = conjugate_table(space, 0.7, 0.01)["rows"]
+    assert sum(bool(row["closed_form_match"]) for row in rows) == 53
+    close = [row for row in rows if abs(row["t"] - 0.0057950357689) < MATCH_TOL]
+    assert [row["closed_form_match"] for row in close] == ["", FAMILY_TAN]
+    assert close[0]["strictly_isotropic"] and not close[1]["isotropic_exists"]
 
 
 ANGLE = st.floats(min_value=0.0, max_value=2 * math.pi)

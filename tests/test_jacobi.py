@@ -162,22 +162,6 @@ def test_scan_times_match_closed_forms_to_roundoff(desc):
         assert abs(event.t - pred.t) <= 1e-12 * max(1.0, pred.t), (pred.t, event.t)
 
 
-def test_expm_budget_per_event(monkeypatch):
-    calls = []
-    expm = scipy.linalg.expm
-
-    def counting(a):
-        calls.append(_matrices(a))
-        return expm(a)
-
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
-    space = build_space("b13")
-    u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
-    events = conjugate_events(space, u, 6.0)
-    assert len(events) >= 5
-    assert sum(calls) <= 200 * len(events)
-
-
 def test_expm_is_looked_up_at_each_call(monkeypatch):
     # a binding patched onto scipy.linalg after the first exponential (as the
     # benchmark tracer does) still sees every later one
@@ -192,9 +176,8 @@ def test_expm_is_looked_up_at_each_call(monkeypatch):
     assert scan_conjugate_times(sys, 3.0) and len(calls) > 1
 
 
-def test_bisection_costs_one_expm_per_level(monkeypatch):
-    # samples take no exponential; those counted are Newton's, within the same
-    # per-event budget
+def test_newton_exponentials_per_event(monkeypatch):
+    # samples take no exponential, so every one counted is Newton's
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(_matrices(a)) or expm(a))
@@ -211,9 +194,9 @@ def test_bisection_costs_one_expm_per_level(monkeypatch):
         # rounds: Newton rounds allowed over the whole scan; three per Newton
         # call where a call converges that fast, the measured count otherwise.
         # The samples take no exponential, so every call is a Newton round
-        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine dips, no close-zero search
+        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine runs, no close-zero search
         ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3, 6),  # one search
-        ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 dips, 57 search; the first call takes 10 rounds
+        ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 runs, 57 search; the first call takes 9 rounds
     ],
 )
 def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
@@ -222,15 +205,15 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     calls, newtons = [], []  # matrices per expm call; (rows, matrices per call) per Newton
-    starts = []  # Newton starts each dip yields
+    starts = []  # Newton starts each run yields
     expm, newton, refine = jacobi._expm, jacobi._newton, jacobi._refine
 
     def counting_refine(*args):
-        dip, reply, index = refine(*args), None, len(starts)
+        run, reply, index = refine(*args), None, len(starts)
         starts.append(0)
         while True:
             try:
-                row = dip.send(reply)
+                row = run.send(reply)
             except StopIteration as done:
                 return done.value
             starts[index] += 1
@@ -251,13 +234,38 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     assert len(calls) == sum(len(stacks) for _, stacks in newtons)
     for rows, stacks in newtons:
         assert stacks[0] == rows and stacks == sorted(stacks, reverse=True)
-    # Newton call r carries the r-th start of every dip that is still searching:
-    # first every dip's lowest sample, then each one's next close-zero search
+    # Newton call r carries the r-th start of every run that is still searching:
+    # first every run's lowest sample, then each one's next close-zero search
     assert [rows for rows, _ in newtons] == [
         sum(count > r for count in starts) for r in range(max(starts))
     ]
     assert len(calls) <= rounds  # Python-level Newton rounds
     assert sum(calls) <= 3 * sum(starts)  # exponentials per Newton start
+
+
+def test_newton_ends_unlanded_in_a_zero_free_bracket(monkeypatch):
+    # sigma_min > 0.049 on [0.05, 0.1]: Newton bisects towards the lower end
+    # until the bracket collapses there, lands nowhere, and its last probe has
+    # no singular value below the multiplicity cutoff, so the run gives no event
+    space = build_space("b13")
+    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
+    calls, expm = [], jacobi._expm
+    monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
+    probe, landed = jacobi._newton(sys, *np.array([[0.05], [0.1], [0.075]]))
+    sv = probe[1][0]
+    assert not landed[0] and abs(probe[0][0] - 0.05) <= 1e-14
+    assert sv[-1] > 0.049 and not np.any(sv < jacobi.MULTIPLICITY_RTOL * sv[0])
+    assert sum(calls) <= jacobi._MAX_NEWTON
+    ts, calls[:] = np.linspace(0.05, 0.1, 5), []
+    run, reply, starts = jacobi._refine(sys, ts, jacobi._sigma_min(sys, ts), 1.0), None, 0
+    with pytest.raises(StopIteration) as done:
+        while True:
+            start = run.send(reply)
+            starts += 1
+            probes, landed = jacobi._newton(sys, *np.array([start]).T)
+            reply = tuple(column[0] for column in probes), landed[0]
+    assert done.value.value == [] and starts == 2  # the lowest sample, then the other end
+    assert sum(calls) <= starts * jacobi._MAX_NEWTON
 
 
 SAMPLED_GEODESICS = [
@@ -351,7 +359,7 @@ SCALAR_NEWTON_INPUTS = [(desc, theta, aux, 6.0) for desc, theta, aux in SAMPLED_
 
 @pytest.mark.parametrize("desc,theta,aux,t_max", SCALAR_NEWTON_INPUTS)
 def test_lockstep_newton_matches_scalar_newton(desc, theta, aux, t_max):
-    # every dip refined at once gives the events of one Newton per dip, bit for bit
+    # every run refined at once gives the events of one Newton per run, bit for bit
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     got, want = scan_conjugate_times(sys, t_max), scan_by_scalar_newton(sys, t_max)
@@ -378,7 +386,7 @@ def test_scan_flags_match_two_pass_classification(desc, theta, aux, t_max):
     "theta,aux,t_max",
     [
         (0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0),
-        # the last dip starts past t_max: it is not refined, so not classified
+        # the last run starts past t_max: it is not refined, so not classified
         (
             1.0177711855734826,
             {"phi1": 0.1594931532923511, "phi2": 4.393609603929916},
@@ -436,7 +444,7 @@ def test_jumps_cut_the_sigma_min_batches_per_scan(monkeypatch, desc, theta, aux,
 
 
 def test_every_event_is_a_zero_on_w7():
-    # a Newton start that stops on an end of its dip without landing is no
+    # a Newton start that stops on an end of its run without landing is no
     # event (_refine); reported, such probes put events at t = 3.6063835159
     # and 3.9473038178 here, where sigma_min / sigma_max is 1.2e-9 and 4.3e-8.
     # The counts are those of midpoint bisection; Newton lands at a relative
