@@ -9,9 +9,13 @@ new sample placed where the zero-free zone certified from an end of a
 suspicious interval stops, else at its midpoint (see _samples);
 Newton's method on sigma_min, on E(t) = exp(tA) of the 2n x 2n companion
 matrix A, refines each remaining run of suspicious intervals, bracketed by
-the run, in rounds of stacked starts (see scan_conjugate_times).  Each
-refined event is classified where it is found, from its kernel rows
-(classify_isotropy), so scans return finished events.
+the run, in rounds of stacked starts (see scan_conjugate_times).  A run's
+first start is the zero its samples predict: sigma_min' = +-1 and sigma_min''
+= 0 at a zero, so the predictions lo + f_lo and hi - f_hi of a cell [lo, hi]
+around one zero agree to O((hi - lo)^3); where they agree to Newton's own
+landing tolerance their mean is the start, else the run's lowest sample is
+(see _refine).  Each refined event is classified where it is found, from its
+kernel rows (classify_isotropy), so scans return finished events.
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -234,14 +238,25 @@ def _newton(sys: JacobiSystem, lo, hi, t):
 
 def _refine(sys: JacobiSystem, ts, fs, lip: float):
     """Generator of the classified events in one run of suspicious cells, sampled
-    as sigma_min(ts) = fs: it yields Newton starts (lo, hi, t), the first from
-    the lowest sample with the whole run as bracket, is sent each one's (probe,
-    landed) and returns its events.  At a zero t*, another singular value
-    sigma_i(t*) <= lip * (distance to the far end of the run) might vanish in
-    the run too: one Newton step along sigma_i' predicts where, and the next
-    start refines the prediction.  A first probe that stops on an end of the
-    run with sigma_min' pointing out of it, without landing, has found no zero:
-    it is no event, and the run starts once more from its other end."""
+    as sigma_min(ts) = fs: it yields Newton starts (lo, hi, t), the first with
+    the whole run as bracket, is sent each one's (probe, landed) and returns
+    its events.  The first start is where the samples put the zero.  At a zero
+    z every singular value that vanishes has slope +-1 (by the energy and the
+    Wronskian of scan_conjugate_times, J' maps Ker J isometrically onto the
+    cokernel), so sigma_min' = +-1 and sigma_min'' = 0 there (_samples), and in
+    a cell [lo, hi] around one zero the predictions lo + f_lo and hi - f_hi are
+    z up to O((hi - lo)^3) plus the sample error.  Of the two cells next to the
+    lowest sample, the one whose predictions agree better gives their mean
+    (lo + hi)/2 + (f_lo - f_hi)/2 when they agree to Newton's landing tolerance
+    _NEWTON_RTOL * lo and the mean lies in the cell; Newton then lands in one
+    exponential.  Otherwise (a close pair, a wide cell, a zero-free run) the
+    start is the lowest sample.  At a zero t*, another
+    singular value sigma_i(t*) <= lip * (distance to the far end of the run)
+    might vanish in the run too: one Newton step along sigma_i' predicts where,
+    and the next start refines the prediction.  A first probe that stops on an
+    end of the run with sigma_min' pointing out of it, without landing, has
+    found no zero: it is no event, and the run starts once more from its other
+    end."""
     k = int(np.argmin(fs))
 
     def stuck(probe, landed) -> bool:
@@ -250,7 +265,13 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
         end = ts[0] if slope > 0 else ts[-1]
         return not landed and slope != 0 and abs(end - t) <= _NEWTON_RTOL * t
 
-    probe, landed = yield ts[0], ts[-1], ts[k]
+    start = ts[k]
+    cells = [(ts[i], ts[i + 1], fs[i], fs[i + 1]) for i in (k - 1, k) if 0 <= i < len(ts) - 1]
+    lo, hi, f_lo, f_hi = min(cells, key=lambda cell: abs(cell[1] - cell[0] - cell[2] - cell[3]))
+    vertex = 0.5 * (lo + hi) + 0.5 * (f_lo - f_hi)
+    if abs(hi - lo - f_lo - f_hi) <= _NEWTON_RTOL * lo and lo <= vertex <= hi:
+        start = vertex  # lo + f_lo and hi - f_hi agree to Newton's landing tolerance
+    probe, landed = yield ts[0], ts[-1], start
     if stuck(probe, landed):  # restart once from the other end, in the same bracket
         probe, landed = yield ts[0], ts[-1], ts[-1] if probe[3][-1] > 0 else ts[0]
     found = [] if stuck(probe, landed) else [probe]
@@ -404,8 +425,9 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     close-zero brackets (radius |guess - t|/4) keep its events above its start
     minus a third of its width, where the range is certified zero-free or in
     earlier runs.  Each round stacks the next Newton start (lo, hi, t) of every
-    run still searching, its lowest sample first (then once its other end, if
-    that start stopped on an end of the run without landing: see _refine) and
+    run still searching, first the zero its samples predict or else its lowest
+    sample (see _refine; then once its other end, if that start stopped on an
+    end of the run without landing) and
     then its close-zero predictions, into one safeguarded Newton on exp(tA)
     (_newton) to a relative step of 1e-14, and sends each row's probe back to
     its run.

@@ -403,13 +403,17 @@ def classify_two_pass(sys, kernel) -> tuple[bool, bool]:
 
 def refine_scalar(sys, ts, fs, lip):
     """The zeros in one run of suspicious cells (fs = sigma_min(ts)) by scalar
-    Newton from the lowest sample, bracketed by the whole run, then a Newton
-    from each close zero that another singular value predicts within lip times
-    the distance to the far end of the run; events are classified by
-    classify_two_pass.  A first Newton that stops on an end of the run,
-    sigma_min' pointing out of it, without landing is no event: the run starts
-    again from its other end, in the same bracket, and that probe counts
-    unless it fails the same way."""
+    Newton, bracketed by the whole run, then a Newton from each close zero that
+    another singular value predicts within lip times the distance to the far
+    end of the run; events are classified by classify_two_pass.  The first
+    Newton starts from the lowest sample k, unless a cell [ts[i], ts[i + 1]]
+    next to it (i = k - 1 or k, the one with the smaller |ts[i + 1] - ts[i] -
+    fs[i] - fs[i + 1]|) predicts its zero from both ends, ts[i] + fs[i] and
+    ts[i + 1] - fs[i + 1], to within _NEWTON_RTOL * ts[i]: then it starts from
+    the mean of the two predictions if that lies in the cell.  A first Newton
+    that stops on an end of the run, sigma_min' pointing out of it, without
+    landing is no event: the run starts again from its other end, in the same
+    bracket, and that probe counts unless it fails the same way."""
     from homogeodesy.jacobi import _NEWTON_RTOL, MULTIPLICITY_RTOL, ConjugateEvent
 
     def stuck_at_end(probe, landed):
@@ -419,7 +423,18 @@ def refine_scalar(sys, ts, fs, lip):
             or (slope < 0 and ts[-1] - t <= _NEWTON_RTOL * t)
         )
 
-    probe, landed = newton_scalar(sys, ts[0], ts[-1], ts[int(np.argmin(fs))])
+    k = int(np.argmin(fs))
+    start, best = ts[k], math.inf
+    for i in (k - 1, k):
+        if i < 0 or i + 1 >= len(ts):
+            continue
+        gap = abs(ts[i + 1] - ts[i] - fs[i] - fs[i + 1])  # between the two predictions
+        if gap < best:
+            best, cell = gap, i
+    mean = 0.5 * (ts[cell] + ts[cell + 1]) + 0.5 * (fs[cell] - fs[cell + 1])
+    if best <= _NEWTON_RTOL * ts[cell] and ts[cell] <= mean <= ts[cell + 1]:
+        start = mean
+    probe, landed = newton_scalar(sys, ts[0], ts[-1], start)
     if stuck_at_end(probe, landed):
         other = ts[-1] if probe[3][-1] > 0 else ts[0]
         probe, landed = newton_scalar(sys, ts[0], ts[-1], other)

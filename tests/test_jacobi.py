@@ -188,15 +188,66 @@ def test_newton_exponentials_per_event(monkeypatch):
     assert sum(calls) <= 20 * len(events)
 
 
+def test_one_newton_exponential_per_simple_event(monkeypatch):
+    # each run holds one zero (of multiplicity 1, 3 or 6) and two samples within
+    # about 1e-11 of it, whose predictions t + sigma_min and t - sigma_min agree
+    # to Newton's landing tolerance: Newton starts there and lands at once, so
+    # the whole scan takes one Newton round of one exponential per event
+    calls = []
+    expm = jacobi._expm
+    monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
+    space = build_space("b13")
+    u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
+    events = conjugate_events(space, u, 6.0)
+    assert len(events) == 9
+    assert calls == [len(events)]
+
+
+def test_close_pair_starts_newton_on_its_lowest_sample(monkeypatch):
+    # zeros 2.8e-7 apart near t = pi are reported as one event of multiplicity
+    # 4; the cells next to their run's lowest sample predict no single zero, so
+    # Newton starts on that sample and the rotated direction reports the same
+    # time.  Started from the mean of two disagreeing predictions, one side
+    # reported 3.1415926 and the other 3.1415923
+    space = build_space("b13")
+    u = geodesic_pair(space, 0.015625, {"phi1": 0.0, "phi2": 0.0})[0]
+    z = np.zeros(space.algebra.dim)
+    z[list(space.k_indices)[-1]] = 1.0
+    rotated = ad_orbit_direction(space, z, u, 1.0)
+    firsts, refine = [], jacobi._refine  # (run's ends, lowest sample, first start)
+
+    def recording_refine(sys, ts, fs, lip):
+        run = refine(sys, ts, fs, lip)
+        row = next(run)
+        firsts.append((ts[0], ts[-1], ts[np.argmin(fs)], row[2]))
+        while True:
+            reply = yield row
+            try:
+                row = run.send(reply)
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(jacobi, "_refine", recording_refine)
+    before, after = conjugate_events(space, u, 6.0), conjugate_events(space, rotated, 6.0)
+    kinds = [[(ev.multiplicity, ev.isotropic_exists, ev.strictly_isotropic) for ev in events]
+             for events in (before, after)]
+    assert kinds[0] == kinds[1]
+    np.testing.assert_allclose([ev.t for ev in after], [ev.t for ev in before], rtol=0, atol=1e-8)
+    pair = [ev.t for ev in before if abs(ev.t - math.pi) < 1e-5]
+    assert len(pair) == 1
+    runs = [(lowest, start) for lo, hi, lowest, start in firsts if lo <= pair[0] <= hi]
+    assert len(runs) == 2 and all(lowest == start for lowest, start in runs)
+
+
 @pytest.mark.parametrize(
     "desc,theta,aux,t_max,rounds",
     [
         # rounds: Newton rounds allowed over the whole scan; three per Newton
-        # call where a call converges that fast, the measured count otherwise.
-        # The samples take no exponential, so every call is a Newton round
-        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine runs, no close-zero search
+        # call on b13, twice the measured count otherwise.  The samples take no
+        # exponential, so every call is a Newton round
+        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine runs, each lands in 1 round
         ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3, 6),  # one search
-        ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 runs, 57 search; the first call takes 9 rounds
+        ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 runs, 57 search; 4 + 2 rounds
     ],
 )
 def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
@@ -235,7 +286,8 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
     for rows, stacks in newtons:
         assert stacks[0] == rows and stacks == sorted(stacks, reverse=True)
     # Newton call r carries the r-th start of every run that is still searching:
-    # first every run's lowest sample, then each one's next close-zero search
+    # first every run's predicted zero (or its lowest sample), then each one's
+    # next close-zero search
     assert [rows for rows, _ in newtons] == [
         sum(count > r for count in starts) for r in range(max(starts))
     ]
