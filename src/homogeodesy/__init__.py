@@ -16,7 +16,6 @@ from .algebra import (
     bracket,
     check_biinvariance,
     jacobi_identity_residual,
-    structure_to_csv,
 )
 from .catalog import (
     BadParams,

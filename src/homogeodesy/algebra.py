@@ -8,8 +8,6 @@ the Gram matrix; the complex matrices are only touched at assembly time.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +18,6 @@ from .matrices import block_offsets
 CLOSURE_TOL = 1e-10
 BIINVARIANCE_TOL = 1e-10
 MAX_VIOLATIONS = 200  # violations listed by check_biinvariance, largest first
-CSV_TOL = 1e-12  # structure constants at or below this are left out of the CSV
 
 
 class AlgebraError(RuntimeError):
@@ -195,17 +192,6 @@ class AlgebraElement:
     def matrix(self) -> np.ndarray:
         return self.algebra.matrix_of(self.coeffs)
 
-    def norm(self) -> float:
-        return self.algebra.norm(self.coeffs)
-
-    def __repr__(self):
-        terms = [
-            f"{c:+.4g}*{lbl}"
-            for c, lbl in zip(self.coeffs, self.algebra.labels)
-            if abs(c) > 1e-12
-        ]
-        return f"<{' '.join(terms) or '0'}>"
-
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """[x, y] through the precomputed structure tensor."""
@@ -368,14 +354,3 @@ def algebra_from_json(doc: dict) -> StructuredAlgebra:
         scale=doc["gram_rule"]["scale"],
     )
     return assemble_algebra(basis, rule, name=doc.get("name", "algebra"))
-
-
-def structure_to_csv(alg: StructuredAlgebra) -> str:
-    """Sparse (i, j, k, value) triples of the structure tensor as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["i", "j", "k", "value"])
-    c = alg.structure
-    for i, j, k in np.argwhere(np.abs(c) > CSV_TOL):
-        writer.writerow([i, j, k, f"{c[i, j, k]:.12g}"])
-    return buf.getvalue()

@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import AlgebraElement, StructuredAlgebra
+from .algebra import StructuredAlgebra
 
 VALIDATION_TOL = 1e-10
 PLANE_TOL = 1e-14
@@ -219,13 +219,9 @@ class PlaneSpec:
 # -- operations ------------------------------------------------------------
 
 
-def _coeffs(x) -> np.ndarray:
-    return x.coeffs if isinstance(x, AlgebraElement) else np.asarray(x, dtype=float)
-
-
 def project(space: ReductiveSpace, x, part: str) -> np.ndarray:
     """Orthogonal projection onto an indexed subspace (coordinate masking)."""
-    coeffs = _coeffs(x)
+    coeffs = np.asarray(x, dtype=float)
     idx = space.part_indices(part)
     out = np.zeros_like(coeffs)
     out[idx] = coeffs[idx]
@@ -234,14 +230,14 @@ def project(space: ReductiveSpace, x, part: str) -> np.ndarray:
 
 def torsion_op(space: ReductiveSpace, u) -> np.ndarray:
     """Matrix of x -> -[u, x]_m on the m-basis coordinates."""
-    ad = space.algebra.ad(_coeffs(u))
+    ad = space.algebra.ad(u)
     m = space.part_indices("M")
     return -ad[np.ix_(m, m)]
 
 
 def jacobi_op(space: ReductiveSpace, u) -> np.ndarray:
     """Matrix of x -> [[u, x]_k, u] on the m-basis coordinates."""
-    ad = space.algebra.ad(_coeffs(u))
+    ad = space.algebra.ad(u)
     k = space.part_indices("K")
     m = space.part_indices("M")
     if len(k) == 0:
@@ -274,7 +270,7 @@ class BracketKernel:
     f = |sigma M|^2 / |sigma|^2 is GL(2)-invariant as computed, and any two
     vectors spanning the plane may be passed in.
 
-    The derivatives (orders 1 and 2) store B as an (n, n*p) matrix: B(x, .)
+    The derivatives (`second_order`) store B as an (n, n*p) matrix: B(x, .)
     is one GEMM and, B being antisymmetric, B(., y) = -B(y, .) is another.
     With z = (x, y) and J = [-B(y, .); B(x, .)], the gradient is exact:
     dN/dz = 2 J B(x, y) and df/dz = (dN/dz - f d(area^2)/dz) / area^2.
@@ -320,11 +316,6 @@ class BracketKernel:
         """f at each row pair."""
         return self._evaluate(xs, ys, 0)[0]
 
-    def value_and_gradient(self, xs: np.ndarray, ys: np.ndarray):
-        """f, df/dx and df/dy at each row pair."""
-        f, g, _ = self._evaluate(xs, ys, 1)
-        return f, g[:, : self.n], g[:, self.n :]
-
     def second_order(self, xs: np.ndarray, ys: np.ndarray):
         """f, df/d(x, y) and the projected Hessian P H P at orthonormal row pairs."""
         return self._evaluate(xs, ys, 2)
@@ -342,9 +333,8 @@ class BracketKernel:
                 num = np.einsum("cn,cn->n", bxy, bxy)
                 f[lo : lo + KERNEL_BLOCK] = num / np.einsum("kn,kn->n", sigma, sigma)
             return f, None, None
-        g = np.empty((count, 2 * n))
-        h = np.empty((count, 2 * n, 2 * n)) if order == 2 else None
-        block = KERNEL_BLOCK if order < 2 else max(1, HESSIAN_BLOCK // (2 * n) ** 2)
+        g, h = np.empty((count, 2 * n)), np.empty((count, 2 * n, 2 * n))
+        block = max(1, HESSIAN_BLOCK // (2 * n) ** 2)
         for lo in range(0, count, block):
             rows = slice(lo, lo + block)
             x, y = xs[rows], ys[rows]
@@ -360,18 +350,17 @@ class BracketKernel:
             jac = np.concatenate([-by, bx], axis=1)
             darea2 = 2.0 * np.concatenate([yy * x - xy * y, xx * y - xy * x], axis=1)
             g[rows] = (2.0 * np.einsum("nac,nc->na", jac, bxy) - fb * darea2) / area2
-            if order == 2:
-                # B(x, x) = B(y, y) = 0, so P J = J - (x; y) B(x, y)^T
-                jac -= np.concatenate([x, y], axis=1)[:, :, None] * bxy[:, None]
-                hb = np.matmul(jac, jac.transpose(0, 2, 1), out=h[rows])
-                q = np.eye(n) - x[:, :, None] * x[:, None] - y[:, :, None] * y[:, None]
-                qcq = q @ (bxy @ self._contract).reshape(len(x), n, n) @ q
-                hb[:, :n, n:] += qcq
-                hb[:, n:, :n] -= qcq
-                fq = fb[:, :, None] * q
-                hb[:, :n, :n] -= fq
-                hb[:, n:, n:] -= fq
-                hb *= 2.0
+            # B(x, x) = B(y, y) = 0, so P J = J - (x; y) B(x, y)^T
+            jac -= np.concatenate([x, y], axis=1)[:, :, None] * bxy[:, None]
+            hb = np.matmul(jac, jac.transpose(0, 2, 1), out=h[rows])
+            q = np.eye(n) - x[:, :, None] * x[:, None] - y[:, :, None] * y[:, None]
+            qcq = q @ (bxy @ self._contract).reshape(len(x), n, n) @ q
+            hb[:, :n, n:] += qcq
+            hb[:, n:, :n] -= qcq
+            fq = fb[:, :, None] * q
+            hb[:, :n, :n] -= fq
+            hb[:, n:, n:] -= fq
+            hb *= 2.0
         return f, g, h
 
 
@@ -528,7 +517,7 @@ def _span_residual(vectors: np.ndarray, gram: np.ndarray, tested: np.ndarray) ->
 
 def lts_check(space: ReductiveSpace, vectors) -> LtsReport:
     """Verify nu is a Lie triple system and that nu + [nu,nu]_k closes."""
-    vs = np.array([_coeffs(v) for v in vectors], dtype=float)
+    vs = np.array(vectors, dtype=float)
     alg = space.algebra
     c = alg.structure
     pairs = np.einsum("ai,bj,ijk->abk", vs, vs, c).reshape(-1, alg.dim)

@@ -236,7 +236,7 @@ def _newton(sys: JacobiSystem, lo, hi, t):
     return probes, landed
 
 
-def _refine(sys: JacobiSystem, ts, fs, lip: float):
+def _refine(sys: JacobiSystem, ts, fs):
     """Generator of the classified events in one run of suspicious cells, sampled
     as sigma_min(ts) = fs: it yields Newton starts (lo, hi, t), the first with
     the whole run as bracket, is sent each one's (probe, landed) and returns
@@ -250,11 +250,10 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
     (lo + hi)/2 + (f_lo - f_hi)/2 when they agree to Newton's landing tolerance
     _NEWTON_RTOL * lo and the mean lies in the cell; Newton then lands in one
     exponential.  Otherwise (a close pair, a wide cell, a zero-free run) the
-    start is the lowest sample.  At a zero t*, another
-    singular value sigma_i(t*) <= lip * (distance to the far end of the run)
-    might vanish in the run too: one Newton step along sigma_i' predicts where,
-    and the next start refines the prediction.  A first probe that stops on an
-    end of the run with sigma_min' pointing out of it, without landing, has
+    start is the lowest sample.  At a zero t*, another singular value might
+    vanish in the run too: one Newton step along sigma_i' predicts where, and a
+    prediction inside the run is the next start.  A first probe that stops on
+    an end of the run with sigma_min' pointing out of it, without landing, has
     found no zero: it is no event, and the run starts once more from its other
     end."""
     k = int(np.argmin(fs))
@@ -284,14 +283,13 @@ def _refine(sys: JacobiSystem, ts, fs, lip: float):
         kernel_on = vt[sys.n - mult :]
         flags = classify_isotropy(sys, kernel_on)
         events.append(ConjugateEvent(float(t), mult, sys.space.from_frame(kernel_on), *flags))
-        reach = lip * max(t - ts[0], ts[-1] - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
-            if value >= reach or not slope:
+            guess = t - value / slope if slope else ts[-1]  # a flat sigma_i predicts nothing
+            if not ts[0] < guess < ts[-1]:
                 continue
-            guess = t - value / slope
             radius = 0.25 * abs(guess - t)  # scan_conjugate_times relies on this reach
             known = [ev.t for ev in events] + [other[0] for other in found]
-            if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
+            if all(abs(guess - tk) > radius for tk in known):
                 probe, landed = yield guess - radius, guess + radius, guess
                 if landed:
                     found.append(probe)
@@ -441,10 +439,10 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     if not t_max / step <= MAX_GRID_POINTS:
         raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
 
-    ts, fs, suspicious, lip, _ = _samples(sys, t_max, step)
+    ts, fs, suspicious, _, _ = _samples(sys, t_max, step)
     edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
     runs = [  # one _refine per run that starts by t_max
-        _refine(sys, ts[a : b + 1], fs[a : b + 1], lip)
+        _refine(sys, ts[a : b + 1], fs[a : b + 1])
         for a, b in zip(edges[::2], edges[1::2])
         if ts[a] <= t_max + 1e-12
     ]

@@ -97,10 +97,10 @@ def naturally_reductive_curvature(space, x, y) -> float:
 def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter: int = 400):
     """Reference multistart optimizer: one sign per call, two kernel calls per step.
 
-    Same step rules as homogeneous.optimize_pairs, but each step evaluates the
+    Gradient ascent of sign * f with an adaptive step: each step evaluates the
     gradient at the current pairs and f at the trial pairs.  The library's
-    optimizer must reproduce it row for row, bit for bit: its rows, one sign
-    after the other, are runs of this loop.  Returns f and the ON-frame pairs.
+    Newton optimizer must reach the same best f per sign, and no worse beyond
+    rounding.  Returns f and the ON-frame pairs.
     """
     from homogeodesy.homogeneous import _orthonormalize
 
@@ -111,7 +111,8 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
         idx = np.flatnonzero(step > 1e-10)
         if not len(idx):
             break
-        _, gx, gy = kernel.value_and_gradient(xs[idx], ys[idx])
+        _, g, _ = kernel.second_order(xs[idx], ys[idx])
+        gx, gy = g[:, : kernel.n], g[:, kernel.n :]
         gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
         scale = (sign * step[idx] / gnorm)[:, None]
         nx, ny = _orthonormalize(xs[idx] + scale * gx, ys[idx] + scale * gy)
@@ -401,16 +402,16 @@ def classify_two_pass(sys, kernel) -> tuple[bool, bool]:
     return bool(sv[-1] < RANK_TOL), bool(sv[0] < RANK_TOL)
 
 
-def refine_scalar(sys, ts, fs, lip):
+def refine_scalar(sys, ts, fs):
     """The zeros in one run of suspicious cells (fs = sigma_min(ts)) by scalar
     Newton, bracketed by the whole run, then a Newton from each close zero that
-    another singular value predicts within lip times the distance to the far
-    end of the run; events are classified by classify_two_pass.  The first
-    Newton starts from the lowest sample k, unless a cell [ts[i], ts[i + 1]]
-    next to it (i = k - 1 or k, the one with the smaller |ts[i + 1] - ts[i] -
-    fs[i] - fs[i + 1]|) predicts its zero from both ends, ts[i] + fs[i] and
-    ts[i + 1] - fs[i + 1], to within _NEWTON_RTOL * ts[i]: then it starts from
-    the mean of the two predictions if that lies in the cell.  A first Newton
+    another singular value predicts inside the run; events are classified by
+    classify_two_pass.  The first Newton starts from the lowest sample k,
+    unless a cell [ts[i], ts[i + 1]] next to it (i = k - 1 or k, the one with
+    the smaller |ts[i + 1] - ts[i] - fs[i] - fs[i + 1]|) predicts its zero
+    from both ends, ts[i] + fs[i] and ts[i + 1] - fs[i + 1], to within
+    _NEWTON_RTOL * ts[i]: then it starts from the mean of the two predictions
+    if that lies in the cell.  A first Newton
     that stops on an end of the run, sigma_min' pointing out of it, without
     landing is no event: the run starts again from its other end, in the same
     bracket, and that probe counts unless it fails the same way."""
@@ -447,9 +448,8 @@ def refine_scalar(sys, ts, fs, lip):
             continue
         kernel = sys.space.from_frame(vt[sys.n - mult :])
         events.append(ConjugateEvent(float(t), mult, kernel, *classify_two_pass(sys, kernel)))
-        reach = lip * max(t - ts[0], ts[-1] - t)
         for value, slope in zip(sv[: sys.n - mult], slopes):
-            if value >= reach or not slope:
+            if not slope:
                 continue
             guess = t - value / slope
             radius = 0.25 * abs(guess - t)
@@ -466,10 +466,10 @@ def scan_by_scalar_newton(sys, t_max: float):
     its own by scalar Newton (refine_scalar), on the same samples."""
     from homogeodesy.jacobi import _samples, default_scan_step
 
-    ts, fs, suspicious, lip, _ = _samples(sys, t_max, default_scan_step(sys))
+    ts, fs, suspicious, _, _ = _samples(sys, t_max, default_scan_step(sys))
     events = []
     edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
     for first, last in zip(edges[::2], edges[1::2]):
-        run = refine_scalar(sys, ts[first : last + 1], fs[first : last + 1], lip)
+        run = refine_scalar(sys, ts[first : last + 1], fs[first : last + 1])
         events += [ev for ev in run if ev.t <= t_max + 1e-12]
     return events

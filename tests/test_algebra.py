@@ -18,7 +18,6 @@ from homogeodesy.algebra import (
     check_biinvariance,
     jacobi_identity_residual,
     reconstruction_residual,
-    structure_to_csv,
 )
 from homogeodesy.catalog import build_b13, build_space, su_algebra
 from homogeodesy.matrices import a_matrix, b_matrix, c_matrix
@@ -116,15 +115,6 @@ def test_json_roundtrip():
     np.testing.assert_allclose(back.structure, alg.structure, atol=1e-12)
     np.testing.assert_allclose(back.gram, alg.gram, atol=1e-12)
     assert back.labels == alg.labels
-
-
-def test_structure_csv_has_sparse_triples():
-    alg = su_algebra(2)
-    text = structure_to_csv(alg)
-    lines = text.strip().splitlines()
-    assert lines[0] == "i,j,k,value"
-    # su(2): 3 nonzero brackets, each antisymmetric pair -> 6 triples
-    assert len(lines) == 7
 
 
 def test_basis_matrix_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import homogeodesy.catalog as catalog
 from homogeodesy.algebra import algebra_from_json, algebra_to_json
 from homogeodesy.catalog import (
     BadParams,
@@ -12,6 +13,7 @@ from homogeodesy.catalog import (
     parse_descriptor,
     symmetric_conjugate_times,
 )
+from homogeodesy.cli import main
 from homogeodesy.homogeneous import BracketKernel, DegeneratePlane, sectional_curvature
 
 
@@ -51,6 +53,33 @@ def test_tangent_dimensions(desc, dim_m):
 def test_bad_params(text):
     with pytest.raises(BadParams):
         build_space(text)
+
+
+@pytest.mark.parametrize("desc,key", [("berger:m=1000,s=0.5", "m"), ("round:n=1000", "n")])
+def test_oversized_integer_parameter_exit_code(capsys, monkeypatch, desc, key):
+    # the commutator table of berger:m=1000 alone would hold 1e18 numbers: the
+    # descriptor is refused before any builder runs, so a builder that raises
+    # stands in for the allocation
+    family = desc.partition(":")[0]
+
+    def builder(**params):
+        raise AssertionError(f"{family} was built with {params}")
+
+    monkeypatch.setitem(catalog._FAMILIES, family, (builder, catalog._FAMILIES[family][1]))
+    assert main(["verify", desc]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} = 1000 exceeds")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_integer_parameters_are_admitted_up_to_their_largest():
+    for family, (_, spec) in catalog._FAMILIES.items():
+        for key, (typ, _, largest) in spec.items():
+            if typ is int:
+                assert dict(parse_descriptor(f"{family}:{key}={largest}").params)[key] == largest
+                with pytest.raises(BadParams, match="exceeds"):
+                    parse_descriptor(f"{family}:{key}={largest + 1}")
 
 
 def test_bad_descriptor_grammar():

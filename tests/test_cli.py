@@ -14,6 +14,7 @@ import homogeodesy
 import homogeodesy.cli as cli
 import homogeodesy.report as report
 from homogeodesy.cli import NonFiniteOutput, main
+from homogeodesy.closed_form import Mismatch
 
 
 def run_cli(capsys, *argv):
@@ -365,3 +366,52 @@ def test_pinching_cli_refuses_csv_for_a_single_space(capsys):
     assert captured.out == ""
     assert "--format csv" in captured.err and "--family" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_pinching_curve_csv_prints_a_header_and_one_row_per_s(capsys):
+    code, out = run_cli(
+        capsys, "pinching", "--family", "spsphere", "--m", "1", "--grid", "0.5,1",
+        "--multistarts", "8", "--format", "csv",
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["s", "delta_measured", "delta_formula", "rel_error", "converged"]
+    assert [float(row[0]) for row in rows[1:]] == [0.5, 1.0]
+
+
+def test_pinching_family_without_grid_exit_code(capsys):
+    assert main(["pinching", "--family", "berger"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "--grid is required with --family\n"
+
+
+def test_failed_verify_exit_code(capsys, monkeypatch):
+    failed = {"pass": False, "failed": ["jacobi"], "checks": {}}
+    monkeypatch.setattr(cli, "run_verify", lambda *args, **kwargs: failed)
+    code = main(["verify", "b13"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["pass"] is False
+    assert captured.err == "verification failed: jacobi\n"
+
+
+def test_failed_reproduce_exit_code(capsys, monkeypatch):
+    failed = {"theorem": "conj", "cells": [], "pass": False}
+    monkeypatch.setattr(cli, "reproduce", lambda *args, **kwargs: failed)
+    code = main(["reproduce", "conj"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["pass"] is False
+    assert captured.err == "reproduction of conj failed\n"
+
+
+def test_mismatch_exit_code(capsys, monkeypatch):
+    def mismatch(*args):
+        raise Mismatch("closed-form time 1.5 has no event")
+
+    monkeypatch.setattr(cli, "conjugate_table", mismatch)
+    code = main(["conjugate", "b13"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "mismatch: closed-form time 1.5 has no event\n"

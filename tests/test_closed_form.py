@@ -22,7 +22,7 @@ from homogeodesy.closed_form import (
     solve_tan_family,
 )
 from homogeodesy.jacobi import conjugate_events, geodesic_pair
-from homogeodesy.report import conjugate_table
+from homogeodesy.report import conjugate_table, reproduce
 
 from oracles import ad_orbit_direction, bisect_tan_root
 
@@ -250,6 +250,22 @@ def test_cross_validate_cimp1_families():
         for c in cv2.closed_form
     )
     assert cv2.all_matched
+
+
+def test_reproduce_cimp1_sweep():
+    # m in {1, 2} x kappa in {1, 2} x phi in {0, 0.7}: the vertical 2-plane has
+    # lambda = 8 kappa and the mixed pair lambda = 2 kappa
+    doc = reproduce("cimp1")
+    assert doc["theorem"] == "cimp1" and doc["pass"] is True
+    assert len(doc["cells"]) == 8
+    for cell in doc["cells"]:
+        kappa = build_space(cell["space"]).params["kappa"]
+        assert cell["pass"] is True and "error" not in cell
+        assert abs(cell["lambda_plane"] - 8 * kappa) <= 1e-9 * 8 * kappa
+        assert abs(cell["lambda_mixed"] - 2 * kappa) <= 1e-9 * 2 * kappa
+    assert sorted({cell["space"] for cell in doc["cells"]}) == [
+        f"cpodd:m={m},kappa={kappa}" for m in (1, 2) for kappa in (1, 2)
+    ]
 
 
 def test_each_closed_form_time_is_paired_with_its_nearest_event():

@@ -208,7 +208,8 @@ def test_bracket_kernel_gradient_matches_central_differences(desc, weights):
     gen = np.random.default_rng(5)
     xs = gen.standard_normal((8, kernel.n))  # neither unit nor orthogonal
     ys = gen.standard_normal((8, kernel.n))
-    f, gx, gy = kernel.value_and_gradient(xs, ys)
+    f, g, _ = kernel.second_order(xs, ys)  # the gradient holds at any pair, not only ON ones
+    gx, gy = g[:, : kernel.n], g[:, kernel.n :]
     # f is homogeneous of degree 0 in x and in y, so f/|x| sets the gradient's scale
     scale = np.hypot(np.linalg.norm(gx, axis=1), np.linalg.norm(gy, axis=1)) + np.abs(f) * (
         1 / np.linalg.norm(xs, axis=1) + 1 / np.linalg.norm(ys, axis=1)
@@ -247,16 +248,22 @@ def test_value_is_gl2_invariant_on_raw_gaussian_pairs(desc):
 
 
 def test_bracket_kernel_blocks_agree_with_rows(rng):
-    # more rows than one block: every row must match its own one-row evaluation
+    # more rows than one block of either order: every row must match its own
+    # one-row evaluation
     space = build_space("berger:m=1,s=0.5")
     kernel = BracketKernel(space, 1.0, 0.25)
-    xs, ys = kernel.random_pairs(rng, 1100)
-    f, gx, gy = kernel.value_and_gradient(xs, ys)
-    for i in (0, 511, 512, 1099):
-        f1, gx1, gy1 = kernel.value_and_gradient(xs[i : i + 1], ys[i : i + 1])
+    block = max(1, homogeneous.HESSIAN_BLOCK // (2 * kernel.n) ** 2)  # rows per order-2 block
+    count = max(block, homogeneous.KERNEL_BLOCK) + 100
+    xs, ys = kernel.random_pairs(rng, count)
+    values, (f, g, h) = kernel.value(xs, ys), kernel.second_order(xs, ys)
+    for i in (0, homogeneous.KERNEL_BLOCK - 1, homogeneous.KERNEL_BLOCK, count - 1):
+        value = kernel.value(xs[i : i + 1], ys[i : i + 1])[0]
+        np.testing.assert_allclose(value, values[i], rtol=1e-12)
+    for i in (0, block - 1, block, count - 1):
+        f1, g1, h1 = kernel.second_order(xs[i : i + 1], ys[i : i + 1])
         np.testing.assert_allclose(f1[0], f[i], rtol=1e-12)
-        np.testing.assert_allclose(gx1[0], gx[i], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(gy1[0], gy[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g1[0], g[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(h1[0], h[i], rtol=1e-12, atol=1e-12)
 
 
 def test_lts_cp_fiber():
@@ -364,18 +371,15 @@ def test_projected_hessian_matches_central_differences(desc, weights):
     gen = np.random.default_rng(9)
     xs, ys = kernel.random_pairs(gen, 8)
     f, g, h = kernel.second_order(xs, ys)
-    f1, gx, gy = kernel.value_and_gradient(xs, ys)
-    np.testing.assert_allclose(f, f1, rtol=1e-13)
-    np.testing.assert_allclose(g, np.hstack([gx, gy]), rtol=0, atol=1e-13 * np.abs(g).max())
     # f is GL(2)-invariant: its gradient is already horizontal, and P H P symmetric
     np.testing.assert_allclose(_horizontal(xs, ys, g), g, rtol=0, atol=1e-13 * np.abs(g).max())
     np.testing.assert_allclose(h, h.transpose(0, 2, 1), rtol=0, atol=1e-13 * np.abs(h).max())
     # along horizontal z, P H z is the projected derivative of the exact gradient
     z = _horizontal(xs, ys, gen.standard_normal((8, 2 * n)))
     t = 1e-5
-    _, gxp, gyp = kernel.value_and_gradient(xs + t * z[:, :n], ys + t * z[:, n:])
-    _, gxm, gym = kernel.value_and_gradient(xs - t * z[:, :n], ys - t * z[:, n:])
-    fd = _horizontal(xs, ys, (np.hstack([gxp, gyp]) - np.hstack([gxm, gym])) / (2 * t))
+    _, gp, _ = kernel.second_order(xs + t * z[:, :n], ys + t * z[:, n:])
+    _, gm, _ = kernel.second_order(xs - t * z[:, :n], ys - t * z[:, n:])
+    fd = _horizontal(xs, ys, (gp - gm) / (2 * t))
     hz = np.einsum("nab,nb->na", h, z)
     scale = (np.abs(h).max(axis=(1, 2)) * np.linalg.norm(z, axis=1))[:, None]
     assert np.all(np.abs(fd - hz) <= 1e-7 * scale)

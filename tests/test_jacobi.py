@@ -216,8 +216,8 @@ def test_close_pair_starts_newton_on_its_lowest_sample(monkeypatch):
     rotated = ad_orbit_direction(space, z, u, 1.0)
     firsts, refine = [], jacobi._refine  # (run's ends, lowest sample, first start)
 
-    def recording_refine(sys, ts, fs, lip):
-        run = refine(sys, ts, fs, lip)
+    def recording_refine(sys, ts, fs):
+        run = refine(sys, ts, fs)
         row = next(run)
         firsts.append((ts[0], ts[-1], ts[np.argmin(fs)], row[2]))
         while True:
@@ -309,7 +309,7 @@ def test_newton_ends_unlanded_in_a_zero_free_bracket(monkeypatch):
     assert sv[-1] > 0.049 and not np.any(sv < jacobi.MULTIPLICITY_RTOL * sv[0])
     assert sum(calls) <= jacobi._MAX_NEWTON
     ts, calls[:] = np.linspace(0.05, 0.1, 5), []
-    run, reply, starts = jacobi._refine(sys, ts, jacobi._sigma_min(sys, ts), 1.0), None, 0
+    run, reply, starts = jacobi._refine(sys, ts, jacobi._sigma_min(sys, ts)), None, 0
     with pytest.raises(StopIteration) as done:
         while True:
             start = run.send(reply)
@@ -318,6 +318,25 @@ def test_newton_ends_unlanded_in_a_zero_free_bracket(monkeypatch):
             reply = tuple(column[0] for column in probes), landed[0]
     assert done.value.value == [] and starts == 2  # the lowest sample, then the other end
     assert sum(calls) <= starts * jacobi._MAX_NEWTON
+
+
+def test_refine_drops_a_probe_with_no_vanishing_singular_value():
+    # a first probe strictly inside its run that did not land, and so is not
+    # stuck on an end of the run, whose singular values all lie above the
+    # multiplicity cutoff is no event: Newton on the collapsed bracket [t, t]
+    # at a zero-free t returns such a probe
+    space = build_space("b13")
+    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
+    ts = np.linspace(0.05, 0.1, 5)  # sigma_min > 0.049 here
+    run = jacobi._refine(sys, ts, jacobi._sigma_min(sys, ts))
+    next(run)
+    probes, landed = jacobi._newton(sys, *np.array([[0.075], [0.075], [0.075]]))
+    probe = tuple(column[0] for column in probes)
+    assert not landed[0] and probe[0] == 0.075
+    assert not np.any(probe[1] < jacobi.MULTIPLICITY_RTOL * probe[1][0])
+    with pytest.raises(StopIteration) as done:
+        run.send((probe, landed[0]))
+    assert done.value.value == []
 
 
 SAMPLED_GEODESICS = [
