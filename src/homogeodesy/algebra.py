@@ -54,14 +54,6 @@ class BasisMatrix:
         if abs(np.trace(m)) > 1e-12:
             raise ValueError(f"{self.label}: nonzero trace")
 
-    @property
-    def re(self) -> np.ndarray:
-        return self.entries.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.entries.imag
-
 
 @dataclass(frozen=True)
 class GramRule:
@@ -257,12 +249,22 @@ def antisymmetry_residual(alg: StructuredAlgebra) -> float:
 
 
 def jacobi_identity_residual(alg: StructuredAlgebra) -> float:
-    """Max residual of the cyclic Jacobi sum, relative to the tensor scale."""
+    """Max residual of the cyclic Jacobi sum, relative to the tensor scale.
+
+    t_ijlm = sum_k c_ijk c_klm expands [[b_i, b_j], b_l]; the cyclic sum
+    t_ijlm + t_lijm + t_jlim is taken one first index i at a time, so it holds
+    dim^3 numbers, not dim^4."""
     c = alg.structure
-    t = np.einsum("ijk,klm->ijlm", c, c)
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    scale = max(1.0, float(np.max(np.abs(t))))
-    return float(np.max(np.abs(cyc))) / scale
+    d = alg.dim
+    rows, pairs = c.reshape(d, d * d), c.reshape(d * d, d)  # c_k.. and c_jl.
+    worst, scale = 0.0, 1.0
+    for i in range(d):
+        t_i = (c[i] @ rows).reshape(d, d, d)  # t_ijlm over (j, l, m)
+        t_li = (c[:, i] @ rows).reshape(d, d, d).transpose(1, 0, 2)  # t_lijm
+        t_jl = (pairs @ c[:, i]).reshape(d, d, d)  # t_jlim
+        worst = max(worst, float(np.max(np.abs(t_i + t_li + t_jl))))
+        scale = max(scale, float(np.max(np.abs(t_i))))
+    return worst / scale
 
 
 def reconstruction_residual(alg: StructuredAlgebra) -> float:
@@ -335,7 +337,7 @@ def algebra_to_json(alg: StructuredAlgebra) -> dict:
         "name": alg.name,
         "dim": alg.dim,
         "basis": [
-            {"label": b.label, "re": b.re.tolist(), "im": b.im.tolist()}
+            {"label": b.label, "re": b.entries.real.tolist(), "im": b.entries.imag.tolist()}
             for b in alg.basis
         ],
         "gram_rule": alg.gram_rule.describe(),

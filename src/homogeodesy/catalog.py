@@ -327,8 +327,9 @@ class SpaceDescriptor:
 
 # family -> builder and its parameters: name -> (type, default, largest), the builder's
 # keywords.  The largest integer keeps the algebra at no more than 49 elements: verify's
-# Jacobi-identity residual holds arrays of dim^4 numbers, so 49 elements verify in 0.7 s
-# and 170 MB, while berger:m=8,s=0.5 (81 elements) took 5.9 s and 1 GB.
+# Jacobi-identity residual takes dim^5 operations over arrays of dim^3 numbers, so 49
+# elements verify in 0.3 s and 48 MB, and berger:m=8,s=0.5 (81 elements) in 1.6 s and
+# 97 MB (peak RSS, one BLAS thread, 2-CPU x86-64 machine).
 _FAMILIES = {
     # so(n+1): 45 elements at n = 9
     "round": (build_round_sphere, {"n": (int, 3, 9), "kappa": (float, 1.0, None)}),

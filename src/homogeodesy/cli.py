@@ -39,13 +39,6 @@ from .report import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(3)
-
-
 def _seed(text: str) -> int:
     """A --seed value: numpy's generators take non-negative integers only."""
     try:
@@ -105,14 +98,8 @@ def _emit(doc, args, rows_key=None, columns=None) -> None:
 
 
 def _aux_from(args) -> dict:
-    aux = {}
-    for key in ("phi", "phi1", "phi2", "x0"):
-        val = getattr(args, key, None)
-        if val is not None:
-            aux[key] = val
-    if getattr(args, "alpha", None) is not None:
-        aux["alpha"] = args.alpha
-    return aux
+    keys = ("phi", "phi1", "phi2", "x0", "alpha")
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 # -- commands ---------------------------------------------------------------
@@ -189,15 +176,8 @@ def cmd_closedform(args) -> int:
     u, v = geodesic_pair(space, args.theta, _aux_from(args))
     data = extract_cp_data(space, u, v)
     times = closed_form_times(data, args.tmax)
-    doc = {
-        "space": space.name,
-        "theta": args.theta,
-        "lambda": data.lam,
-        "rho": data.rho,
-        "branch": data.branch,
-        "times": [t.to_dict() for t in times],
-    }
-    _emit(doc, args)
+    doc = {"space": space.name, "theta": args.theta, "times": [t.to_dict() for t in times]}
+    _emit(doc | data.to_dict(), args)
     return 0
 
 
@@ -249,8 +229,8 @@ def cmd_reproduce(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="homogeodesy",
         description="Conjugate points and pinching on rank-one normal homogeneous spaces",
     )
@@ -317,7 +297,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse has printed the help, or the usage and its error
         return 0 if exc.code in (0, None) else 3
     try:
         return args.func(args)

@@ -9,13 +9,10 @@ new sample placed where the zero-free zone certified from an end of a
 suspicious interval stops, else at its midpoint (see _samples);
 Newton's method on sigma_min, on E(t) = exp(tA) of the 2n x 2n companion
 matrix A, refines each remaining run of suspicious intervals, bracketed by
-the run, in rounds of stacked starts (see scan_conjugate_times).  A run's
-first start is the zero its samples predict: sigma_min' = +-1 and sigma_min''
-= 0 at a zero, so the predictions lo + f_lo and hi - f_hi of a cell [lo, hi]
-around one zero agree to O((hi - lo)^3); where they agree to Newton's own
-landing tolerance their mean is the start, else the run's lowest sample is
-(see _refine).  Each refined event is classified where it is found, from its
-kernel rows (classify_isotropy), so scans return finished events.
+the run, in rounds of stacked starts (see scan_conjugate_times), each run's
+first start chosen by _refine.  Each refined event is classified where it is
+found, from its kernel rows (classify_isotropy), so scans return finished
+events.
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -423,12 +420,9 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     close-zero brackets (radius |guess - t|/4) keep its events above its start
     minus a third of its width, where the range is certified zero-free or in
     earlier runs.  Each round stacks the next Newton start (lo, hi, t) of every
-    run still searching, first the zero its samples predict or else its lowest
-    sample (see _refine; then once its other end, if that start stopped on an
-    end of the run without landing) and
-    then its close-zero predictions, into one safeguarded Newton on exp(tA)
-    (_newton) to a relative step of 1e-14, and sends each row's probe back to
-    its run.
+    run still searching, as _refine chooses it, into one safeguarded Newton on
+    exp(tA) (_newton) to a relative step of 1e-14, and sends each row's probe
+    back to its run.
     Multiplicity and kernel come from the singular values below 1e-7 *
     sigma_max at the refined time, and each event comes back classified
     (classify_isotropy on its kernel).

@@ -161,12 +161,12 @@ def pinching_curve(
 
     delta is scale-invariant (g_kappa = g / kappa scales every curvature by
     kappa), so the curve is taken at kappa = 1."""
-    from .catalog import build_space, parse_descriptor
+    from .catalog import build_space
 
     if family not in ("berger", "spsphere"):
         raise ValueError("pinching curves are defined for berger and spsphere")
     rows = []
     for s in map(float, s_grid):
-        space = build_space(parse_descriptor(f"{family}:m={m},s={s:.12g}"))
+        space = build_space(f"{family}:m={m},s={s:.12g}")
         rows.append({"s": s} | delta_row(space, family, m, s, multistarts, seed))
     return rows

@@ -39,27 +39,59 @@ LAMBDA_RHO_RTOL = 1e-9
 FIBRATION_TOL = 1e-7
 DELTA_RTOL = 0.01
 T_MAX_FACTOR = 7.0  # sweeps cross-validate to t_max = T_MAX_FACTOR / sqrt(lambda + rho)
-REPRODUCE_NAMES = ("conj", "conjB13", "conjW7", "cimp1", "pinching-table")
 
 
 # -- verification ------------------------------------------------------------
 
-HARD_CHECKS = (
-    "antisymmetry",
-    "jacobi-identity",
-    "reconstruction",
-    "bi-invariance",
-    "reductive",
-    "lts",
-)
-INFO_CHECKS = ("m0-transitivity", "m1-transitivity", "m-transitivity")
-OPTIONAL_CHECKS = ("rank-one",)
-ALL_CHECKS = HARD_CHECKS + INFO_CHECKS + OPTIONAL_CHECKS
-_RESIDUALS = {
-    "antisymmetry": antisymmetry_residual,
-    "jacobi-identity": jacobi_identity_residual,
-    "reconstruction": reconstruction_residual,
+
+def _residual(measure):
+    def check(space: ReductiveSpace, seed: int) -> dict:
+        res = measure(space.algebra)
+        return {"pass": res <= 1e-12, "residual": res}
+
+    return check
+
+
+def _lts(space: ReductiveSpace, seed: int) -> dict:
+    if space.m0_indices is None:
+        return {"pass": True, "skipped": "no m0/m1 split"}
+    vecs = [space.basis_vector(space.algebra.labels[i]) for i in space.m0_indices]
+    return lts_check(space, vecs).to_dict()
+
+
+def _transitivity(part: str):
+    def check(space: ReductiveSpace, seed: int) -> dict:
+        try:  # informational: a computed non-transitive result has no "pass" key
+            return isotropy_transitivity_check(space, part).to_dict()
+        except (NoWitness, MissingSplit) as exc:
+            return {"pass": False, "error": str(exc)}
+
+    return check
+
+
+def _split(space: ReductiveSpace) -> bool:
+    return space.m0_indices is not None
+
+
+# name -> (check, when): check(space, seed) returns the JSON result, which passes
+# unless its "pass" is false; when(space) says if the check runs when none is
+# named, None meaning always
+CHECKS = {
+    "antisymmetry": (_residual(antisymmetry_residual), None),
+    "jacobi-identity": (_residual(jacobi_identity_residual), None),
+    "reconstruction": (_residual(reconstruction_residual), None),
+    "bi-invariance": (lambda space, seed: check_biinvariance(space.algebra).to_dict(), None),
+    "reductive": (lambda space, seed: space.validate().to_dict(), None),
+    "lts": (_lts, None),
+    "m0-transitivity": (_transitivity("M0"), _split),
+    "m1-transitivity": (_transitivity("M1"), _split),
+    "m-transitivity": (
+        _transitivity("M"),
+        lambda space: not _split(space) and "M" in space.witnesses,
+    ),
+    "rank-one": (lambda space, seed: rank_one_check(space, seed).to_dict(), lambda space: False),
 }
+ALL_CHECKS = tuple(CHECKS)
 
 
 def run_verify(space: ReductiveSpace, checks=None, seed: int = 0) -> dict:
@@ -67,56 +99,17 @@ def run_verify(space: ReductiveSpace, checks=None, seed: int = 0) -> dict:
     if checks:
         selected = list(checks)
     else:
-        selected = list(HARD_CHECKS)
-        if space.m0_indices is not None:
-            selected += ["m0-transitivity", "m1-transitivity"]
-        elif "M" in space.witnesses:
-            selected += ["m-transitivity"]
-    reports = {  # checks that return a report with .passed and .to_dict()
-        "bi-invariance": lambda: check_biinvariance(space.algebra),
-        "reductive": space.validate,
-        "rank-one": lambda: rank_one_check(space, seed=seed),
-    }
-    results = {}
-    failed = []
+        selected = [name for name, (_, when) in CHECKS.items() if not when or when(space)]
     for check in selected:
-        if check in _RESIDUALS:
-            res = _RESIDUALS[check](space.algebra)
-            ok = res <= 1e-12
-            results[check] = {"pass": ok, "residual": res}
-        elif check in reports:
-            rep = reports[check]()
-            ok = rep.passed
-            results[check] = rep.to_dict()
-        elif check == "lts":
-            if space.m0_indices is None:
-                results[check] = {"pass": True, "skipped": "no m0/m1 split"}
-                ok = True
-            else:
-                vecs = [space.basis_vector(space.algebra.labels[i]) for i in space.m0_indices]
-                rep = lts_check(space, vecs)
-                ok = rep.is_lts and rep.closes_subalgebra
-                results[check] = rep.to_dict()
-        elif check in INFO_CHECKS:
-            part = check.split("-")[0].upper()
-            try:
-                rep = isotropy_transitivity_check(space, part)
-                results[check] = rep.to_dict()
-                ok = True  # informational: a computed non-transitive result is valid
-            except (NoWitness, MissingSplit) as exc:
-                results[check] = {"pass": False, "error": str(exc)}
-                ok = False
-        else:
+        if check not in CHECKS:
             raise ValueError(f"unknown check {check!r}")
-        if not ok:
-            failed.append(check)
+    results = {check: CHECKS[check][0](space, seed) for check in selected}
+    failed = [check for check in selected if not results[check].get("pass", True)]
 
-    notes = []
     p = space.params
-    if p.get("family") == "round" or (
-        p.get("family") == "berger" and p.get("m") == 1 and p.get("s") == 1
-    ):
-        notes.append(f"constant curvature {p.get('kappa', 1.0):g}")
+    round_berger = (p.get("family"), p.get("m"), p.get("s")) == ("berger", 1, 1)
+    constant = p.get("family") == "round" or round_berger
+    notes = [f"constant curvature {p.get('kappa', 1.0):g}"] if constant else []
     return {
         "check": "verify",
         "space": space.name,
@@ -152,11 +145,8 @@ def _fibration_consistent(space: ReductiveSpace, cv: CrossValidation, t_max: flo
     if space.base_reference is None:
         return True
     base = symmetric_conjugate_times(space.base_reference, t_max * (1 + 1e-9))
-    for ev in cv.events:
-        if ev.isotropic_exists:
-            if not any(abs(ev.t - b) < FIBRATION_TOL for b in base):
-                return False
-    return True
+    isotropic = (ev.t for ev in cv.events if ev.isotropic_exists)
+    return all(any(abs(t - b) < FIBRATION_TOL for b in base) for t in isotropic)
 
 
 def run_theorem_cell(space: ReductiveSpace, theta: float) -> dict:
@@ -185,8 +175,7 @@ def run_theorem_cell(space: ReductiveSpace, theta: float) -> dict:
         cell["matched"] = cv.all_matched
         cell["events"] = [ev.to_dict() for ev in cv.events]
         cell["closed_form"] = [c.to_dict() for c in cv.closed_form]
-        horizontal = abs(theta - math.pi / 2) < 1e-12
-        if horizontal:
+        if abs(theta - math.pi / 2) < 1e-12:  # horizontal
             for pred, ev in cv.matched:
                 if pred.family == FAMILY_TAN and ev.isotropic_exists:
                     cell["error"] = (
@@ -203,47 +192,11 @@ def run_theorem_cell(space: ReductiveSpace, theta: float) -> dict:
     return cell
 
 
-def _sphere_cells() -> list[tuple[str, float]]:
-    cells = []
-    for m in M_GRID:
-        for s in S_GRID:
-            for theta in THETA_GRID:
-                cells.append((f"berger:m={m},s={s:.12g},kappa=1", theta))
-                cells.append((f"spsphere:m={m},s={s:.12g},kappa=1", theta))
-    for m in M_GRID:
-        for theta in THETA_GRID:
-            cells.append((f"cpodd:m={m},kappa=1", theta))
-    return cells
+def _theorem_cells(cells) -> list[dict]:
+    return [run_theorem_cell(build_space(desc), theta) for desc, theta in cells]
 
 
-def reproduce(name: str, seed: int = 0, multistarts: int = DEFAULT_MULTISTARTS) -> dict:
-    """Run one of the theorem-reproduction suites and report a pass/fail matrix.
-
-    seed and multistarts affect only pinching-table."""
-    if name == "conj":
-        cells = _sphere_cells()
-    elif name == "conjB13":
-        cells = [("b13", theta) for theta in THETA_GRID]
-    elif name == "conjW7":
-        cells = [
-            (f"w7:s={s:.12g}", theta) for s in S_GRID for theta in THETA_GRID
-        ]
-    elif name == "cimp1":
-        return _reproduce_cimp1()
-    elif name == "pinching-table":
-        return _reproduce_pinching_table(seed=seed, multistarts=multistarts)
-    else:
-        raise ValueError(f"unknown theorem {name!r}; choose from {REPRODUCE_NAMES}")
-
-    results = [run_theorem_cell(build_space(desc), theta) for desc, theta in cells]
-    return {
-        "theorem": name,
-        "cells": results,
-        "pass": all(c["pass"] for c in results),
-    }
-
-
-def _reproduce_cimp1() -> dict:
+def _cimp1_cells() -> list[dict]:
     """Vertical CP^{2m+1} geodesics: isotropic family at sqrt(2k)p*pi/(4k) and the
     non-strict family at sqrt(2k)p*pi/k."""
     cells = []
@@ -255,11 +208,7 @@ def _reproduce_cimp1() -> dict:
                 u, v_mixed = geodesic_pair(space, 0.0, {"phi": phi})
                 x2, x3 = space.basis_vector("X_2"), space.basis_vector("X_3")
                 v_plane = space.unit(math.cos(phi) * x3 - math.sin(phi) * x2)
-                cell = {
-                    "space": space.name,
-                    "phi": phi,
-                    "pass": False,
-                }
+                cell = {"space": space.name, "phi": phi, "pass": False}
                 try:
                     # isotropic family from the vertical 2-plane, lambda = 8 kappa
                     t_max_a = T_MAX_FACTOR / math.sqrt(8 * kappa)
@@ -289,17 +238,16 @@ def _reproduce_cimp1() -> dict:
                 except Mismatch as exc:
                     cell["error"] = str(exc)
                 cells.append(cell)
-    return {"theorem": "cimp1", "cells": cells, "pass": all(c["pass"] for c in cells)}
+    return cells
 
 
-def _reproduce_pinching_table(seed: int, multistarts: int) -> dict:
+def _pinching_table_rows(seed: int, multistarts: int) -> list[dict]:
     """Pinching constants of the classification items (ii)-(iv), plus the B13 bounds."""
     jobs = [("cpodd:m=1,kappa=1", "cpodd", 1, None)]
-    for m in M_GRID:
-        for s in S_GRID:
-            jobs.append((f"berger:m={m},s={s:.12g},kappa=1", "berger", m, s))
-    for s in S_GRID:
-        jobs.append((f"spsphere:m=1,s={s:.12g},kappa=1", "spsphere", 1, s))
+    jobs += [
+        (f"berger:m={m},s={s:.12g},kappa=1", "berger", m, s) for m in M_GRID for s in S_GRID
+    ]
+    jobs += [(f"spsphere:m=1,s={s:.12g},kappa=1", "spsphere", 1, s) for s in S_GRID]
 
     rows = []
     for desc, family, m, s in jobs:
@@ -322,11 +270,40 @@ def _reproduce_pinching_table(seed: int, multistarts: int) -> dict:
         and rep.k_max >= 29.0 / 4.0 - 1e-9,
     }
     rows.append(b13_row)
-    return {
-        "theorem": "pinching-table",
-        "cells": rows,
-        "pass": all(r["pass"] for r in rows),
-    }
+    return rows
+
+
+# name -> runner(seed, multistarts) of the sweep's cells; seed and multistarts
+# affect only pinching-table
+SWEEPS = {
+    "conj": lambda seed, multistarts: _theorem_cells(
+        [
+            (f"{family}:m={m},s={s:.12g},kappa=1", theta)
+            for m in M_GRID
+            for s in S_GRID
+            for theta in THETA_GRID
+            for family in ("berger", "spsphere")
+        ]
+        + [(f"cpodd:m={m},kappa=1", theta) for m in M_GRID for theta in THETA_GRID]
+    ),
+    "conjB13": lambda seed, multistarts: _theorem_cells(
+        ("b13", theta) for theta in THETA_GRID
+    ),
+    "conjW7": lambda seed, multistarts: _theorem_cells(
+        (f"w7:s={s:.12g}", theta) for s in S_GRID for theta in THETA_GRID
+    ),
+    "cimp1": lambda seed, multistarts: _cimp1_cells(),
+    "pinching-table": _pinching_table_rows,
+}
+REPRODUCE_NAMES = tuple(SWEEPS)
+
+
+def reproduce(name: str, seed: int = 0, multistarts: int = DEFAULT_MULTISTARTS) -> dict:
+    """Run one of the theorem-reproduction sweeps and report a pass/fail matrix."""
+    if name not in SWEEPS:
+        raise ValueError(f"unknown theorem {name!r}; choose from {REPRODUCE_NAMES}")
+    cells = SWEEPS[name](seed, multistarts)
+    return {"theorem": name, "cells": cells, "pass": all(c["pass"] for c in cells)}
 
 
 # -- conjugate tables --------------------------------------------------------
@@ -338,32 +315,34 @@ def conjugate_table(
     t_max: float,
     aux: dict | None = None,
 ) -> dict:
-    """Scan one geodesic and annotate events with closed-form matches."""
+    """Scan one geodesic and annotate events with closed-form matches.
+
+    The closed forms come first, as in cross_validate, so times that cannot be
+    resolved fail before the scan."""
     u, v = geodesic_pair(space, theta, aux)
-    events = conjugate_events(space, u, t_max)
     predictions = []
     try:
         data = extract_cp_data(space, u, v)
         predictions = closed_form_times(data, t_max)
     except HypothesisViolated:
         data = None
+    events = conjugate_events(space, u, t_max)
     params_text = ";".join(f"{k}={v}" for k, v in space.params.items() if k != "family")
     nearest = nearest_events(predictions, events)  # each prediction labels its nearest event
     labels = {idx: pred.family for pred, idx in zip(predictions, nearest) if idx is not None}
-    rows = []
-    for idx, ev in enumerate(events):
-        rows.append(
-            {
-                "space": space.name,
-                "params": params_text,
-                "theta": theta,
-                "t": ev.t,
-                "multiplicity": ev.multiplicity,
-                "isotropic_exists": ev.isotropic_exists,
-                "strictly_isotropic": ev.strictly_isotropic,
-                "closed_form_match": labels.get(idx, ""),
-            }
-        )
+    rows = [
+        {
+            "space": space.name,
+            "params": params_text,
+            "theta": theta,
+            "t": ev.t,
+            "multiplicity": ev.multiplicity,
+            "isotropic_exists": ev.isotropic_exists,
+            "strictly_isotropic": ev.strictly_isotropic,
+            "closed_form_match": labels.get(idx, ""),
+        }
+        for idx, ev in enumerate(events)
+    ]
     return {
         "space": space.name,
         "params": dict(space.params),

@@ -158,6 +158,15 @@ def su_table_lhs(n: int, kind: str, r: int, j: int, k: int, l: int) -> np.ndarra
     return x @ y - y @ x
 
 
+def jacobi_identity_residual_dense(alg) -> float:
+    """The cyclic Jacobi residual over the whole dim^4 tensor of [[b_i, b_j], b_l]."""
+    c = alg.structure
+    t = np.einsum("ijk,klm->ijlm", c, c)
+    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    scale = max(1.0, float(np.max(np.abs(t))))
+    return float(np.max(np.abs(cyc))) / scale
+
+
 def bracabc_matrix_residual(n: int = 5) -> float:
     """Entrywise residual of the full A/B/C table from raw matrix commutators."""
     worst = 0.0

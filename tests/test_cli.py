@@ -250,10 +250,13 @@ def test_bad_seed_exit_code_names_the_flag(capsys, command, seed):
 @pytest.mark.parametrize("desc,theta", [("b13", "1e-4")])
 def test_unresolved_closed_form_times_exit_1(capsys, monkeypatch, desc, theta):
     # near theta = 0 on b13 a tan-family time falls within 1e-6 of a
-    # 2p*pi-family time.  The scan runs before the closed forms and takes no
-    # part in the failure, so it is stubbed.  Far tan roots, once refused by a
-    # residual test, are certified: see test_far_tan_roots_are_certified.
-    monkeypatch.setattr(report, "conjugate_events", lambda *args: [])
+    # 2p*pi-family time.  The closed forms come before the scan, so the input
+    # fails without scanning.  Far tan roots, once refused by a residual test,
+    # are certified: see test_far_tan_roots_are_certified.
+    def no_scan(*args):
+        raise AssertionError("the scan ran before the closed forms")
+
+    monkeypatch.setattr(report, "conjugate_events", no_scan)
     code = main(["conjugate", desc, "--theta", theta])
     captured = capsys.readouterr()
     assert code == 1
@@ -415,3 +418,30 @@ def test_mismatch_exit_code(capsys, monkeypatch):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "mismatch: closed-form time 1.5 has no event\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["conjugate", "--help"]])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: homogeodesy") and captured.err == ""
+
+
+def test_unparsable_option_value_exit_code(capsys):
+    assert main(["conjugate", "b13", "--theta", "abc"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: homogeodesy conjugate")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == ["homogeodesy conjugate: error: argument --theta: invalid float value: 'abc'"]
+    assert "Traceback" not in captured.err
+
+
+def test_unknown_check_is_refused_before_any_check_runs(monkeypatch):
+    def ran(space, seed):
+        raise AssertionError("a check ran")
+
+    for name, (_, when) in report.CHECKS.items():
+        monkeypatch.setitem(report.CHECKS, name, (ran, when))
+    with pytest.raises(ValueError, match="'nonsense'"):
+        report.run_verify(homogeodesy.build_space("b13"), ["antisymmetry", "nonsense"])
