@@ -315,6 +315,8 @@ def build_w7(s: float) -> ReductiveSpace:
 
 @dataclass(frozen=True)
 class SpaceDescriptor:
+    """A family and its parameters; build_space checks each one it is given."""
+
     family: str
     params: tuple[tuple[str, float], ...]
 
@@ -326,25 +328,26 @@ class SpaceDescriptor:
 
 
 # family -> builder and its parameters: name -> (type, default, largest), the builder's
-# keywords.  The largest integer keeps the algebra at no more than 49 elements: verify's
-# Jacobi-identity residual takes dim^5 operations over arrays of dim^3 numbers, so 49
-# elements verify in 0.3 s and 48 MB, and berger:m=8,s=0.5 (81 elements) in 1.6 s and
-# 97 MB (peak RSS, one BLAS thread, 2-CPU x86-64 machine).
+# keywords.  The budget: every command that takes a descriptor (verify, brackets,
+# conjugate, closedform, pinching, at their defaults) runs in one process, start-up
+# included, within 4 s and 256 MB peak RSS (one BLAS thread, 2-CPU x86-64 machine).
+# The largest integer is the last that keeps it; verify is the slowest command there,
+# as its Jacobi-identity residual takes dim^5 operations.
 _FAMILIES = {
-    # so(n+1): 45 elements at n = 9
-    "round": (build_round_sphere, {"n": (int, 3, 9), "kappa": (float, 1.0, None)}),
-    # su(m+1) + u(1): 49 elements at m = 6
+    # so(n+1): 78 elements at n = 12, verify 2.1-2.4 s, 113 MB; n = 13 (91) 4.4-4.7 s
+    "round": (build_round_sphere, {"n": (int, 3, 12), "kappa": (float, 1.0, None)}),
+    # su(m+1) + u(1): 81 elements at m = 8, verify 2.1-2.5 s, 98 MB; m = 9 (100) 5.5 s
     "berger": (
         build_berger_sphere,
-        {"m": (int, 1, 6), "s": (float, 1.0, None), "kappa": (float, 1.0, None)},
+        {"m": (int, 1, 8), "s": (float, 1.0, None), "kappa": (float, 1.0, None)},
     ),
-    # sp(m+1) + sp(1): 39 elements at m = 3 (m = 4 has 58)
+    # sp(m+1) + sp(1): 81 elements at m = 5, verify 2.6-3.3 s, 132 MB; m = 6 (108) 8.7 s
     "spsphere": (
         build_sp_sphere,
-        {"m": (int, 1, 3), "s": (float, 1.0, None), "kappa": (float, 1.0, None)},
+        {"m": (int, 1, 5), "s": (float, 1.0, None), "kappa": (float, 1.0, None)},
     ),
-    # sp(m+1): 36 elements at m = 3 (m = 4 has 55)
-    "cpodd": (build_cp_odd, {"m": (int, 1, 3), "kappa": (float, 1.0, None)}),
+    # sp(m+1): 78 elements at m = 5, verify 2.0-2.5 s, 102 MB; m = 6 (105) 7.2 s
+    "cpodd": (build_cp_odd, {"m": (int, 1, 5), "kappa": (float, 1.0, None)}),
     "b13": (build_b13, {}),
     "w7": (build_w7, {"s": (float, 1.0, None)}),
 }
@@ -353,59 +356,53 @@ _FAMILIES = {
 def _parse_number(text: str) -> float:
     text = text.strip()
     try:
-        value = float(Fraction(text)) if "/" in text else float(text)
+        return float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"cannot parse number {text!r}") from exc
-    if not math.isfinite(value):
-        raise BadParams(f"number {text!r} is not finite")
-    return value
+
+
+def _checked(family: str, params) -> SpaceDescriptor:
+    """The descriptor of family with params, defaults filled in, once they pass every check."""
+    if family not in _FAMILIES:
+        raise BadParams(f"unknown family {family!r}")
+    spec = _FAMILIES[family][1]
+    kw = dict(params)
+    _check(set(kw) <= set(spec), f"bad parameters {sorted(set(kw) - set(spec))} for {family!r}")
+    values = {}
+    for key, (typ, default, largest) in spec.items():
+        value = kw.get(key, default)
+        _check(math.isfinite(value), f"{key} = {value} is not finite")
+        if typ is int:
+            if abs(value - round(value)) > 1e-9:
+                raise BadParams(f"{family} needs an integer {key}, got {value!r}")
+            value = int(round(value))
+            if value > largest:
+                raise BadParams(f"{key} = {value} exceeds {largest}, the largest for {family!r}")
+        values[key] = value
+    return SpaceDescriptor(family, tuple(sorted(values.items())))
 
 
 def parse_descriptor(text: str) -> SpaceDescriptor:
     """Parse descriptors like "berger:m=2,s=0.5,kappa=1", "b13", "w7:s=0.5"."""
-    text = text.strip()
-    family, _, argstr = text.partition(":")
-    family = family.lower()
-    if family not in _FAMILIES:
-        raise BadParams(f"unknown space family {family!r}")
-    spec = _FAMILIES[family][1]
-    values = {k: d for k, (_, d, _) in spec.items()}
-    if argstr:
-        for item in argstr.split(","):
-            if not item.strip():
-                continue
-            key, eq, val = item.partition("=")
-            key = key.strip().lower()
-            if not eq or key not in spec:
-                raise BadParams(f"bad parameter {item!r} for family {family!r}")
-            typ, _, largest = spec[key]
-            num = _parse_number(val)
-            if typ is int:
-                if abs(num - round(num)) > 1e-9:
-                    raise BadParams(f"{key} must be an integer, got {val!r}")
-                num = int(round(num))
-                if num > largest:
-                    raise BadParams(f"{key} = {num} exceeds {largest}, the largest for {family!r}")
-            values[key] = num
-    params = tuple(sorted(values.items()))
-    return SpaceDescriptor(family=family, params=params)
+    family, _, argstr = text.strip().partition(":")
+    family, params = family.lower(), {}
+    for item in filter(str.strip, argstr.split(",")):
+        key, eq, val = item.partition("=")
+        _check(eq == "=", f"bad parameter {item!r} for family {family!r}")
+        params[key.strip().lower()] = _parse_number(val)
+    return _checked(family, params)
 
 
 @lru_cache(maxsize=None)
-def _build_cached(family: str, params: tuple) -> ReductiveSpace:
-    if family not in _FAMILIES:
-        raise BadParams(f"unknown family {family!r}")
-    builder, spec = _FAMILIES[family]
-    kw = dict(params)
-    _check(set(kw) <= set(spec), f"bad parameters {sorted(set(kw) - set(spec))} for {family!r}")
-    return builder(**{k: d for k, (_, d, _) in spec.items()} | kw)
+def _build_cached(descriptor: SpaceDescriptor) -> ReductiveSpace:
+    return _FAMILIES[descriptor.family][0](**dict(descriptor.params))
 
 
 def build_space(descriptor) -> ReductiveSpace:
     """Build (with caching) from a SpaceDescriptor or a descriptor string."""
     if isinstance(descriptor, str):
-        descriptor = parse_descriptor(descriptor)
-    return _build_cached(descriptor.family, descriptor.params)
+        return _build_cached(parse_descriptor(descriptor))
+    return _build_cached(_checked(descriptor.family, descriptor.params))
 
 
 def known_families() -> dict:

@@ -28,8 +28,8 @@ from .closed_form import (
     extract_cp_data,
 )
 from .homogeneous import GeometryError
-from .jacobi import BadAngle, BadAux, JacobiError, geodesic_pair
-from .pinching import DEFAULT_MULTISTARTS, estimate_pinching, pinching_curve
+from .jacobi import AUX_PARAMETERS, BadAngle, BadAux, JacobiError, geodesic_pair
+from .pinching import CURVE_FAMILIES, DEFAULT_MULTISTARTS, estimate_pinching, pinching_curve
 from .report import (
     ALL_CHECKS,
     REPRODUCE_NAMES,
@@ -72,20 +72,16 @@ def _fmt(value, key="$"):
     return value
 
 
-def _emit(doc, args, rows_key=None, columns=None) -> None:
-    """JSON, or with --format csv the rows under rows_key, to --out or stdout."""
+def _emit(doc, args, rows_key=None) -> None:
+    """JSON, or with --format csv the table under rows_key, to --out or stdout."""
     payload = dict(_fmt(doc))
     if rows_key is not None and args.format == "csv":
+        table = doc[rows_key]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in doc[rows_key]:
-            writer.writerow(
-                [
-                    f"{row[c]:.12g}" if isinstance(row[c], float) else row[c]
-                    for c in columns
-                ]
-            )
+        writer.writerow(table.columns)
+        for row in table:
+            writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row.values()])
         text = buf.getvalue()
     else:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
@@ -98,8 +94,7 @@ def _emit(doc, args, rows_key=None, columns=None) -> None:
 
 
 def _aux_from(args) -> dict:
-    keys = ("phi", "phi1", "phi2", "x0", "alpha")
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return {k: getattr(args, k) for k in AUX_PARAMETERS if getattr(args, k) is not None}
 
 
 # -- commands ---------------------------------------------------------------
@@ -153,21 +148,7 @@ def cmd_brackets(args) -> int:
 def cmd_conjugate(args) -> int:
     space = build_space(args.space)
     doc = conjugate_table(space, args.theta, args.tmax, _aux_from(args))
-    _emit(
-        doc,
-        args,
-        rows_key="rows",
-        columns=[
-            "space",
-            "params",
-            "theta",
-            "t",
-            "multiplicity",
-            "isotropic_exists",
-            "strictly_isotropic",
-            "closed_form_match",
-        ],
-    )
+    _emit(doc, args, rows_key="rows")
     return 0
 
 
@@ -196,13 +177,7 @@ def cmd_pinching(args) -> int:
         rows = pinching_curve(
             args.family, args.m, grid, multistarts=args.multistarts, seed=args.seed
         )
-        doc = {"family": args.family, "m": args.m, "rows": rows}
-        _emit(
-            doc,
-            args,
-            rows_key="rows",
-            columns=["s", "delta_measured", "delta_formula", "rel_error", "converged"],
-        )
+        _emit({"family": args.family, "m": args.m, "rows": rows}, args, rows_key="rows")
         return 0
     if not args.space:
         sys.stderr.write("give a space descriptor or --family\n")
@@ -259,17 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("space")
         p.add_argument("--theta", type=float, default=math.pi / 2)
         p.add_argument("--tmax", type=float, default=12.0)
-        p.add_argument("--phi", type=float, default=None)
-        p.add_argument("--phi1", type=float, default=None)
-        p.add_argument("--phi2", type=float, default=None)
-        p.add_argument("--x0", type=float, default=None)
-        p.add_argument("--alpha", type=int, default=None)
+        for key, typ in AUX_PARAMETERS.items():
+            p.add_argument(f"--{key}", type=typ, default=None)
         _output_args(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("pinching", help="pinching report for a space or an s-curve")
     p.add_argument("space", nargs="?")
-    p.add_argument("--family", choices=["berger", "spsphere"])
+    p.add_argument("--family", choices=CURVE_FAMILIES)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--grid", type=str, default=None, help="comma-separated s values")
     p.add_argument("--multistarts", type=int, default=DEFAULT_MULTISTARTS)

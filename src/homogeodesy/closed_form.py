@@ -16,7 +16,7 @@ import numpy as np
 
 from .homogeneous import ReductiveSpace, project
 from .jacobi import MAX_GRID_POINTS, ConjugateEvent, conjugate_events
-from .jacobi import scan_conjugate_times  # noqa: F401  (re-exported for existing callers)
+from .jacobi import scan_conjugate_times  # noqa: F401  (bench/test_bench.py reads it here)
 
 HYPOTHESIS_TOL = 1e-9
 MATCH_TOL = 1e-7

@@ -455,7 +455,10 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
 
 
 def isotropic_complement_projector(sys: JacobiSystem) -> np.ndarray:
-    """Projector onto (Ker R_u)-perp in the ON frame of m."""
+    """Projector onto (Ker R_u)-perp in the ON frame of m.
+
+    Classification reads sys.complement_projector itself; this function stays
+    because acceptance criterion 3, [k, u] = (Ker R_u)-perp, is stated through it."""
     return sys.complement_projector
 
 
@@ -491,6 +494,8 @@ def conjugate_events(space: ReductiveSpace, u, t_max: float) -> list[ConjugateEv
 
 # -- canonical directions ----------------------------------------------------
 
+# every aux parameter of a canonical direction, with its type
+AUX_PARAMETERS = {"phi": float, "phi1": float, "phi2": float, "x0": float, "alpha": int}
 # family -> aux keys, largest and default alpha (None: the space's m), prefix of u1
 _CANONICAL = {
     "berger": ({"alpha"}, None, None, "e_"),

@@ -25,6 +25,16 @@ from .homogeneous import BracketKernel, PlaneSpec, ReductiveSpace, optimize_pair
 DEFAULT_MULTISTARTS = 256
 CONVERGENCE_RTOL = 1e-6
 AUDIT_SAMPLES = 10_000
+CURVE_FAMILIES = ("berger", "spsphere")  # the families with a closed-form delta(s)
+DELTA_COLUMNS = ("delta_measured", "delta_formula", "rel_error", "converged")
+
+
+class Table(list):
+    """Rows as dicts over the same columns, in order; an empty table keeps its columns."""
+
+    def __init__(self, columns, values=()):
+        self.columns = tuple(columns)
+        super().__init__(dict(zip(self.columns, row, strict=True)) for row in values)
 
 
 @dataclass(frozen=True)
@@ -142,12 +152,8 @@ def delta_row(space: ReductiveSpace, family: str, m, s, multistarts: int, seed: 
     report = estimate_pinching(space, multistarts=multistarts, seed=seed)
     formula = expected_delta(family, m=m, s=s)
     measured, expected = (float(f"{x:.12g}") for x in (report.delta, formula))
-    return {
-        "delta_measured": report.delta,
-        "delta_formula": formula,
-        "rel_error": abs(measured - expected) / expected,
-        "converged": report.converged,
-    }
+    rel_error = abs(measured - expected) / expected
+    return dict(zip(DELTA_COLUMNS, (report.delta, formula, rel_error, report.converged)))
 
 
 def pinching_curve(
@@ -156,17 +162,17 @@ def pinching_curve(
     s_grid,
     multistarts: int = DEFAULT_MULTISTARTS,
     seed: int = 0,
-) -> list[dict]:
+) -> Table:
     """estimate_pinching along an s-grid with the closed-form delta(s) column.
 
     delta is scale-invariant (g_kappa = g / kappa scales every curvature by
     kappa), so the curve is taken at kappa = 1."""
     from .catalog import build_space
 
-    if family not in ("berger", "spsphere"):
-        raise ValueError("pinching curves are defined for berger and spsphere")
+    if family not in CURVE_FAMILIES:
+        raise ValueError(f"pinching curves are defined for {' and '.join(CURVE_FAMILIES)}")
     rows = []
     for s in map(float, s_grid):
         space = build_space(f"{family}:m={m},s={s:.12g}")
-        rows.append({"s": s} | delta_row(space, family, m, s, multistarts, seed))
-    return rows
+        rows.append((s, *delta_row(space, family, m, s, multistarts, seed).values()))
+    return Table(("s", *DELTA_COLUMNS), rows)

@@ -30,7 +30,7 @@ from .homogeneous import (
     sectional_curvature,
 )
 from .jacobi import conjugate_events, geodesic_pair
-from .pinching import DEFAULT_MULTISTARTS, delta_row, estimate_pinching
+from .pinching import DEFAULT_MULTISTARTS, Table, delta_row, estimate_pinching
 
 THETA_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 S_GRID = (0.25, 0.5, 2.0 / 3.0, 0.9, 1.0)
@@ -330,24 +330,19 @@ def conjugate_table(
     params_text = ";".join(f"{k}={v}" for k, v in space.params.items() if k != "family")
     nearest = nearest_events(predictions, events)  # each prediction labels its nearest event
     labels = {idx: pred.family for pred, idx in zip(predictions, nearest) if idx is not None}
-    rows = [
-        {
-            "space": space.name,
-            "params": params_text,
-            "theta": theta,
-            "t": ev.t,
-            "multiplicity": ev.multiplicity,
-            "isotropic_exists": ev.isotropic_exists,
-            "strictly_isotropic": ev.strictly_isotropic,
-            "closed_form_match": labels.get(idx, ""),
-        }
+    # one value per column, in the columns' order
+    columns = ("space", "params", "theta", "t", "multiplicity")
+    columns += ("isotropic_exists", "strictly_isotropic", "closed_form_match")
+    values = (
+        (space.name, params_text, theta, ev.t, ev.multiplicity)
+        + (ev.isotropic_exists, ev.strictly_isotropic, labels.get(idx, ""))
         for idx, ev in enumerate(events)
-    ]
+    )
     return {
         "space": space.name,
         "params": dict(space.params),
         "theta": theta,
         "t_max": t_max,
         "cp_data": data.to_dict() if data else None,
-        "rows": rows,
+        "rows": Table(columns, values),
     }

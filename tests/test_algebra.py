@@ -57,11 +57,11 @@ def test_jacobi_identity_residual_matches_the_dense_sum():
 
 
 def test_jacobi_identity_residual_holds_dim_cubed_numbers():
-    # berger:m=6 has 49 elements, the most the descriptor bounds admit, and the
-    # residual sets the cost of verify there.  Summed one first index at a time
-    # it holds a few arrays of dim^3 numbers (0.94 MB each; 5.6 MB traced in
-    # all); the bound of ten of them is a fifth of a single dim^4 array, and the
-    # sum over the whole dim^4 tensor peaked at 138 MB.
+    # berger:m=6 has 49 elements, and the residual sets the cost of verify
+    # there.  Summed one first index at a time it holds a few arrays of dim^3
+    # numbers (0.94 MB each; 5.6 MB traced in all); the bound of ten of them is
+    # a fifth of a single dim^4 array, and the sum over the whole dim^4 tensor
+    # peaked at 138 MB.
     alg = build_space("berger:m=6,s=0.5").algebra
     tracemalloc.start()
     try:

@@ -73,6 +73,27 @@ def test_oversized_integer_parameter_exit_code(capsys, monkeypatch, desc, key):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "family,key,largest",
+    [
+        (family, key, largest)
+        for family, (_, spec) in catalog._FAMILIES.items()
+        for key, (typ, _, largest) in spec.items()
+        if typ is int
+    ],
+)
+def test_hand_built_descriptor_above_its_bound_is_refused_before_building(
+    monkeypatch, family, key, largest
+):
+    def builder(**params):
+        raise AssertionError(f"{family} was built with {params}")
+
+    monkeypatch.setitem(catalog._FAMILIES, family, (builder, catalog._FAMILIES[family][1]))
+    for value in (largest + 1, 1000):
+        with pytest.raises(BadParams, match=f"{key} = {value} exceeds {largest}"):
+            build_space(SpaceDescriptor(family, ((key, value),)))
+
+
 def test_integer_parameters_are_admitted_up_to_their_largest():
     for family, (_, spec) in catalog._FAMILIES.items():
         for key, (typ, _, largest) in spec.items():

@@ -15,6 +15,7 @@ import homogeodesy.cli as cli
 import homogeodesy.report as report
 from homogeodesy.cli import NonFiniteOutput, main
 from homogeodesy.closed_form import Mismatch
+from homogeodesy.pinching import Table
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +214,16 @@ def test_oversized_scan_grid_exit_code(capsys):
     assert code == 3
 
 
+def test_scan_refuses_an_oversized_grid_through_the_cli(capsys):
+    # the closed forms do not apply on spsphere at theta = 0.7, so the scan's
+    # own refusal is the one that reaches the CLI
+    code = main(["conjugate", "spsphere:m=1,s=1e-6", "--theta", "0.7", "--tmax", "2000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: t_max / step needs more than 1e+07 grid points\n"
+
+
 @pytest.mark.parametrize(
     "desc,theta,tmax",
     [
@@ -266,10 +277,10 @@ def test_unresolved_closed_form_times_exit_1(capsys, monkeypatch, desc, theta):
 
 
 def test_non_finite_output_is_refused(capsys, monkeypatch):
-    doc = {"space": "b13", "rows": [{"t": 1.5}, {"t": math.nan}]}
+    doc = {"space": "b13", "rows": Table(["t"], [(1.5,), (math.nan,)])}
     for fmt in ("json", "csv"):
         with pytest.raises(NonFiniteOutput, match=r"rows\[1\]\.t"):
-            cli._emit(doc, Namespace(format=fmt, out=None), rows_key="rows", columns=["t"])
+            cli._emit(doc, Namespace(format=fmt, out=None), rows_key="rows")
     assert capsys.readouterr().out == ""
 
     monkeypatch.setattr(cli, "conjugate_table", lambda *args: doc)
@@ -380,6 +391,45 @@ def test_pinching_curve_csv_prints_a_header_and_one_row_per_s(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["s", "delta_measured", "delta_formula", "rel_error", "converged"]
     assert [float(row[0]) for row in rows[1:]] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (["conjugate", "b13", "--theta", "0.7", "--tmax", "3"], "conjugate_table"),
+        (["conjugate", "b13", "--tmax", "0.1"], "conjugate_table"),  # no rows
+        (
+            ["pinching", "--family", "spsphere", "--grid", "0.5", "--multistarts", "8"],
+            "pinching_curve",
+        ),
+    ],
+)
+def test_csv_header_is_the_row_documents_keys(capsys, monkeypatch, argv, source):
+    # a column added to the library's rows reaches the CSV header, in order
+    tables = []
+
+    def with_extra_column(table):
+        table = Table((*table.columns, "extra"), ((*row.values(), 0.5) for row in table))
+        tables.append(table)
+        return table
+
+    make = getattr(cli, source)
+
+    def patched(*args, **kwargs):
+        doc = make(*args, **kwargs)
+        if source == "pinching_curve":
+            return with_extra_column(doc)
+        return doc | {"rows": with_extra_column(doc["rows"])}
+
+    monkeypatch.setattr(cli, source, patched)
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == list(tables[-1].columns) and header[-1] == "extra"
+    assert [list(row) for row in tables[-1]] == [header] * len(rows)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert [sorted(row) for row in json.loads(out)["rows"]] == [sorted(header)] * len(rows)
 
 
 def test_pinching_family_without_grid_exit_code(capsys):
