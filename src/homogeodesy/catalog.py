@@ -125,13 +125,21 @@ def _check(cond: bool, msg: str):
         raise BadParams(msg)
 
 
-def _space(name, rule, k, m0, m1, params, witnesses, base, alg_name=None) -> ReductiveSpace:
+def _space_name(params: dict) -> str:
+    """family:key=value,... over the family's descriptor keys in table order, values as %g."""
+    family = params["family"]
+    args = ",".join(f"{key}={params[key]:g}" for key in _FAMILIES[family][1])
+    return f"{family}:{args}" if args else family
+
+
+def _space(rule, k, m0, m1, params, witnesses, base, alg_name=None) -> ReductiveSpace:
     """Assemble labelled (label, matrix) parts, in the order k, m0, m1, into a space.
 
     The index partition follows from the part lengths.  m1 is None for a space
-    without the m0/m1 split (the round sphere), whose m is m0 alone.  The
-    algebra takes the space's name unless alg_name is given.
+    without the m0/m1 split (the round sphere), whose m is m0 alone.  The space
+    is named from params; the algebra takes that name unless alg_name is given.
     """
+    name = _space_name(params)
     alg = assemble_algebra(k + m0 + (m1 or []), rule, name=alg_name or name)
     nk, nm0 = len(k), len(k) + len(m0)
     split = m1 is not None
@@ -179,8 +187,7 @@ def build_round_sphere(n: int = 3, kappa: float = 1.0) -> ReductiveSpace:
     m = [(f"e_{j}", b_matrix(nn, j, nn)) for j in range(1, n + 1)]
     rule = GramRule(coeff=0.5, scale=1.0 / kappa)
     params = {"family": "round", "n": n, "kappa": kappa}
-    name = f"round:n={n},kappa={kappa:g}"
-    return _space(name, rule, k, m, None, params, {"M": "e_1"}, None, alg_name=f"so({nn})")
+    return _space(rule, k, m, None, params, {"M": "e_1"}, None, alg_name=f"so({nn})")
 
 
 def build_berger_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
@@ -205,9 +212,8 @@ def build_berger_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
     tau = kappa * s * (m + 1) / (2 * m)
     params = {"family": "berger", "m": m, "s": s, "kappa": kappa, "tau": tau}
     witnesses = {"M0": "d_s", "M1": f"e_{m}", "M": f"e_{m}"}
-    name = f"berger:m={m},s={s:g},kappa={kappa:g}"
     base = SymmetricReference("projective", kappa)
-    return _space(name, rule, k, [("d_s", d[0])], m1, params, witnesses, base)
+    return _space(rule, k, [("d_s", d[0])], m1, params, witnesses, base)
 
 
 def build_sp_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
@@ -226,9 +232,8 @@ def build_sp_sphere(m: int, s: float, kappa: float = 1.0) -> ReductiveSpace:
     rule = GramRule(coeff=0.25, scale=1.0 / kappa, **fiber_rule)
     params = {"family": "spsphere", "m": m, "s": s, "kappa": kappa, "tau": kappa * s / 2}
     witnesses = {"M0": "d_1s", "M1": "Y_1", "M": "Y_1"}
-    name = f"spsphere:m={m},s={s:g},kappa={kappa:g}"
     base = SymmetricReference("projective", kappa)
-    return _space(name, rule, k, m0, y, params, witnesses, base)
+    return _space(rule, k, m0, y, params, witnesses, base)
 
 
 def build_cp_odd(m: int, kappa: float = 1.0) -> ReductiveSpace:
@@ -239,9 +244,8 @@ def build_cp_odd(m: int, kappa: float = 1.0) -> ReductiveSpace:
     rule = GramRule(coeff=0.25, scale=1.0 / kappa)
     params = {"family": "cpodd", "m": m, "kappa": kappa, "tau": kappa / 2}
     witnesses = {"M0": "X_2", "M1": "Y_1", "M": "Y_1"}
-    name = f"cpodd:m={m},kappa={kappa:g}"
     base = SymmetricReference("projective", kappa)
-    return _space(name, rule, z + x[:1], x[1:], y, params, witnesses, base)
+    return _space(rule, z + x[:1], x[1:], y, params, witnesses, base)
 
 
 def build_b13() -> ReductiveSpace:
@@ -273,7 +277,7 @@ def build_b13() -> ReductiveSpace:
     params = {"family": "b13", "kappa": 1.0}
     witnesses = {"M0": "u_0", "M1": "e_1", "M": "e_1"}
     base = SymmetricReference("projective", 2.0)
-    return _space("b13", GramRule(coeff=0.25), h, m0, m1, params, witnesses, base)
+    return _space(GramRule(coeff=0.25), h, m0, m1, params, witnesses, base)
 
 
 def build_w7(s: float) -> ReductiveSpace:
@@ -307,7 +311,7 @@ def build_w7(s: float) -> ReductiveSpace:
     params = {"family": "w7", "s": s, "kappa": 1.0}
     witnesses = {"M0": "u_0s", "M1": "e_1", "M": "e_1"}
     base = SymmetricReference("projective", 1.0)
-    return _space(f"w7:s={s:g}", rule, k, m0, m1, params, witnesses, base)
+    return _space(rule, k, m0, m1, params, witnesses, base)
 
 
 # -- descriptor grammar ------------------------------------------------------
@@ -325,6 +329,11 @@ class SpaceDescriptor:
             return self.family
         args = ",".join(f"{k}={v!r}" for k, v in self.params)
         return f"{self.family}:{args}"
+
+    @property
+    def name(self) -> str:
+        """The name of the space that build_space makes of this descriptor."""
+        return _space_name({"family": self.family, **dict(self.params)})
 
 
 # family -> builder and its parameters: name -> (type, default, largest), the builder's

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .algebra import AlgebraError, algebra_to_json
-from .catalog import BadParams, build_space, known_families
+from .catalog import BadParams, build_space, known_families, parse_descriptor
 from .closed_form import (
     ClosedFormError,
     HypothesisViolated,
@@ -27,8 +27,15 @@ from .closed_form import (
     closed_form_times,
     extract_cp_data,
 )
-from .homogeneous import GeometryError
-from .jacobi import AUX_PARAMETERS, BadAngle, BadAux, JacobiError, geodesic_pair
+from .homogeneous import GeometryError, ReductiveSpace
+from .jacobi import (
+    AUX_PARAMETERS,
+    BadAngle,
+    BadAux,
+    JacobiError,
+    check_geodesic_request,
+    geodesic_pair,
+)
 from .pinching import CURVE_FAMILIES, DEFAULT_MULTISTARTS, estimate_pinching, pinching_curve
 from .report import (
     ALL_CHECKS,
@@ -145,15 +152,22 @@ def cmd_brackets(args) -> int:
     return 0
 
 
+def _geodesic_space(args) -> ReductiveSpace:
+    """args.space, refused before it is built where geodesic_pair would refuse it."""
+    descriptor = parse_descriptor(args.space)
+    check_geodesic_request(descriptor.family, descriptor.name, args.theta)
+    return build_space(descriptor)
+
+
 def cmd_conjugate(args) -> int:
-    space = build_space(args.space)
+    space = _geodesic_space(args)
     doc = conjugate_table(space, args.theta, args.tmax, _aux_from(args))
     _emit(doc, args, rows_key="rows")
     return 0
 
 
 def cmd_closedform(args) -> int:
-    space = build_space(args.space)
+    space = _geodesic_space(args)
     u, v = geodesic_pair(space, args.theta, _aux_from(args))
     data = extract_cp_data(space, u, v)
     times = closed_form_times(data, args.tmax)

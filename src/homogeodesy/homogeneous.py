@@ -249,6 +249,7 @@ KERNEL_BLOCK = 512  # rows per evaluation block; bounds the (rows, n*p) products
 HESSIAN_BLOCK = 1 << 16  # Hessian entries per block: keeps a block's temporaries in cache
 GRAD_RTOL = 1e-14  # a gradient below this times |f| + max|H| is zero to rounding
 STOP_RTOL = 1e-13  # a predicted gain and a trial change below this times |f| are rounding
+START_SCREEN = 8  # random planes screened per optimizer start
 
 
 class BracketKernel:
@@ -307,10 +308,6 @@ class BracketKernel:
         are uniform on the Grassmannian (the stream of random_unit_m)."""
         xs = rng.standard_normal((count, self.n))
         return xs, rng.standard_normal((count, self.n))
-
-    def random_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal pairs: Gram-Schmidt on gaussian_pairs."""
-        return _orthonormalize(*self.gaussian_pairs(rng, count))
 
     def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """f at each row pair."""
@@ -404,32 +401,44 @@ def optimize_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Multistart Riemannian Newton ascent (sign +1) and descent (sign -1) of f.
 
-    Each sign gets `multistarts` starts from `rng`, in order, and all rows
-    advance in one loop of at most `max_iter` steps.  A row takes the damped
-    (Levenberg-Marquardt) Newton step d = s (mu I - s PHP)^-1 g on the
-    Grassmannian of planes and is retracted onto orthonormal pairs by
-    Gram-Schmidt.  mu starts at |f| + max|PHP|; it also regularizes the flat
-    directions along isotropy orbits and the vertical ones.  Where mu I - s PHP
-    is indefinite and the step predicts no gain, the row is near a saddle and
-    steps along the wrong-sign curvature of s PHP instead (`_trial_pairs`), so
-    that it leaves the saddle in one step rather than waiting for mu to grow
-    past that curvature.  A step that improves f with a positive predicted
-    gain is kept and divides mu by 5; any other step multiplies it by 8.  A row
-    stops once its gradient is zero to rounding, or once its predicted gain
-    g.(mu I - s PHP)^-1 g (the damped Newton decrement) and its trial's change
-    of f both fall to rounding relative to |f|.  A row that reaches a saddle
-    with a gradient zero to rounding stops there.  Each step makes one kernel
-    call, on the trial pairs, and an accepted row keeps that gradient and
-    Hessian.  Returns f, the ON-frame pairs (x, y) and the Riemannian gradient
-    norm |g| by row, and the number of steps taken.
+    Each sign, in order, draws START_SCREEN * multistarts Gaussian pairs from
+    `rng`, xs then ys, and one order-0 kernel call evaluates f on all of them
+    (the value is GL(2)-invariant, so raw pairs will do).  Per sign, the
+    `multistarts` pairs with the largest s f, best first and ties in draw
+    order, are Gram-Schmidt'ed into its starts: the reduce step of multi-level
+    single linkage, which searches a larger sample only from its best points.
+    All rows advance in one loop of at most `max_iter` steps.
+
+    A row takes the damped (Levenberg-Marquardt) Newton step
+    d = s (mu I - s PHP)^-1 g on the Grassmannian of planes and is retracted
+    onto orthonormal pairs by Gram-Schmidt.  mu starts at |f| + max|PHP|; it
+    also regularizes the flat directions along isotropy orbits and the
+    vertical ones.  Where mu I - s PHP is indefinite and the step predicts no
+    gain, the row is near a saddle and steps along the wrong-sign curvature of
+    s PHP instead (`_trial_pairs`), so that it leaves the saddle in one step
+    rather than waiting for mu to grow past that curvature.  A step that
+    improves f with a positive predicted gain is kept and divides mu by 5; any
+    other step multiplies it by 8.  A row stops once its gradient is zero to
+    rounding, or once its predicted gain g.(mu I - s PHP)^-1 g (the damped
+    Newton decrement) and its trial's change of f both fall to rounding
+    relative to |f|.  A row that reaches a saddle with a gradient zero to
+    rounding stops there.  After the screen and one order-2 call at the
+    starts, each step makes one kernel call, on the trial pairs, and an
+    accepted row keeps that gradient and Hessian.  Returns f, the ON-frame
+    pairs (x, y) and the Riemannian gradient norm |g| by row, and the number
+    of steps taken.
     """
     if multistarts < 1:
         raise ValueError("multistarts must be >= 1")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    n = kernel.n
-    starts = [kernel.random_pairs(rng, multistarts) for _ in signs]
-    z = np.concatenate([np.hstack(pair) for pair in starts])
+    n, pool = kernel.n, START_SCREEN * multistarts
+    draws = [kernel.gaussian_pairs(rng, pool) for _ in signs]
+    xs, ys = (np.concatenate(part) for part in zip(*draws))
+    screen = np.asarray(signs)[:, None] * kernel.value(xs, ys).reshape(len(signs), pool)
+    best = np.argsort(-screen, axis=1, kind="stable")[:, :multistarts]  # ties keep draw order
+    keep = (best + pool * np.arange(len(signs))[:, None]).ravel()
+    z = np.hstack(_orthonormalize(xs[keep], ys[keep]))
     sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
     f, g, h = kernel.second_order(z[:, :n], z[:, n:])
     mu = np.abs(f) + np.max(np.abs(h), axis=(1, 2))

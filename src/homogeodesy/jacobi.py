@@ -506,10 +506,17 @@ _CANONICAL = {
 }
 
 
-def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.ndarray]:
-    family = space.params.get("family")
+def check_geodesic_request(family: str, name: str, theta: float) -> None:
+    """The refusals of geodesic_pair that need no built space, in its order:
+    theta outside [0, pi/2], then a family without canonical directions."""
+    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+        raise BadAngle("theta must lie in [0, pi/2]")
     if family not in _CANONICAL:
-        raise BadAux(f"no canonical vertical/horizontal directions for {space.name}")
+        raise BadAux(f"no canonical vertical/horizontal directions for {name}")
+
+
+def _canonical_u0_u1(space: ReductiveSpace, aux: dict) -> tuple[np.ndarray, np.ndarray]:
+    family = space.params["family"]
     keys, top, default, prefix = _CANONICAL[family]
     extra = set(aux) - keys
     if extra:
@@ -556,8 +563,7 @@ def geodesic_pair(
     space: ReductiveSpace, theta: float, aux: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The slope-angle direction u = cos(theta) u0 + sin(theta) u1 and its companion v."""
-    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-        raise BadAngle("theta must lie in [0, pi/2]")
+    check_geodesic_request(space.params.get("family"), space.name, theta)
     u0, u1 = _canonical_u0_u1(space, dict(aux or {}))
     u0, u1 = space.unit(u0), space.unit(u1)
     u = math.cos(theta) * u0 + math.sin(theta) * u1

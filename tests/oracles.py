@@ -94,6 +94,13 @@ def naturally_reductive_curvature(space, x, y) -> float:
     return float(num / area2)
 
 
+def random_pairs(kernel, rng, count: int):
+    """Orthonormal pairs: Gram-Schmidt on the kernel's Gaussian pairs."""
+    from homogeodesy.homogeneous import _orthonormalize
+
+    return _orthonormalize(*kernel.gaussian_pairs(rng, count))
+
+
 def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter: int = 400):
     """Reference multistart optimizer: one sign per call, two kernel calls per step.
 
@@ -104,7 +111,7 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
     """
     from homogeodesy.homogeneous import _orthonormalize
 
-    xs, ys = kernel.random_pairs(rng, multistarts)
+    xs, ys = random_pairs(kernel, rng, multistarts)
     f = sign * kernel.value(xs, ys)
     step = np.full(multistarts, 0.1)
     for _ in range(max_iter):

@@ -122,6 +122,16 @@ def test_descriptor_fractions_and_roundtrip():
     assert again == desc
 
 
+@pytest.mark.parametrize(
+    "desc",
+    ["round:n=4,kappa=0.5", "berger:m=2,s=0.5", "spsphere:m=1", "cpodd:m=2,kappa=3"]
+    + ["b13", "w7:s=0.25"],
+)
+def test_descriptor_names_the_space_it_builds(desc):
+    # the CLI names a space from its descriptor where it refuses it unbuilt
+    assert parse_descriptor(desc).name == build_space(desc).name
+
+
 def test_build_space_caches():
     a = build_space("b13")
     b = build_space("b13")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import homogeodesy
+import homogeodesy.catalog as catalog
 import homogeodesy.cli as cli
 import homogeodesy.report as report
 from homogeodesy.cli import NonFiniteOutput, main
@@ -222,6 +223,31 @@ def test_scan_refuses_an_oversized_grid_through_the_cli(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: t_max / step needs more than 1e+07 grid points\n"
+
+
+@pytest.mark.parametrize("command", ["conjugate", "closedform"])
+def test_family_without_canonical_directions_is_refused_before_building(
+    capsys, monkeypatch, command
+):
+    # round has no canonical vertical/horizontal directions: geodesic_pair's
+    # refusals, a bad theta first, come before the (costly) build, and name
+    # the space as the built one does
+    def builder(**params):
+        raise AssertionError(f"round was built with {params}")
+
+    monkeypatch.setitem(catalog._FAMILIES, "round", (builder, catalog._FAMILIES["round"][1]))
+    no_directions = "error: no canonical vertical/horizontal directions for "
+    for argv, err in (
+        (["round:n=12"], no_directions + "round:n=12,kappa=1"),
+        (
+            ["round:n=11,kappa=2.5", "--theta", "0.3", "--phi", "1"],
+            no_directions + "round:n=11,kappa=2.5",
+        ),
+        (["round:n=10", "--theta", "5"], "error: theta must lie in [0, pi/2]"),
+    ):
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", err + "\n")
 
 
 @pytest.mark.parametrize(

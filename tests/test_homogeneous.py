@@ -7,6 +7,7 @@ import homogeodesy.homogeneous as homogeneous
 from homogeodesy.algebra import bracket
 from homogeodesy.catalog import build_space
 from homogeodesy.homogeneous import (
+    START_SCREEN,
     STOP_RTOL,
     BracketKernel,
     DegeneratePlane,
@@ -31,6 +32,7 @@ from oracles import (
     bracket_tensor_einsum,
     naturally_reductive_curvature,
     optimize_pairs_one_sign,
+    random_pairs,
     sampled_bracket_minimum,
 )
 
@@ -241,7 +243,7 @@ def test_value_is_gl2_invariant_on_raw_gaussian_pairs(desc):
     kernel = BracketKernel(build_space(desc), 1.0, 0.25)
     xs, ys = kernel.gaussian_pairs(np.random.default_rng(17), 1100)
     raw = kernel.value(xs, ys)
-    orthonormal = kernel.value(*kernel.random_pairs(np.random.default_rng(17), 1100))
+    orthonormal = kernel.value(*random_pairs(kernel, np.random.default_rng(17), 1100))
     assert np.all(np.abs(raw - orthonormal) <= 1e-13 * np.abs(orthonormal))
     # and a rescaled, sheared basis of the same planes
     assert np.all(np.abs(kernel.value(3.0 * xs - ys, 0.5 * ys) - raw) <= 1e-13 * np.abs(raw))
@@ -254,7 +256,7 @@ def test_bracket_kernel_blocks_agree_with_rows(rng):
     kernel = BracketKernel(space, 1.0, 0.25)
     block = max(1, homogeneous.HESSIAN_BLOCK // (2 * kernel.n) ** 2)  # rows per order-2 block
     count = max(block, homogeneous.KERNEL_BLOCK) + 100
-    xs, ys = kernel.random_pairs(rng, count)
+    xs, ys = random_pairs(kernel, rng, count)
     values, (f, g, h) = kernel.value(xs, ys), kernel.second_order(xs, ys)
     for i in (0, homogeneous.KERNEL_BLOCK - 1, homogeneous.KERNEL_BLOCK, count - 1):
         value = kernel.value(xs[i : i + 1], ys[i : i + 1])[0]
@@ -333,6 +335,45 @@ def test_optimize_pairs_matches_one_sign_reference(desc):
         assert sign * (best - want) >= -ROUNDING * abs(want)
 
 
+@pytest.mark.parametrize("desc", ["b13", "cpodd:m=1", "spsphere:m=1,s=0.5", "round:n=3"])
+def test_starts_are_the_best_of_the_screened_pool(desc):
+    # per sign, sign +1 first, optimize_pairs draws START_SCREEN * multistarts
+    # Gaussian pairs from rng and starts from the multistarts of them with the
+    # largest s f, best first, Gram-Schmidt'ed; at max_iter = 0 it returns them
+    space = build_space(desc)
+    kernel = BracketKernel(space, 1.0, 0.25)
+    multistarts, signs = 8, (+1.0, -1.0)
+    _, xs, ys, _, _ = optimize_pairs(kernel, signs, np.random.default_rng(5), multistarts, 0)
+    rng = np.random.default_rng(5)
+    for part, sign in enumerate(signs):
+        pool = kernel.gaussian_pairs(rng, START_SCREEN * multistarts)
+        gx, gy = _orthonormalize(*pool)
+        rows = slice(part * multistarts, (part + 1) * multistarts)
+        dist = [np.abs(gx - x).max(axis=1) + np.abs(gy - y).max(axis=1) for x, y in zip(xs, ys)]
+        kept = [int(np.argmin(d)) for d in dist[rows]]
+        assert len(set(kept)) == multistarts
+        np.testing.assert_allclose(gx[kept], xs[rows], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gy[kept], ys[rows], rtol=0, atol=1e-14)
+        planes = space.from_frame(np.stack(pool, axis=1))
+        sf = sign * np.array([naturally_reductive_curvature(space, x, y) for x, y in planes])
+        tol = 1e-12 * np.abs(sf).max()
+        assert sf[kept].min() >= np.delete(sf, kept).max() - tol
+        assert np.all(np.diff(sf[kept]) <= tol)
+
+
+def test_screen_ties_keep_the_first_draws(abelian_space):
+    # f is exactly 0 on the torus, so every s f ties and each sign starts from
+    # the first multistarts draws of its pool (f on the round sphere is 1 only
+    # to rounding, and there the screen ranks its last bits)
+    kernel = BracketKernel(abelian_space, 1.0, 1.0)
+    _, xs, ys, _, _ = optimize_pairs(kernel, (+1.0, -1.0), np.random.default_rng(2), 8, 0)
+    rng = np.random.default_rng(2)
+    for part in range(2):
+        x, y = (d[:8] for d in kernel.gaussian_pairs(rng, START_SCREEN * 8))
+        want = np.hstack(_orthonormalize(x, y))
+        np.testing.assert_array_equal(np.hstack([xs, ys])[8 * part : 8 * part + 8], want)
+
+
 def _bracket_sq(space, x, y) -> float:
     b = np.einsum("i,j,ijk->k", x, y, space.algebra.structure)
     return float(b @ space.algebra.gram @ b)
@@ -369,7 +410,7 @@ def test_projected_hessian_matches_central_differences(desc, weights):
     kernel = BracketKernel(build_space(desc), *weights)
     n = kernel.n
     gen = np.random.default_rng(9)
-    xs, ys = kernel.random_pairs(gen, 8)
+    xs, ys = random_pairs(kernel, gen, 8)
     f, g, h = kernel.second_order(xs, ys)
     # f is GL(2)-invariant: its gradient is already horizontal, and P H P symmetric
     np.testing.assert_allclose(_horizontal(xs, ys, g), g, rtol=0, atol=1e-13 * np.abs(g).max())
