@@ -3,10 +3,10 @@
 Everything is computed at the origin in the m-basis: projections are index
 masks (the Gram is block-diagonal across k + m), the canonical-connection
 operators come straight from the structure tensor, and sectional curvature is
-evaluated from bracket norms.  One bracket kernel with an exact gradient and
-projected Hessian, and one damped Riemannian Newton optimizer on the
-Grassmannian of planes, serve both the rank-one check and the pinching
-estimate.
+evaluated from bracket norms.  One bracket kernel, with the gradient and
+Hessian written in an orthonormal frame of the tangent space of the
+Grassmannian of planes, and one damped Riemannian Newton optimizer on that
+Grassmannian serve both the rank-one check and the pinching estimate.
 """
 from __future__ import annotations
 
@@ -246,8 +246,8 @@ def jacobi_op(space: ReductiveSpace, u) -> np.ndarray:
 
 
 KERNEL_BLOCK = 512  # rows per evaluation block; bounds the (rows, n*p) products
-HESSIAN_BLOCK = 1 << 16  # Hessian entries per block: keeps a block's temporaries in cache
-GRAD_RTOL = 1e-14  # a gradient below this times |f| + max|H| is zero to rounding
+HESSIAN_BLOCK = 1 << 16  # frame-Hessian entries, (2(n-2))^2 a row, per block: stays in cache
+GRAD_RTOL = 1e-14  # a gradient below this times |f| + max|PHP| is zero to rounding
 STOP_RTOL = 1e-13  # a predicted gain and a trial change below this times |f| are rounding
 START_SCREEN = 8  # random planes screened per optimizer start
 
@@ -271,19 +271,24 @@ class BracketKernel:
     f = |sigma M|^2 / |sigma|^2 is GL(2)-invariant as computed, and any two
     vectors spanning the plane may be passed in.
 
-    The derivatives (`second_order`) store B as an (n, n*p) matrix: B(x, .)
-    is one GEMM and, B being antisymmetric, B(., y) = -B(y, .) is another.
-    With z = (x, y) and J = [-B(y, .); B(x, .)], the gradient is exact:
-    dN/dz = 2 J B(x, y) and df/dz = (dN/dz - f d(area^2)/dz) / area^2.
-
-    At an orthonormal pair, f is invariant under GL(2) acting on (x, y), so
-    its gradient is horizontal (orthogonal to span(x, y) in both blocks), and
-    its Riemannian Hessian on the Grassmannian of planes is P H P, where P
-    applies Q = I - xx^T - yy^T to both blocks and, for horizontal z = (xi, eta),
+    The derivatives (`second_order`, at orthonormal pairs) are read in a
+    frame of the tangent space of the Grassmannian of planes.  f is invariant
+    under GL(2) acting on (x, y), so its gradient is horizontal: orthogonal to
+    span(x, y) in both blocks.  With N (n, n - 2) an orthonormal basis of
+    span(x, y)^perp (`_frame`), a horizontal direction is (N a, N b), and the
+    gradient and Hessian are those of (a, b) -> f(x + N a, y + N b) at 0.
+    B is stored as an (n, n*p) matrix: B(x, .) is one GEMM and, B being
+    antisymmetric, B(., y) = -B(y, .) is another.  With
+    J_N = [-N^T B(y, .); N^T B(x, .)], the gradient is
+    g_N = 2 J_N B(x, y) / area^2, since area^2 only moves along span(x, y).
+    For a horizontal z = (xi, eta),
       z^T H z = 2 |B(xi, y) + B(x, eta)|^2 + 4 <B(x, y), B(xi, eta)> - 2 f |z|^2.
-    The first term gives 2 (PJ)(PJ)^T.  The second gives the off-diagonal
-    blocks +-2 QCQ, with C = B(., ., B(x, y)) antisymmetric: one GEMM against
-    the tensor laid out as (p, n*n).  The third gives -2 f Q on the diagonal.
+    The first term gives 2 J_N J_N^T.  The second gives the off-diagonal
+    blocks +-2 C_N, C_N = N^T C N with C = B(., ., B(x, y)) antisymmetric: one
+    GEMM against the tensor laid out as (p, n*n).  The third gives -2 f I on
+    the diagonal.  H_N is 2(n - 2) square, and diag(N, N) lifts g_N and H_N
+    to the ambient gradient and projected Hessian P H P, P = I - xx^T - yy^T
+    on both blocks.
     """
 
     def __init__(self, space: ReductiveSpace, w_k: float, w_m: float):
@@ -314,7 +319,8 @@ class BracketKernel:
         return self._evaluate(xs, ys, 0)[0]
 
     def second_order(self, xs: np.ndarray, ys: np.ndarray):
-        """f, df/d(x, y) and the projected Hessian P H P at orthonormal row pairs."""
+        """f, the gradient g_N and Hessian H_N in the tangent frame, and the
+        frame N, at orthonormal row pairs."""
         return self._evaluate(xs, ys, 2)
 
     def _evaluate(self, xs, ys, order):
@@ -330,35 +336,55 @@ class BracketKernel:
                 num = np.einsum("cn,cn->n", bxy, bxy)
                 f[lo : lo + KERNEL_BLOCK] = num / np.einsum("kn,kn->n", sigma, sigma)
             return f, None, None
-        g, h = np.empty((count, 2 * n)), np.empty((count, 2 * n, 2 * n))
-        block = max(1, HESSIAN_BLOCK // (2 * n) ** 2)
+        r = n - 2
+        g, h = np.empty((count, 2 * r)), np.empty((count, 2 * r, 2 * r))
+        frame = np.empty((count, n, r))
+        block = max(1, HESSIAN_BLOCK // max(1, (2 * r) ** 2))
         for lo in range(0, count, block):
             rows = slice(lo, lo + block)
             x, y = xs[rows], ys[rows]
+            nb = frame[rows] = _frame(x, y)
+            nt = nb.transpose(0, 2, 1)
             bx = (x @ self._tensor).reshape(len(x), n, -1)  # B(x, .)
             bxy = np.einsum("nb,nbc->nc", y, bx)
-            xx = np.einsum("na,na->n", x, x)[:, None]
-            yy = np.einsum("na,na->n", y, y)[:, None]
-            xy = np.einsum("na,na->n", x, y)[:, None]
-            area2 = xx * yy - xy**2
+            xx = np.einsum("na,na->n", x, x)
+            yy = np.einsum("na,na->n", y, y)
+            xy = np.einsum("na,na->n", x, y)
+            area2 = (xx * yy - xy**2)[:, None]
             fb = np.einsum("nc,nc->n", bxy, bxy)[:, None] / area2
             f[rows] = fb[:, 0]
             by = (y @ self._tensor).reshape(len(y), n, -1)  # B(y, .) = -B(., y)
-            jac = np.concatenate([-by, bx], axis=1)
-            darea2 = 2.0 * np.concatenate([yy * x - xy * y, xx * y - xy * x], axis=1)
-            g[rows] = (2.0 * np.einsum("nac,nc->na", jac, bxy) - fb * darea2) / area2
-            # B(x, x) = B(y, y) = 0, so P J = J - (x; y) B(x, y)^T
-            jac -= np.concatenate([x, y], axis=1)[:, :, None] * bxy[:, None]
+            jac = np.concatenate([-(nt @ by), nt @ bx], axis=1)  # J_N
+            g[rows] = 2.0 * np.matmul(jac, bxy[:, :, None])[:, :, 0] / area2
             hb = np.matmul(jac, jac.transpose(0, 2, 1), out=h[rows])
-            q = np.eye(n) - x[:, :, None] * x[:, None] - y[:, :, None] * y[:, None]
-            qcq = q @ (bxy @ self._contract).reshape(len(x), n, n) @ q
-            hb[:, :n, n:] += qcq
-            hb[:, n:, :n] -= qcq
-            fq = fb[:, :, None] * q
-            hb[:, :n, :n] -= fq
-            hb[:, n:, n:] -= fq
+            cn = nt @ (bxy @ self._contract).reshape(len(x), n, n) @ nb
+            hb[:, :r, r:] += cn
+            hb[:, r:, :r] -= cn
+            # the diagonals, written through a view, as h[rows] is contiguous
+            hb.reshape(len(x), -1)[:, :: 2 * r + 1] -= fb
             hb *= 2.0
-        return f, g, h
+        return f, g, h, frame
+
+
+def _frame(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Orthonormal bases N (rows, n, n - 2) of span(x, y)^perp at orthonormal pairs.
+
+    The Householder reflection H1 along u1 = x + sign(x_0) e_0 takes x to a
+    multiple of e_0; H2 along u2 = (0, y' + sign(y'_1) e_1), y' = H1 y with its
+    e_0 part dropped, takes H1 y to a multiple of e_1 and fixes e_0.  So the
+    columns 2, ..., n - 1 of the orthogonal H1 H2 span the complement: N is
+    H1 H2 applied to those columns of the identity."""
+    n = xs.shape[1]
+    u1 = xs.copy()
+    u1[:, 0] += np.copysign(1.0, xs[:, 0])
+    c1 = 2.0 / np.einsum("na,na->n", u1, u1)
+    u2 = ys - (c1 * np.einsum("na,na->n", u1, ys))[:, None] * u1
+    u2[:, 0] = 0.0
+    u2[:, 1] += np.copysign(np.linalg.norm(u2, axis=1), u2[:, 1])
+    c2 = 2.0 / np.einsum("na,na->n", u2, u2)
+    frame = -(c2[:, None] * u2)[:, :, None] * u2[:, None, 2:]
+    frame[:, 2:] += np.eye(n - 2)
+    return frame - (c1[:, None] * u1)[:, :, None] * np.einsum("na,nab->nb", u1, frame)[:, None]
 
 
 def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,32 +394,38 @@ def _orthonormalize(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
     return xs, ys
 
 
-def _trial_pairs(z, g, h, s, mu):
+def _trial_pairs(z, g, h, frame, s, mu):
     """Trial pairs and predicted gains of one damped Newton step from each row.
 
-    The step d = s (mu I - s PHP)^-1 g predicts the gain s g.d, which is
-    positive while mu I - s PHP is positive definite.  A gain <= 0 shows that
-    it is not: s PHP has a wrong-sign eigenvalue lam above mu, so the row sits
-    near a saddle of s f.  Such a row steps along the top eigenvector v of
-    s PHP instead, signed so that s g.v >= 0, by the length a = min(lam/mu, 1),
-    and predicts 1/2 lam a^2 + |g.v| a.  a is 1 unless rounding alone made the
-    gain <= 0; then lam <= mu, and a row with lam <= 0 still predicts no gain.
-    Only these rows pay for an eigh, which costs about eight solves.
+    In the tangent frame N of each row, the step d = s (mu I - s H)^-1 g
+    predicts the gain s g.d, which is positive while mu I - s H is positive
+    definite.  A gain <= 0 shows that it is not: s H has a wrong-sign
+    eigenvalue lam above mu, so the row sits near a saddle of s f.  Such a row
+    steps along the top eigenvector v of s H instead, signed so that s g.v >= 0,
+    by the length a = min(lam/mu, 1), and predicts 1/2 lam a^2 + |g.v| a.  a is
+    1 unless rounding alone made the gain <= 0; then lam <= mu.  The frame
+    has no vertical directions, so lam may be negative: it is clamped at 0, and
+    a row with no positive curvature predicts no gain.  Only these rows pay
+    for an eigh: in 64-row batches it costs two to three solves at size 2 and
+    six to eleven at sizes 6 to 26.  The trial is the Gram-Schmidt pair of
+    (x + N d_x, y + N d_y).
     """
-    n = z.shape[1] // 2
+    r = g.shape[1] // 2
     lhs = -s[:, None, None] * h
-    lhs[:, np.arange(2 * n), np.arange(2 * n)] += mu[:, None]
+    lhs.reshape(len(lhs), -1)[:, :: 2 * r + 1] += mu[:, None]  # the diagonals
     d = s[:, None] * np.linalg.solve(lhs, g[:, :, None])[:, :, 0]
     gain = s * np.einsum("na,na->n", g, d)
     bent = gain <= 0
     if bent.any():
         lam, vec = np.linalg.eigh(s[bent, None, None] * h[bent])
-        lam, v = lam[:, -1], vec[:, :, -1]
+        lam, v = np.maximum(lam[:, -1], 0.0), vec[:, :, -1]
         slope = s[bent] * np.einsum("na,na->n", g[bent], v)
         alpha = np.minimum(lam / mu[bent], 1.0)
         d[bent] = np.where(slope < 0, -alpha, alpha)[:, None] * v
         gain[bent] = 0.5 * lam * alpha**2 + np.abs(slope) * alpha
-    return np.hstack(_orthonormalize(z[:, :n] + d[:, :n], z[:, n:] + d[:, n:])), gain
+    n = z.shape[1] // 2
+    step = z.reshape(-1, 2, n) + d.reshape(-1, 2, r) @ frame.transpose(0, 2, 1)
+    return np.hstack(_orthonormalize(step[:, 0], step[:, 1])), gain
 
 
 def optimize_pairs(
@@ -410,23 +442,26 @@ def optimize_pairs(
     All rows advance in one loop of at most `max_iter` steps.
 
     A row takes the damped (Levenberg-Marquardt) Newton step
-    d = s (mu I - s PHP)^-1 g on the Grassmannian of planes and is retracted
-    onto orthonormal pairs by Gram-Schmidt.  mu starts at |f| + max|PHP|; it
-    also regularizes the flat directions along isotropy orbits and the
-    vertical ones.  Where mu I - s PHP is indefinite and the step predicts no
-    gain, the row is near a saddle and steps along the wrong-sign curvature of
-    s PHP instead (`_trial_pairs`), so that it leaves the saddle in one step
-    rather than waiting for mu to grow past that curvature.  A step that
-    improves f with a positive predicted gain is kept and divides mu by 5; any
-    other step multiplies it by 8.  A row stops once its gradient is zero to
-    rounding, or once its predicted gain g.(mu I - s PHP)^-1 g (the damped
-    Newton decrement) and its trial's change of f both fall to rounding
-    relative to |f|.  A row that reaches a saddle with a gradient zero to
-    rounding stops there.  After the screen and one order-2 call at the
-    starts, each step makes one kernel call, on the trial pairs, and an
-    accepted row keeps that gradient and Hessian.  Returns f, the ON-frame
-    pairs (x, y) and the Riemannian gradient norm |g| by row, and the number
-    of steps taken.
+    d = s (mu I - s H)^-1 g on the Grassmannian of planes, with g and H read
+    in the row's tangent frame N (`BracketKernel`), and is retracted onto
+    orthonormal pairs by Gram-Schmidt.  mu starts at |f| + max|PHP|, the
+    largest entry of the ambient projected Hessian P H P = N2 H N2^T,
+    N2 = diag(N, N), lifted once at the starts: that rule depends on the
+    basis, and the frame's own max|H| or |H|_2 take more steps.  mu also
+    regularizes the flat directions along isotropy orbits.  Where mu I - s H
+    is indefinite and the step predicts no gain, the row is near a saddle and
+    steps along the wrong-sign curvature of s H instead (`_trial_pairs`), so
+    that it leaves the saddle in one step rather than waiting for mu to grow
+    past that curvature.  A step that improves f with a positive predicted
+    gain is kept and divides mu by 5; any other step multiplies it by 8.  A
+    row stops once its gradient is zero to rounding, or once its predicted
+    gain g.(mu I - s H)^-1 g (the damped Newton decrement) and its trial's
+    change of f both fall to rounding relative to |f|.  A row that reaches a
+    saddle with a gradient zero to rounding stops there.  After the screen and
+    one order-2 call at the starts, each step makes one kernel call, on the
+    trial pairs, and an accepted row keeps that gradient, Hessian and frame.
+    Returns f, the ON-frame pairs (x, y) and the Riemannian gradient norm |g|
+    by row, and the number of steps taken.
     """
     if multistarts < 1:
         raise ValueError("multistarts must be >= 1")
@@ -440,8 +475,11 @@ def optimize_pairs(
     keep = (best + pool * np.arange(len(signs))[:, None]).ravel()
     z = np.hstack(_orthonormalize(xs[keep], ys[keep]))
     sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
-    f, g, h = kernel.second_order(z[:, :n], z[:, n:])
-    mu = np.abs(f) + np.max(np.abs(h), axis=(1, 2))
+    f, g, h, frame = kernel.second_order(z[:, :n], z[:, n:])
+    # |f| + max|PHP|, P H P = N2 H N2^T lifted a quadrant at a time
+    r, nt = n - 2, frame.transpose(0, 2, 1)
+    quadrants = [h[:, a : a + r, b : b + r] for a in (0, r) for b in (0, r)]
+    mu = np.abs(f) + np.max([np.abs(frame @ q @ nt).max(axis=(1, 2)) for q in quadrants], axis=0)
     flat = GRAD_RTOL * mu  # a gradient norm at or below this is zero to rounding
     active = np.linalg.norm(g, axis=1) > flat
     steps = 0
@@ -449,11 +487,12 @@ def optimize_pairs(
         steps += 1
         idx = np.flatnonzero(active)
         s, fi = sign[idx], f[idx]
-        trial, gain = _trial_pairs(z[idx], g[idx], h[idx], s, mu[idx])
-        nf, ng, nh = kernel.second_order(trial[:, :n], trial[:, n:])
+        trial, gain = _trial_pairs(z[idx], g[idx], h[idx], frame[idx], s, mu[idx])
+        nf, ng, nh, nframe = kernel.second_order(trial[:, :n], trial[:, n:])
         better = (gain > 0) & (s * nf > s * fi)
         good = idx[better]
-        z[good], f[good], g[good], h[good] = trial[better], nf[better], ng[better], nh[better]
+        z[good], f[good], g[good] = trial[better], nf[better], ng[better]
+        h[good], frame[good] = nh[better], nframe[better]
         mu[idx] *= np.where(better, 0.2, 8.0)
         rounding = STOP_RTOL * np.abs(fi)
         done = (gain <= rounding) & (np.abs(nf - fi) <= rounding)

@@ -4,18 +4,20 @@ Both extremes come from one run of the shared multistart damped Riemannian
 Newton optimizer over tangent 2-planes (homogeneous.optimize_pairs).  Each
 extreme screens START_SCREEN = 8 random planes per start with one curvature
 evaluation of them all, and starts from the best.  Its k_max and k_min starts
-advance together, one call of the normal-mode bracket kernel (value, exact
-gradient and projected Hessian) per step, and each start stops on its own
-Newton decrement.  A start whose damped Newton system is indefinite (its step
-predicts no gain: it sits near a saddle) steps along the top eigenvector of
-its signed projected Hessian instead; an eigh costs about eight solves, so
-only those starts take one.  A large random audit then guards the reported
-bracket [k_min, k_max]: the kernel's value on planes spanned by raw Gaussian
-pairs, uniform on the Grassmannian, with no orthonormalization, as the value
-is GL(2)-invariant.  The audit draws from its own stream,
-default_rng(seed + 1), and the screen from default_rng(seed), so the audit
-stays independent of the screen.  The report also carries the optimizer's step
-count and the Riemannian gradient norm at both extreme planes.
+advance together, one call of the normal-mode bracket kernel per step: the
+value, and the gradient and Hessian in an orthonormal frame of the tangent
+space of the Grassmannian, so that each Newton system has size 2(n - 2) for
+an n-dimensional m.  Each start stops on its own Newton decrement.  A start
+whose damped Newton system is indefinite (its step predicts no gain: it sits
+near a saddle) steps along the top eigenvector of its signed Hessian instead;
+an eigh costs two to eleven solves, so only those starts take one.  A large
+random audit then guards the reported bracket [k_min, k_max]: the kernel's
+value on planes spanned by raw Gaussian pairs, uniform on the Grassmannian,
+with no orthonormalization, as the value is GL(2)-invariant.  The audit draws
+from its own stream, default_rng(seed + 1), and the screen from
+default_rng(seed), so the audit stays independent of the screen.  The report
+also carries the optimizer's step count and the Riemannian gradient norm at
+both extreme planes.
 """
 from __future__ import annotations
 

@@ -101,6 +101,42 @@ def random_pairs(kernel, rng, count: int):
     return _orthonormalize(*kernel.gaussian_pairs(rng, count))
 
 
+def ambient_second_order(kernel, xs, ys):
+    """f, df/d(x, y) and the projected Hessian P H P in ambient coordinates.
+
+    With z = (x, y) and J = [-B(y, .); B(x, .)], the gradient is exact at any
+    pair: dN/dz = 2 J B(x, y) and df/dz = (dN/dz - f d(area^2)/dz) / area^2.
+    At an orthonormal pair the Riemannian Hessian on the Grassmannian is
+    P H P, where P applies Q = I - xx^T - yy^T to both blocks and, for
+    horizontal z = (xi, eta),
+      z^T H z = 2 |B(xi, y) + B(x, eta)|^2 + 4 <B(x, y), B(xi, eta)> - 2 f |z|^2:
+    2 (PJ)(PJ)^T, the off-diagonal blocks +-2 QCQ with C = B(., ., B(x, y)),
+    and -2 f Q on the diagonal.  Reads the kernel's bracket tensor only.
+    """
+    n = kernel.n
+    bx = (xs @ kernel._tensor).reshape(len(xs), n, -1)  # B(x, .)
+    by = (ys @ kernel._tensor).reshape(len(ys), n, -1)  # B(y, .) = -B(., y)
+    bxy = np.einsum("nb,nbc->nc", ys, bx)
+    xx = np.einsum("na,na->n", xs, xs)[:, None]
+    yy = np.einsum("na,na->n", ys, ys)[:, None]
+    xy = np.einsum("na,na->n", xs, ys)[:, None]
+    area2 = xx * yy - xy**2
+    f = np.einsum("nc,nc->n", bxy, bxy)[:, None] / area2
+    jac = np.concatenate([-by, bx], axis=1)
+    darea2 = 2.0 * np.concatenate([yy * xs - xy * ys, xx * ys - xy * xs], axis=1)
+    g = (2.0 * np.einsum("nac,nc->na", jac, bxy) - f * darea2) / area2
+    # B(x, x) = B(y, y) = 0, so P J = J - (x; y) B(x, y)^T
+    jac -= np.concatenate([xs, ys], axis=1)[:, :, None] * bxy[:, None]
+    h = jac @ jac.transpose(0, 2, 1)
+    q = np.eye(n) - xs[:, :, None] * xs[:, None] - ys[:, :, None] * ys[:, None]
+    qcq = q @ (bxy @ kernel._contract).reshape(len(xs), n, n) @ q
+    h[:, :n, n:] += qcq
+    h[:, n:, :n] -= qcq
+    h[:, :n, :n] -= f[:, :, None] * q
+    h[:, n:, n:] -= f[:, :, None] * q
+    return f[:, 0], g, 2.0 * h
+
+
 def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter: int = 400):
     """Reference multistart optimizer: one sign per call, two kernel calls per step.
 
@@ -118,7 +154,7 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
         idx = np.flatnonzero(step > 1e-10)
         if not len(idx):
             break
-        _, g, _ = kernel.second_order(xs[idx], ys[idx])
+        _, g, _ = ambient_second_order(kernel, xs[idx], ys[idx])
         gx, gy = g[:, : kernel.n], g[:, kernel.n :]
         gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
         scale = (sign * step[idx] / gnorm)[:, None]

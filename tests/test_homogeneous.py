@@ -29,6 +29,7 @@ from homogeodesy.pinching import estimate_pinching
 
 from oracles import (
     ad_orbit_direction,
+    ambient_second_order,
     bracket_tensor_einsum,
     naturally_reductive_curvature,
     optimize_pairs_one_sign,
@@ -210,7 +211,7 @@ def test_bracket_kernel_gradient_matches_central_differences(desc, weights):
     gen = np.random.default_rng(5)
     xs = gen.standard_normal((8, kernel.n))  # neither unit nor orthogonal
     ys = gen.standard_normal((8, kernel.n))
-    f, g, _ = kernel.second_order(xs, ys)  # the gradient holds at any pair, not only ON ones
+    f, g, _ = ambient_second_order(kernel, xs, ys)  # exact at any pair, not only ON ones
     gx, gy = g[:, : kernel.n], g[:, kernel.n :]
     # f is homogeneous of degree 0 in x and in y, so f/|x| sets the gradient's scale
     scale = np.hypot(np.linalg.norm(gx, axis=1), np.linalg.norm(gy, axis=1)) + np.abs(f) * (
@@ -254,18 +255,20 @@ def test_bracket_kernel_blocks_agree_with_rows(rng):
     # one-row evaluation
     space = build_space("berger:m=1,s=0.5")
     kernel = BracketKernel(space, 1.0, 0.25)
-    block = max(1, homogeneous.HESSIAN_BLOCK // (2 * kernel.n) ** 2)  # rows per order-2 block
+    # rows per order-2 block: HESSIAN_BLOCK frame-Hessian entries, (2(n - 2))^2 a row
+    block = max(1, homogeneous.HESSIAN_BLOCK // (2 * (kernel.n - 2)) ** 2)
     count = max(block, homogeneous.KERNEL_BLOCK) + 100
     xs, ys = random_pairs(kernel, rng, count)
-    values, (f, g, h) = kernel.value(xs, ys), kernel.second_order(xs, ys)
+    values, (f, g, h, frame) = kernel.value(xs, ys), kernel.second_order(xs, ys)
     for i in (0, homogeneous.KERNEL_BLOCK - 1, homogeneous.KERNEL_BLOCK, count - 1):
         value = kernel.value(xs[i : i + 1], ys[i : i + 1])[0]
         np.testing.assert_allclose(value, values[i], rtol=1e-12)
     for i in (0, block - 1, block, count - 1):
-        f1, g1, h1 = kernel.second_order(xs[i : i + 1], ys[i : i + 1])
+        f1, g1, h1, frame1 = kernel.second_order(xs[i : i + 1], ys[i : i + 1])
         np.testing.assert_allclose(f1[0], f[i], rtol=1e-12)
         np.testing.assert_allclose(g1[0], g[i], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(h1[0], h[i], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(frame1[0], frame[i], rtol=1e-12, atol=1e-12)
 
 
 def test_lts_cp_fiber():
@@ -411,15 +414,15 @@ def test_projected_hessian_matches_central_differences(desc, weights):
     n = kernel.n
     gen = np.random.default_rng(9)
     xs, ys = random_pairs(kernel, gen, 8)
-    f, g, h = kernel.second_order(xs, ys)
+    f, g, h = ambient_second_order(kernel, xs, ys)
     # f is GL(2)-invariant: its gradient is already horizontal, and P H P symmetric
     np.testing.assert_allclose(_horizontal(xs, ys, g), g, rtol=0, atol=1e-13 * np.abs(g).max())
     np.testing.assert_allclose(h, h.transpose(0, 2, 1), rtol=0, atol=1e-13 * np.abs(h).max())
     # along horizontal z, P H z is the projected derivative of the exact gradient
     z = _horizontal(xs, ys, gen.standard_normal((8, 2 * n)))
     t = 1e-5
-    _, gp, _ = kernel.second_order(xs + t * z[:, :n], ys + t * z[:, n:])
-    _, gm, _ = kernel.second_order(xs - t * z[:, :n], ys - t * z[:, n:])
+    _, gp, _ = ambient_second_order(kernel, xs + t * z[:, :n], ys + t * z[:, n:])
+    _, gm, _ = ambient_second_order(kernel, xs - t * z[:, :n], ys - t * z[:, n:])
     fd = _horizontal(xs, ys, (gp - gm) / (2 * t))
     hz = np.einsum("nab,nb->na", h, z)
     scale = (np.abs(h).max(axis=(1, 2)) * np.linalg.norm(z, axis=1))[:, None]
@@ -429,12 +432,43 @@ def test_projected_hessian_matches_central_differences(desc, weights):
     assert np.all(np.abs(np.einsum("nab,nb->na", h, vertical)) <= 1e-13 * scale)
 
 
+def _lift(frame, v):
+    """N2 v for the rows of v, N2 = diag(N, N): frame coordinates to ambient ones."""
+    r = frame.shape[2]
+    return np.concatenate([frame @ v[:, :r], frame @ v[:, r:]], axis=1)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 0.25), (1.0, 1.0)])
+@pytest.mark.parametrize("desc", FAMILIES)
+def test_frame_quantities_lift_to_the_ambient_reference(desc, weights):
+    # N is an orthonormal basis of span(x, y)^perp, and the frame gradient and
+    # Hessian are the ambient ones read in it: N2 g_N = g, N2 H_N N2^T = P H P
+    kernel = BracketKernel(build_space(desc), *weights)
+    xs, ys = random_pairs(kernel, np.random.default_rng(13), 8)
+    f, g, h, frame = kernel.second_order(xs, ys)
+    want_f, want_g, want_h = ambient_second_order(kernel, xs, ys)
+    r = kernel.n - 2
+    assert frame.shape == (8, kernel.n, r)
+    assert g.shape == (8, 2 * r) and h.shape == (8, 2 * r, 2 * r)
+    gram = frame.transpose(0, 2, 1) @ frame
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(r), gram.shape), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.einsum("nab,na->nb", frame, xs), 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.einsum("nab,na->nb", frame, ys), 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(f, want_f, rtol=1e-13, atol=0)
+    lifted_g = _lift(frame, g[:, :, None])[:, :, 0]
+    np.testing.assert_allclose(lifted_g, want_g, rtol=0, atol=1e-12 * np.abs(want_g).max())
+    lifted_h = _lift(frame, _lift(frame, h).transpose(0, 2, 1)).transpose(0, 2, 1)
+    np.testing.assert_allclose(lifted_h, want_h, rtol=0, atol=1e-12 * np.abs(want_h).max())
+
+
 @pytest.mark.parametrize("desc", FAMILIES)
 def test_reported_extremes_are_second_order_critical(desc):
-    # the stop rule bounds f's predicted gain |g|^2 / (mu + |PHP|) by rounding
-    # in f, so the gradient is at sqrt(STOP_RTOL).  Along isotropy orbits f is
-    # constant, and there Hess f(v, v) = -<grad f, dv/dt>: near a critical
-    # orbit the Hessian's wrong-sign part is rounding plus O(|grad f|).
+    # the stop rule bounds f's predicted gain |g|^2 / (mu + |H|) by rounding
+    # in f, so the gradient is at sqrt(STOP_RTOL).  g and H are read in the
+    # tangent frame, where |g| and |H|_2 are those of the ambient g and P H P.
+    # Along isotropy orbits f is constant, and there
+    # Hess f(v, v) = -<grad f, dv/dt>: near a critical orbit the Hessian's
+    # wrong-sign part is rounding plus O(|grad f|).
     space = build_space(desc)
     kernel = BracketKernel(space, 1.0, 0.25)
     rep = estimate_pinching(space, multistarts=32, seed=0)
@@ -442,7 +476,8 @@ def test_reported_extremes_are_second_order_critical(desc):
         (rep.argmax_plane, 1.0, rep.grad_norm_argmax),
         (rep.argmin_plane, -1.0, rep.grad_norm_argmin),
     ):
-        f, g, h = kernel.second_order(space.to_frame(plane.x[None]), space.to_frame(plane.y[None]))
+        x, y = space.to_frame(plane.x[None]), space.to_frame(plane.y[None])
+        f, g, h, _ = kernel.second_order(x, y)
         hnorm = np.linalg.norm(h[0], 2)
         assert np.linalg.norm(g) == pytest.approx(grad_norm, rel=1e-6, abs=1e-15)
         assert grad_norm <= math.sqrt(STOP_RTOL) * (abs(f[0]) + hnorm)
@@ -466,13 +501,13 @@ def _recorded_trials(monkeypatch, desc):
 
 @pytest.mark.parametrize("desc", ["b13", "spsphere:m=1,s=0.5", "cpodd:m=1"])
 def test_indefinite_rows_step_along_the_top_eigenvector(monkeypatch, desc):
-    # where the damped step predicts no gain, mu I - s PHP is indefinite: the
-    # trial is the unit pair retracted from z + a v, v the top eigenvector of
-    # s PHP, signed so that s g.v >= 0, a = min(lam / mu, 1)
+    # where the damped step predicts no gain, mu I - s H is indefinite: the
+    # trial is the unit pair retracted from z + a N2 v, v the top eigenvector
+    # of the frame Hessian s H, signed so that s g.v >= 0, a = min(lam / mu, 1)
     escapes = 0
-    for (z, g, h, s, mu), (trial, gain) in _recorded_trials(monkeypatch, desc):
+    for (z, g, h, frame, s, mu), (trial, gain) in _recorded_trials(monkeypatch, desc):
         n = z.shape[1] // 2
-        lhs = mu[:, None, None] * np.eye(2 * n) - s[:, None, None] * h
+        lhs = mu[:, None, None] * np.eye(g.shape[1]) - s[:, None, None] * h
         bent = np.einsum("na,na->n", g, np.linalg.solve(lhs, g[:, :, None])[:, :, 0]) <= 0
         lam, vec = np.linalg.eigh(s[bent, None, None] * h[bent])
         lam, v = lam[:, -1], vec[:, :, -1]
@@ -480,7 +515,7 @@ def test_indefinite_rows_step_along_the_top_eigenvector(monkeypatch, desc):
         slope = s[bent] * np.einsum("na,na->n", g[bent], v)
         v *= np.sign(slope)[:, None]
         alpha = np.minimum(lam / mu[bent], 1.0)[:, None]
-        step = z[bent] + alpha * v
+        step = z[bent] + alpha * _lift(frame[bent], v[:, :, None])[:, :, 0]
         want = np.hstack(_orthonormalize(step[:, :n], step[:, n:]))
         np.testing.assert_allclose(trial[bent], want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import homogeodesy.homogeneous as homogeneous
 import homogeodesy.pinching as pinching
 from homogeodesy.catalog import build_space
-from homogeodesy.homogeneous import BracketKernel
+from homogeodesy.homogeneous import BracketKernel, rank_one_check
 from homogeodesy.pinching import estimate_pinching, expected_delta, pinching_curve
 
 from oracles import naturally_reductive_curvature, random_pairs
@@ -13,6 +14,23 @@ def test_round_sphere_delta_is_one():
     rep = estimate_pinching(build_space("round:n=3,kappa=1"), multistarts=64)
     assert abs(rep.delta - 1.0) < 1e-9
     assert rep.converged
+
+
+def test_two_dimensional_m_takes_no_step(monkeypatch):
+    # round:n=2 has one tangent plane, so the tangent frame of the
+    # Grassmannian is empty: the order-2 blocks, the 0 x 0 systems and the
+    # lifted mu must all hold at n - 2 = 0, and no row may step
+    def no_step(*args):
+        raise AssertionError("a row stepped")
+
+    monkeypatch.setattr(homogeneous, "_trial_pairs", no_step)
+    space = build_space("round:n=2")
+    rep = estimate_pinching(space)
+    assert rep.optimizer_steps == 0 and rep.converged
+    np.testing.assert_allclose([rep.k_min, rep.k_max, rep.delta], 1.0, rtol=0, atol=1e-14)
+    one = rank_one_check(space)
+    assert one.passed
+    np.testing.assert_allclose(one.min_bracket_sq, 1.0, rtol=0, atol=1e-14)
 
 
 def test_cp_delta_one_sixteenth():
