@@ -297,16 +297,9 @@ class BiinvarianceReport:
         }
 
 
-def check_biinvariance(
-    alg: StructuredAlgebra, gram: np.ndarray | None = None
-) -> BiinvarianceReport:
-    """Scan <[b_i,b_j],b_k> + <[b_i,b_k],b_j> over all basis triples.
-
-    ``gram`` overrides the algebra's own Gram matrix; this is how the s != 1
-    extension on B13 is shown to break bi-invariance.
-    """
-    g = alg.gram if gram is None else np.asarray(gram, dtype=float)
-    a = np.einsum("ijl,lk->ijk", alg.structure, g)
+def check_biinvariance(alg: StructuredAlgebra) -> BiinvarianceReport:
+    """Scan <[b_i,b_j],b_k> + <[b_i,b_k],b_j> over all basis triples."""
+    a = np.einsum("ijl,lk->ijk", alg.structure, alg.gram)
     r = a + a.transpose(0, 2, 1)
     absr = np.abs(r)
     worst_idx = np.unravel_index(np.argmax(absr), absr.shape)

@@ -324,12 +324,6 @@ class SpaceDescriptor:
     family: str
     params: tuple[tuple[str, float], ...]
 
-    def text(self) -> str:
-        if not self.params:
-            return self.family
-        args = ",".join(f"{k}={v!r}" for k, v in self.params)
-        return f"{self.family}:{args}"
-
     @property
     def name(self) -> str:
         """The name of the space that build_space makes of this descriptor."""

@@ -11,7 +11,7 @@ Grassmannian serve both the rank-one check and the pinching estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from types import MappingProxyType
 
@@ -174,6 +174,13 @@ class ReductiveSpace:
         )
 
 
+def fields_dict(report, *dropped: str) -> dict:
+    """A result's dataclass fields by name, in order, less the `dropped` ones.
+
+    Reads fields(), not vars(), so a cached_property never reaches a document."""
+    return {f.name: getattr(report, f.name) for f in fields(report) if f.name not in dropped}
+
+
 @dataclass(frozen=True)
 class SpaceValidation:
     space: str
@@ -184,28 +191,11 @@ class SpaceValidation:
 
     @property
     def passed(self) -> bool:
-        return (
-            max(
-                self.k_subalgebra,
-                self.reductivity,
-                self.split_invariance,
-                self.gram_block_diagonal,
-            )
-            <= VALIDATION_TOL
-        )
+        return max(fields_dict(self, "space").values()) <= VALIDATION_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "check": "reductive-structure",
-            "space": self.space,
-            "pass": self.passed,
-            "residuals": {
-                "k_subalgebra": self.k_subalgebra,
-                "reductivity": self.reductivity,
-                "split_invariance": self.split_invariance,
-                "gram_block_diagonal": self.gram_block_diagonal,
-            },
-        }
+        doc = {"check": "reductive-structure", "space": self.space, "pass": self.passed}
+        return doc | {"residuals": fields_dict(self, "space")}
 
 
 @dataclass(frozen=True)
@@ -534,17 +524,9 @@ class LtsReport:
         return self.subalgebra_closure <= VALIDATION_TOL
 
     def to_dict(self) -> dict:
-        return {
-            "check": "lie-triple-system",
-            "space": self.space,
-            "dim": self.dim,
-            "pass": self.is_lts and self.closes_subalgebra,
-            "residuals": {
-                "m_closure": self.m_closure,
-                "k_action": self.k_action,
-                "subalgebra_closure": self.subalgebra_closure,
-            },
-        }
+        passed = self.is_lts and self.closes_subalgebra
+        doc = {"check": "lie-triple-system", "space": self.space, "dim": self.dim, "pass": passed}
+        return doc | {"residuals": fields_dict(self, "space", "dim")}
 
 
 def _span_residual(vectors: np.ndarray, gram: np.ndarray, tested: np.ndarray) -> float:
@@ -597,14 +579,8 @@ class RankOneReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "check": "rank-one",
-            "space": self.space,
-            "pass": self.passed,
-            "min_bracket_sq": self.min_bracket_sq,
-            "multistarts": self.multistarts,
-            "seed": self.seed,
-        }
+        # the argmin plane holds arrays for the caller; passed is written as "pass"
+        return {"check": "rank-one", "pass": self.passed} | fields_dict(self, "argmin", "passed")
 
 
 def rank_one_check(space: ReductiveSpace, seed: int = 0) -> RankOneReport:
@@ -633,14 +609,7 @@ class TransitivityReport:
     transitive: bool
 
     def to_dict(self) -> dict:
-        return {
-            "check": "isotropy-transitivity",
-            "space": self.space,
-            "part": self.part,
-            "witness": self.witness,
-            "kernel_dim": self.kernel_dim,
-            "transitive": self.transitive,
-        }
+        return {"check": "isotropy-transitivity"} | fields_dict(self)
 
 
 def _kernel_dim_of_witness(space: ReductiveSpace, u: np.ndarray, part_idx: np.ndarray) -> int:

@@ -25,9 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homogeneous import BracketKernel, PlaneSpec, ReductiveSpace, optimize_pairs
+from .homogeneous import BracketKernel, PlaneSpec, ReductiveSpace, fields_dict, optimize_pairs
 
 DEFAULT_MULTISTARTS = 256
+# The most starts estimate_pinching takes, so that `pinching` keeps the descriptor
+# budget of catalog._FAMILIES (4 s, 256 MB peak RSS, one process, one BLAS thread,
+# 2-CPU x86-64 machine) on spsphere:m=5, the admitted space of largest m (23-dim):
+# 1024 starts ran in 2.9-3.9 s at 206 MB, 1280 in 4.3 s at 268 MB, 2048 in 6.9 s at
+# 362 MB.  Memory grows linearly in the count: per start and sign, 8 screened pairs
+# and the 2(n - 2)-square Newton Hessians with their temporaries.
+MAX_MULTISTARTS = 1024
 CONVERGENCE_RTOL = 1e-6
 AUDIT_SAMPLES = 10_000
 CURVE_FAMILIES = ("berger", "spsphere")  # the families with a closed-form delta(s)
@@ -60,21 +67,8 @@ class PinchingReport:
     grad_norm_argmin: float
 
     def to_dict(self) -> dict:
-        return {
-            "check": "pinching",
-            "space": self.space,
-            "params": dict(self.params),
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "delta": self.delta,
-            "samples": self.samples,
-            "converged": self.converged,
-            "multistarts": self.multistarts,
-            "seed": self.seed,
-            "optimizer_steps": self.optimizer_steps,
-            "grad_norm_argmax": self.grad_norm_argmax,
-            "grad_norm_argmin": self.grad_norm_argmin,
-        }
+        # the planes are arrays for the caller, not part of the document
+        return {"check": "pinching"} | fields_dict(self, "argmin_plane", "argmax_plane")
 
 
 def estimate_pinching(
@@ -92,10 +86,12 @@ def estimate_pinching(
     outside the optimizer's bracket widens it, and one outside it by more than
     CONVERGENCE_RTOL relative clears `converged`.  `converged` also needs 3
     starts within CONVERGENCE_RTOL of each extreme, so fewer than 3 multistarts
-    are rejected.
+    are rejected; more than MAX_MULTISTARTS are too, before any draw.
     """
     if multistarts < 3:
         raise ValueError("multistarts must be >= 3")
+    if multistarts > MAX_MULTISTARTS:
+        raise ValueError(f"multistarts must be <= {MAX_MULTISTARTS}")
     if audit_samples < 1:
         raise ValueError("audit_samples must be >= 1")
     kernel = BracketKernel(space, 1.0, 0.25)

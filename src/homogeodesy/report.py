@@ -1,6 +1,7 @@
 """Batch runners behind the CLI: validation suites and theorem sweeps."""
 from __future__ import annotations
 
+import itertools
 import math
 
 from .algebra import (
@@ -158,15 +159,7 @@ def run_theorem_cell(space: ReductiveSpace, theta: float) -> dict:
         lam_exp, rho_exp = expected_lambda_rho(space, theta)
         lam_err = abs(data.lam - lam_exp) / max(abs(lam_exp), 1e-300)
         rho_err = abs(data.rho - rho_exp) / max(abs(rho_exp), 1.0)
-        cell.update(
-            {
-                "lambda": data.lam,
-                "rho": data.rho,
-                "lambda_expected": lam_exp,
-                "rho_expected": rho_exp,
-                "branch": data.branch,
-            }
-        )
+        cell |= data.to_dict() | {"lambda_expected": lam_exp, "rho_expected": rho_exp}
         if max(lam_err, rho_err) > LAMBDA_RHO_RTOL:
             cell["error"] = f"lambda/rho relative error {max(lam_err, rho_err):.2e}"
             return cell
@@ -196,48 +189,36 @@ def _theorem_cells(cells) -> list[dict]:
     return [run_theorem_cell(build_space(desc), theta) for desc, theta in cells]
 
 
+def _cimp1_family(space: ReductiveSpace, u, v, lam: float, first: float) -> tuple[float, bool]:
+    """Cross-validate (u, v) to T_MAX_FACTOR / sqrt(lam): the measured lambda, and
+    whether it is lam and a closed-form time falls at `first`."""
+    cv = cross_validate(space, u, v, T_MAX_FACTOR / math.sqrt(lam))
+    lam_ok = abs(cv.lam - lam) <= LAMBDA_RHO_RTOL * lam
+    return cv.lam, lam_ok and any(abs(c.t - first) < FIBRATION_TOL for c in cv.closed_form)
+
+
 def _cimp1_cells() -> list[dict]:
-    """Vertical CP^{2m+1} geodesics: isotropic family at sqrt(2k)p*pi/(4k) and the
-    non-strict family at sqrt(2k)p*pi/k."""
+    """Vertical CP^{2m+1} geodesics: the isotropic family at sqrt(2k)p*pi/(4k), from
+    the vertical 2-plane (lambda = 8k), and the non-strict family at sqrt(2k)p*pi/k,
+    from the mixed pair (lambda = 2k)."""
     cells = []
-    for m in M_GRID:
-        for kappa in (1.0, 2.0):
-            space = build_space(f"cpodd:m={m},kappa={kappa:.12g}")
-            for phi in (0.0, 0.7):
-                # u is the vertical geodesic; v_mixed its companion in the mixed pair
-                u, v_mixed = geodesic_pair(space, 0.0, {"phi": phi})
-                x2, x3 = space.basis_vector("X_2"), space.basis_vector("X_3")
-                v_plane = space.unit(math.cos(phi) * x3 - math.sin(phi) * x2)
-                cell = {"space": space.name, "phi": phi, "pass": False}
-                try:
-                    # isotropic family from the vertical 2-plane, lambda = 8 kappa
-                    t_max_a = T_MAX_FACTOR / math.sqrt(8 * kappa)
-                    cv_a = cross_validate(space, u, v_plane, t_max_a)
-                    lam_ok = abs(cv_a.lam - 8 * kappa) <= LAMBDA_RHO_RTOL * 8 * kappa
-                    first_iso = math.pi * math.sqrt(2 * kappa) / (4 * kappa)
-                    iso_ok = any(
-                        abs(c.t - first_iso) < FIBRATION_TOL for c in cv_a.closed_form
-                    )
-                    # non-strict family from the mixed pair, lambda = 2 kappa
-                    t_max_b = T_MAX_FACTOR / math.sqrt(2 * kappa)
-                    cv_b = cross_validate(space, u, v_mixed, t_max_b)
-                    lam_b_ok = abs(cv_b.lam - 2 * kappa) <= LAMBDA_RHO_RTOL * 2 * kappa
-                    first_ns = math.pi * math.sqrt(2 * kappa) / kappa
-                    ns_ok = any(
-                        abs(c.t - first_ns) < FIBRATION_TOL for c in cv_b.closed_form
-                    )
-                    cell.update(
-                        {
-                            "lambda_plane": cv_a.lam,
-                            "lambda_mixed": cv_b.lam,
-                            "isotropic_time": first_iso,
-                            "non_strict_time": first_ns,
-                            "pass": lam_ok and iso_ok and lam_b_ok and ns_ok,
-                        }
-                    )
-                except Mismatch as exc:
-                    cell["error"] = str(exc)
-                cells.append(cell)
+    for m, kappa, phi in itertools.product(M_GRID, (1.0, 2.0), (0.0, 0.7)):
+        space = build_space(f"cpodd:m={m},kappa={kappa:.12g}")
+        # u is the vertical geodesic; v_mixed its companion in the mixed pair
+        u, v_mixed = geodesic_pair(space, 0.0, {"phi": phi})
+        x2, x3 = space.basis_vector("X_2"), space.basis_vector("X_3")
+        v_plane = space.unit(math.cos(phi) * x3 - math.sin(phi) * x2)
+        first_iso = math.pi * math.sqrt(2 * kappa) / (4 * kappa)
+        first_ns = math.pi * math.sqrt(2 * kappa) / kappa
+        cell = {"space": space.name, "phi": phi, "pass": False}
+        try:
+            lam_plane, iso_ok = _cimp1_family(space, u, v_plane, 8 * kappa, first_iso)
+            lam_mixed, ns_ok = _cimp1_family(space, u, v_mixed, 2 * kappa, first_ns)
+            cell |= {"lambda_plane": lam_plane, "lambda_mixed": lam_mixed, "pass": iso_ok and ns_ok}
+            cell |= {"isotropic_time": first_iso, "non_strict_time": first_ns}
+        except Mismatch as exc:
+            cell["error"] = str(exc)
+        cells.append(cell)
     return cells
 
 

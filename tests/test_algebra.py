@@ -132,7 +132,7 @@ def test_biinvariance_fails_for_scaled_b13_metric():
     gram = np.array(space.algebra.gram)
     m0 = list(space.m0_indices)
     gram[np.ix_(m0, m0)] *= s
-    rep = check_biinvariance(space.algebra, gram=gram)
+    rep = check_biinvariance(dataclasses.replace(space.algebra, gram=gram))
     assert not rep.passed
     triples = {v[0] for v in rep.violations}
     assert ("e_4", "e_1", "u_2") in triples

@@ -16,7 +16,8 @@ import homogeodesy.cli as cli
 import homogeodesy.report as report
 from homogeodesy.cli import NonFiniteOutput, main
 from homogeodesy.closed_form import Mismatch
-from homogeodesy.pinching import Table
+from homogeodesy.homogeneous import BracketKernel
+from homogeodesy.pinching import MAX_MULTISTARTS, Table
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +276,25 @@ def test_bad_arguments_exit_code(capsys):
     # converged needs three starts that agree on each extreme
     assert main(["pinching", "cpodd:m=1", "--multistarts", "2"]) == 3
     assert "multistarts must be >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pinching", "cpodd:m=1"],
+        ["pinching", "--family", "spsphere", "--grid", "0.5"],
+        ["reproduce", "pinching-table"],
+    ],
+)
+def test_multistarts_above_the_bound_exit_3_before_any_kernel_call(monkeypatch, capsys, argv):
+    def kernel_must_not_run(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(BracketKernel, "_evaluate", kernel_must_not_run)
+    assert main(argv + ["--multistarts", str(MAX_MULTISTARTS + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: multistarts must be <= {MAX_MULTISTARTS}\n"
 
 
 @pytest.mark.parametrize("command", [["pinching", "cpodd:m=1"], ["verify", "b13"]])

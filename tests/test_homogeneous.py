@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -599,6 +600,41 @@ def test_no_witness_error():
     )
     with pytest.raises(NoWitness):
         isotropy_transitivity_check(stripped, "M0")
+
+
+def _lts_of_m0(space):
+    return lts_check(space, [space.basis_vector(space.algebra.labels[i]) for i in space.m0_indices])
+
+
+@pytest.mark.parametrize(
+    "make,dropped,added",
+    [
+        (ReductiveSpace.validate, set(), {"check", "pass"}),
+        (_lts_of_m0, set(), {"check", "pass"}),
+        (rank_one_check, {"argmin", "passed"}, {"check", "pass"}),
+        (lambda space: isotropy_transitivity_check(space, "M0"), set(), {"check"}),
+        (
+            lambda space: estimate_pinching(space, multistarts=8),
+            {"argmin_plane", "argmax_plane"},
+            {"check"},
+        ),
+    ],
+    ids=["SpaceValidation", "LtsReport", "RankOneReport", "TransitivityReport", "PinchingReport"],
+)
+def test_result_documents_carry_every_field_once(make, dropped, added):
+    # a document holds its report's fields, less the ones it leaves out, plus "check"
+    # and "pass"; SpaceValidation and LtsReport nest their residuals, each key once
+    report = make(build_space("berger:m=2,s=0.5"))
+    doc = report.to_dict()
+    residuals = doc.get("residuals", {})
+    flat = {k: v for k, v in doc.items() if k != "residuals"} | residuals
+    assert len(flat) == len(doc) - ("residuals" in doc) + len(residuals)
+    names = {f.name for f in dataclasses.fields(report)}
+    assert set(flat) == names - dropped | added
+    for name in names - dropped:
+        assert flat[name] == getattr(report, name)
+    if "passed" in dropped:  # renamed "pass"
+        assert flat["pass"] == report.passed
 
 
 def test_ad_orbit_identity_and_isometry(rng):

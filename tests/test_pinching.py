@@ -111,6 +111,27 @@ def test_too_few_multistarts_rejected_before_any_kernel_call(monkeypatch, multis
         estimate_pinching(build_space("cpodd:m=1"), multistarts=multistarts)
 
 
+def test_multistarts_above_the_bound_rejected_before_any_draw(monkeypatch):
+    # MAX_MULTISTARTS keeps `pinching` within the descriptor budget on the largest m
+    class Reached(Exception):
+        pass
+
+    def optimizer_reached(*args):
+        raise Reached
+
+    def must_not_run(*args):
+        raise AssertionError("a draw or the kernel ran")
+
+    monkeypatch.setattr(pinching, "optimize_pairs", optimizer_reached)
+    space = build_space("cpodd:m=1")
+    with pytest.raises(Reached):
+        estimate_pinching(space, multistarts=pinching.MAX_MULTISTARTS)
+    monkeypatch.setattr(BracketKernel, "gaussian_pairs", must_not_run)
+    monkeypatch.setattr(BracketKernel, "_evaluate", must_not_run)
+    with pytest.raises(ValueError, match=f"multistarts must be <= {pinching.MAX_MULTISTARTS}"):
+        estimate_pinching(space, multistarts=pinching.MAX_MULTISTARTS + 1)
+
+
 def test_negative_max_iter_rejected_before_any_kernel_call(monkeypatch):
     def kernel_must_not_run(*args):
         raise AssertionError("the kernel ran")
