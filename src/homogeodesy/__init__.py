@@ -10,7 +10,6 @@ from .algebra import (
     GramRule,
     NotClosed,
     StructuredAlgebra,
-    algebra_from_json,
     algebra_to_json,
     assemble_algebra,
     bracket,

@@ -122,14 +122,6 @@ class StructuredAlgebra:
     def _stack(self) -> np.ndarray:
         return np.array([b.entries for b in self.basis])
 
-    @cached_property
-    def _flat_pinv(self) -> np.ndarray:
-        d = self.dim
-        flat = np.concatenate(
-            [self._stack.real.reshape(d, -1), self._stack.imag.reshape(d, -1)], axis=1
-        )
-        return np.linalg.pinv(flat)
-
     # -- elements -------------------------------------------------------
 
     def element(self, coeffs) -> "AlgebraElement":
@@ -143,9 +135,8 @@ class StructuredAlgebra:
     def coeffs_of_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Expand a matrix in the basis; NotClosed if it is not in the span."""
         mat = np.asarray(mat, dtype=complex)
-        vec = np.concatenate([mat.real.ravel(), mat.imag.ravel()])
-        coeffs = vec @ self._flat_pinv
-        recon = np.tensordot(coeffs, self._stack, axes=1)
+        coeffs = _expand(self._stack, mat[None])[0]
+        recon = self.matrix_of(coeffs)
         resid = np.max(np.abs(recon - mat))
         if resid > CLOSURE_TOL * max(1.0, np.max(np.abs(mat))):
             raise NotClosed(f"matrix lies outside span of {self.name} (residual {resid:.2e})")
@@ -166,7 +157,16 @@ class StructuredAlgebra:
 
     def ad(self, coeffs) -> np.ndarray:
         """Matrix of ad_x: column j holds the coefficients of [x, b_j]."""
-        return np.einsum("i,ijk->kj", np.asarray(coeffs, dtype=float), self.structure)
+        return self._ad_rows(coeffs)[0].T
+
+    def brackets(self, xs, ys) -> np.ndarray:
+        """[x_a, y_b] for the rows x_a of xs and y_b of ys, as a (len(xs), len(ys), dim) array."""
+        return np.asarray(ys, dtype=float) @ self._ad_rows(xs)
+
+    def _ad_rows(self, xs) -> np.ndarray:
+        """(ad_x)^T for each row x of xs, by one GEMM: row j of slice a holds [x_a, b_j]."""
+        d = self.dim
+        return (np.asarray(xs, dtype=float) @ self.structure.reshape(d, d * d)).reshape(-1, d, d)
 
 
 class AlgebraElement:
@@ -189,9 +189,29 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """[x, y] through the precomputed structure tensor."""
     if x.algebra is not y.algebra:
         raise AlgebraMismatch("elements belong to different algebras")
-    alg = x.algebra
-    out = np.einsum("i,j,ijk->k", x.coeffs, y.coeffs, alg.structure)
-    return AlgebraElement(alg, out)
+    return AlgebraElement(x.algebra, x.algebra.brackets(x.coeffs[None], y.coeffs[None])[0, 0])
+
+
+def _commutators(stack: np.ndarray) -> np.ndarray:
+    """The table [b_i, b_j] of a stack (d, N, N) of matrices, (d, d, N, N), by one batched matmul."""
+    prod = np.matmul(stack[:, None], stack[None])
+    return prod - prod.transpose(1, 0, 2, 3)
+
+
+def _reconstruct(structure: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The expansions sum_k c_ijk b_k, (d, d, N, N), by one GEMM of c with the stack."""
+    d = len(stack)
+    return (structure.reshape(d * d, d) @ stack.reshape(d, -1)).reshape((d, d) + stack.shape[1:])
+
+
+def _expand(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (count, d) of a stack (count, N, N) of matrices in
+    the basis stack (d, N, N), over the real and imaginary parts of the entries."""
+    d, count = len(stack), len(mats)
+    flat = np.concatenate([stack.real.reshape(d, -1), stack.imag.reshape(d, -1)], axis=1)
+    rhs = np.concatenate([mats.real.reshape(count, -1), mats.imag.reshape(count, -1)], axis=1)
+    sol, *_ = np.linalg.lstsq(flat.T, rhs.T, rcond=None)
+    return sol.T
 
 
 def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> StructuredAlgebra:
@@ -215,18 +235,11 @@ def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> Struc
             f"{name}: gram not positive definite (min eigenvalue {eigs[0]:.2e})"
         )
 
-    comm = np.einsum("iab,jbc->ijac", stack, stack)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    flat = np.concatenate([stack.real.reshape(d, -1), stack.imag.reshape(d, -1)], axis=1)
-    rhs = np.concatenate(
-        [comm.real.reshape(d * d, -1), comm.imag.reshape(d * d, -1)], axis=1
-    )
-    sol, *_ = np.linalg.lstsq(flat.T, rhs.T, rcond=None)
-    structure = sol.T.reshape(d, d, d)
+    comm = _commutators(stack)
+    structure = _expand(stack, comm.reshape((d * d,) + stack.shape[1:])).reshape(d, d, d)
     structure = 0.5 * (structure - structure.transpose(1, 0, 2))
 
-    recon = np.einsum("ijk,kab->ijab", structure, stack)
-    resid = np.abs(recon - comm).reshape(d, d, -1).max(axis=2)
+    resid = np.abs(_reconstruct(structure, stack) - comm).reshape(d, d, -1).max(axis=2)
     scale = max(1.0, np.max(np.abs(comm)))
     worst = np.unravel_index(np.argmax(resid), resid.shape)
     if resid[worst] > CLOSURE_TOL * scale:
@@ -270,10 +283,7 @@ def jacobi_identity_residual(alg: StructuredAlgebra) -> float:
 def reconstruction_residual(alg: StructuredAlgebra) -> float:
     """Max entrywise gap between matrix commutators and their expansions."""
     stack = alg._stack
-    comm = np.einsum("iab,jbc->ijac", stack, stack)
-    comm = comm - comm.transpose(1, 0, 2, 3)
-    recon = np.einsum("ijk,kab->ijab", alg.structure, stack)
-    return float(np.max(np.abs(recon - comm)))
+    return float(np.max(np.abs(_reconstruct(alg.structure, stack) - _commutators(stack))))
 
 
 @dataclass(frozen=True)
@@ -299,7 +309,7 @@ class BiinvarianceReport:
 
 def check_biinvariance(alg: StructuredAlgebra) -> BiinvarianceReport:
     """Scan <[b_i,b_j],b_k> + <[b_i,b_k],b_j> over all basis triples."""
-    a = np.einsum("ijl,lk->ijk", alg.structure, alg.gram)
+    a = alg.structure @ alg.gram  # a_ijk = <[b_i, b_j], b_k>
     r = a + a.transpose(0, 2, 1)
     absr = np.abs(r)
     worst_idx = np.unravel_index(np.argmax(absr), absr.shape)
@@ -335,17 +345,3 @@ def algebra_to_json(alg: StructuredAlgebra) -> dict:
         ],
         "gram_rule": alg.gram_rule.describe(),
     }
-
-
-def algebra_from_json(doc: dict) -> StructuredAlgebra:
-    basis = [
-        BasisMatrix(item["label"], np.array(item["re"]) + 1j * np.array(item["im"]))
-        for item in doc["basis"]
-    ]
-    rule = GramRule(
-        coeff=doc["gram_rule"]["coeff"],
-        blocks=tuple(doc["gram_rule"]["blocks"]),
-        block_scales=tuple(doc["gram_rule"]["block_scales"]),
-        scale=doc["gram_rule"]["scale"],
-    )
-    return assemble_algebra(basis, rule, name=doc.get("name", "algebra"))

@@ -251,7 +251,7 @@ class BracketKernel:
 
     The bracket tensor B[a, b, :] = [e_a, e_b] of an orthonormal frame e of m,
     written in orthonormal frames of k and m and scaled by sqrt(w_k), sqrt(w_m),
-    is built by two one-index contractions of the structure constants.
+    is the algebra's `brackets` of that frame with itself.
 
     f alone (order 0, `value`) is read in Pluecker form: with sigma = x ^ y,
     sigma_ij = x_i y_j - x_j y_i (i < j), and M the rows B(e_i, e_j) (i < j),
@@ -283,12 +283,10 @@ class BracketKernel:
 
     def __init__(self, space: ReductiveSpace, w_k: float, w_m: float):
         alg = space.algebra
-        m = space.part_indices("M")
         k = space.part_indices("K")
-        self.n = n = len(m)
-        ft = space.frame_m.T  # row a: the m-basis coordinates of e_a
-        # b[a, b] = sum_ij ft[a, i] ft[b, j] [m_i, m_j], contracted one index at a time
-        b = np.matmul(ft, (ft @ alg.structure[np.ix_(m, m)].reshape(n, -1)).reshape(n, n, -1))
+        self.n = n = space.dim_m
+        frame = space.from_frame(np.eye(n))  # row a: the coefficients of e_a
+        b = alg.brackets(frame, frame)  # b[a, b] = [e_a, e_b]
         parts = [np.sqrt(w_k) * (b[:, :, k] @ space.chol_k)] if len(k) else []
         parts.append(np.sqrt(w_m) * space.to_frame(b))
         tensor = np.concatenate(parts, axis=2)
@@ -549,16 +547,16 @@ def lts_check(space: ReductiveSpace, vectors) -> LtsReport:
     """Verify nu is a Lie triple system and that nu + [nu,nu]_k closes."""
     vs = np.array(vectors, dtype=float)
     alg = space.algebra
-    c = alg.structure
-    pairs = np.einsum("ai,bj,ijk->abk", vs, vs, c).reshape(-1, alg.dim)
-    pairs_m = np.array([project(space, p, "M") for p in pairs])
-    pairs_k = np.array([project(space, p, "K") for p in pairs])
-    m_closure = _span_residual(vs, alg.gram, pairs_m)
-    triple = np.einsum("pi,aj,ijk->pak", pairs_k, vs, c).reshape(-1, alg.dim)
+    in_k = np.zeros(alg.dim, dtype=bool)
+    in_k[space.part_indices("K")] = True
+    pairs = alg.brackets(vs, vs).reshape(-1, alg.dim)
+    pairs_k = np.where(in_k, pairs, 0.0)
+    m_closure = _span_residual(vs, alg.gram, np.where(in_k, 0.0, pairs))
+    triple = alg.brackets(pairs_k, vs).reshape(-1, alg.dim)
     k_action = _span_residual(vs, alg.gram, triple)
 
     span = np.vstack([vs, pairs_k])
-    sub = np.einsum("ai,bj,ijk->abk", span, span, c).reshape(-1, alg.dim)
+    sub = alg.brackets(span, span).reshape(-1, alg.dim)
     subalgebra_closure = _span_residual(span, alg.gram, sub)
     return LtsReport(
         space=space.name,

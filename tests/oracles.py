@@ -210,6 +210,43 @@ def jacobi_identity_residual_dense(alg) -> float:
     return float(np.max(np.abs(cyc))) / scale
 
 
+def commutators_einsum(stack: np.ndarray) -> np.ndarray:
+    """[b_i, b_j] of a stack (d, N, N) of matrices, by one einsum."""
+    comm = np.einsum("iab,jbc->ijac", stack, stack)
+    return comm - comm.transpose(1, 0, 2, 3)
+
+
+def reconstruct_einsum(structure: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k c_ijk b_k over a stack (d, N, N) of matrices, by one einsum."""
+    return np.einsum("ijk,kab->ijab", structure, stack)
+
+
+def reconstruction_residual_einsum(alg) -> float:
+    """Max entrywise gap between the commutators of the basis and their expansions."""
+    stack = np.array([b.entries for b in alg.basis])
+    return float(np.max(np.abs(reconstruct_einsum(alg.structure, stack) - commutators_einsum(stack))))
+
+
+def ad_einsum(structure: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ad_x with [x, b_j] in column j, by one einsum."""
+    return np.einsum("i,ijk->kj", x, structure)
+
+
+def brackets_einsum(structure: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """[x_a, y_b] for the rows of xs and ys, by one three-operand einsum."""
+    return np.einsum("ai,bj,ijk->abk", xs, ys, structure)
+
+
+def algebra_from_doc(doc: dict):
+    """Rebuild an algebra from its `algebra_to_json` document through assemble_algebra."""
+    from homogeodesy.algebra import BasisMatrix, GramRule, assemble_algebra
+
+    basis = [BasisMatrix(b["label"], np.array(b["re"]) + 1j * np.array(b["im"])) for b in doc["basis"]]
+    rule = doc["gram_rule"]
+    gram_rule = GramRule(rule["coeff"], tuple(rule["blocks"]), tuple(rule["block_scales"]), rule["scale"])
+    return assemble_algebra(basis, gram_rule, name=doc["name"])
+
+
 def bracabc_matrix_residual(n: int = 5) -> float:
     """Entrywise residual of the full A/B/C table from raw matrix commutators."""
     worst = 0.0

@@ -13,7 +13,8 @@ from homogeodesy.algebra import (
     DegenerateGram,
     GramRule,
     NotClosed,
-    algebra_from_json,
+    _commutators,
+    _reconstruct,
     algebra_to_json,
     antisymmetry_residual,
     assemble_algebra,
@@ -24,7 +25,15 @@ from homogeodesy.algebra import (
 )
 from homogeodesy.catalog import build_b13, build_space, su_algebra
 from homogeodesy.matrices import a_matrix, b_matrix, c_matrix
-from oracles import jacobi_identity_residual_dense
+from oracles import (
+    ad_einsum,
+    algebra_from_doc,
+    brackets_einsum,
+    commutators_einsum,
+    jacobi_identity_residual_dense,
+    reconstruct_einsum,
+    reconstruction_residual_einsum,
+)
 
 
 def test_su2_structure_constants():
@@ -44,16 +53,56 @@ def test_identities_hold_on_su5():
     assert reconstruction_residual(alg) < 1e-12
 
 
-def test_jacobi_identity_residual_matches_the_dense_sum():
+def _checked_algebras():
+    """The six CI algebras, and su(3)'s basis under a random antisymmetric tensor."""
     descs = ("b13", "w7:s=0.5", "berger:m=2,s=0.5", "spsphere:m=2,s=0.5", "cpodd:m=2", "round:n=5")
     algebras = [build_space(desc).algebra for desc in descs]
-    # a random antisymmetric tensor breaks the identity by O(1), far above rounding
+    # a random antisymmetric tensor breaks the identities by O(1), far above rounding
     c = np.random.default_rng(0).standard_normal((8, 8, 8))
     algebras.append(dataclasses.replace(su_algebra(3), structure=c - c.transpose(1, 0, 2)))
+    return algebras
+
+
+def test_jacobi_identity_residual_matches_the_dense_sum():
+    algebras = _checked_algebras()
     for alg in algebras:
         got, want = jacobi_identity_residual(alg), jacobi_identity_residual_dense(alg)
         np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=alg.name)
     assert jacobi_identity_residual(algebras[-1]) > 0.1
+
+
+def _assert_rounding_close(got, want, terms: int, magnitude, name: str):
+    """Two evaluations of a sum of `terms` products, whose absolute values sum to
+    `magnitude`, each within terms * eps * magnitude of the exact sum (a complex
+    product counting as two terms), differ by at most twice that."""
+    gap = np.abs(np.asarray(got) - np.asarray(want))
+    assert np.all(gap <= 2 * terms * np.finfo(float).eps * magnitude), name
+
+
+def test_gemm_contractions_match_the_einsum_forms():
+    rng = np.random.default_rng(3)
+    for alg in _checked_algebras():
+        c, d, name = alg.structure, alg.dim, alg.name
+        stack = np.array([b.entries for b in alg.basis])
+        size = stack.shape[1]
+        xs, ys = rng.standard_normal((5, d)), rng.standard_normal((4, d))
+        want = brackets_einsum(c, xs, ys)
+        assert alg.brackets(xs, ys).shape == want.shape == (5, 4, d)
+        magnitude = brackets_einsum(np.abs(c), np.abs(xs), np.abs(ys))
+        _assert_rounding_close(alg.brackets(xs, ys), want, d * d, magnitude, name)
+        _assert_rounding_close(alg.ad(xs[0]), ad_einsum(c, xs[0]), d, ad_einsum(np.abs(c), np.abs(xs[0])), name)
+        comm = commutators_einsum(stack)
+        comm_magnitude = 2 * np.einsum("iab,jbc->ijac", np.abs(stack), np.abs(stack))
+        _assert_rounding_close(_commutators(stack), comm, 4 * size, comm_magnitude, name)
+        recon = reconstruct_einsum(c, stack)
+        recon_magnitude = reconstruct_einsum(np.abs(c), np.abs(stack))
+        _assert_rounding_close(_reconstruct(c, stack), recon, 2 * d, recon_magnitude, name)
+        # the residual is a max of |recon - comm|, so it moves by no more than both gaps
+        terms = 4 * size + 2 * d
+        magnitude = np.max(comm_magnitude) + np.max(recon_magnitude)
+        want = reconstruction_residual_einsum(alg)
+        _assert_rounding_close(reconstruction_residual(alg), want, terms, magnitude, name)
+    assert want > 0.1  # the random tensor's expansions are not the commutators
 
 
 def test_jacobi_identity_residual_holds_dim_cubed_numbers():
@@ -143,7 +192,7 @@ def test_biinvariance_fails_for_scaled_b13_metric():
 def test_json_roundtrip():
     alg = build_space("w7:s=0.5").algebra
     doc = algebra_to_json(alg)
-    back = algebra_from_json(doc)
+    back = algebra_from_doc(doc)
     np.testing.assert_allclose(back.structure, alg.structure, atol=1e-12)
     np.testing.assert_allclose(back.gram, alg.gram, atol=1e-12)
     assert back.labels == alg.labels

