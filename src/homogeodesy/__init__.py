@@ -49,12 +49,10 @@ from .homogeneous import (
     PlaneSpec,
     ReductiveSpace,
     isotropy_transitivity_check,
-    jacobi_op,
     lts_check,
     project,
     rank_one_check,
     sectional_curvature,
-    torsion_op,
 )
 from .jacobi import (
     BadAngle,

@@ -114,9 +114,14 @@ class StructuredAlgebra:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"no basis element labelled {label!r} in {self.name}") from None
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each label's first position in the basis, as labels.index finds it."""
+        return {label: i for i, label in reversed(list(enumerate(self.labels)))}
 
     @cached_property
     def _stack(self) -> np.ndarray:

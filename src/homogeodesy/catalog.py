@@ -334,22 +334,22 @@ class SpaceDescriptor:
 # keywords.  The budget: every command that takes a descriptor (verify, brackets,
 # conjugate, closedform, pinching, at their defaults) runs in one process, start-up
 # included, within 4 s and 256 MB peak RSS (one BLAS thread, 2-CPU x86-64 machine).
-# The largest integer is the last that keeps it; verify is the slowest command there,
-# as its Jacobi-identity residual takes dim^5 operations.
+# The largest integer was the last that kept it when set; the next one keeps it now too,
+# and the bounds stand.  verify is the slowest command (its Jacobi residual is dim^5).
 _FAMILIES = {
-    # so(n+1): 78 elements at n = 12, verify 2.1-2.4 s, 113 MB; n = 13 (91) 4.4-4.7 s
+    # so(n+1): 78 elements at n = 12, verify 0.8-1.2 s, 93 MB; n = 13 (91) 1.6 s, 128 MB
     "round": (build_round_sphere, {"n": (int, 3, 12), "kappa": (float, 1.0, None)}),
-    # su(m+1) + u(1): 81 elements at m = 8, verify 2.1-2.5 s, 98 MB; m = 9 (100) 5.5 s
+    # su(m+1) + u(1): 81 elements at m = 8, verify 0.9-1.1 s, 84 MB; m = 9 (100) 2.2-2.9 s, 125 MB
     "berger": (
         build_berger_sphere,
         {"m": (int, 1, 8), "s": (float, 1.0, None), "kappa": (float, 1.0, None)},
     ),
-    # sp(m+1) + sp(1): 81 elements at m = 5, verify 2.6-3.3 s, 132 MB; m = 6 (108) 8.7 s
+    # sp(m+1) + sp(1): 81 elements at m = 5, verify 1.0-1.4 s, 107 MB; m = 6 (108) 2.8-3.2 s, 211 MB
     "spsphere": (
         build_sp_sphere,
         {"m": (int, 1, 5), "s": (float, 1.0, None), "kappa": (float, 1.0, None)},
     ),
-    # sp(m+1): 78 elements at m = 5, verify 2.0-2.5 s, 102 MB; m = 6 (105) 7.2 s
+    # sp(m+1): 78 elements at m = 5, verify 0.8-1.0 s, 86 MB; m = 6 (105) 2.5-2.6 s, 171 MB
     "cpodd": (build_cp_odd, {"m": (int, 1, 5), "kappa": (float, 1.0, None)}),
     "b13": (build_b13, {}),
     "w7": (build_w7, {"s": (float, 1.0, None)}),

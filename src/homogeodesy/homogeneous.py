@@ -72,17 +72,21 @@ class ReductiveSpace:
     # -- index helpers ----------------------------------------------------
 
     def part_indices(self, part: str) -> np.ndarray:
+        """The read-only index array of k, m, m0 or m1, made at its first request."""
         part = part.upper()
-        if part == "K":
-            return np.asarray(self.k_indices, dtype=int)
-        if part == "M":
-            return np.asarray(self.m_indices, dtype=int)
-        if part in ("M0", "M1"):
-            idx = self.m0_indices if part == "M0" else self.m1_indices
+        if part not in self._part_arrays:
+            if part not in ("K", "M", "M0", "M1"):
+                raise ValueError(f"unknown part {part!r}")
+            idx = getattr(self, f"{part.lower()}_indices")
             if idx is None:
                 raise MissingSplit(f"{self.name} has no m0/m1 split")
-            return np.asarray(idx, dtype=int)
-        raise ValueError(f"unknown part {part!r}")
+            self._part_arrays[part] = arr = np.asarray(idx, dtype=int)
+            arr.setflags(write=False)
+        return self._part_arrays[part]
+
+    @cached_property
+    def _part_arrays(self) -> dict[str, np.ndarray]:
+        return {}
 
     @property
     def dim_m(self) -> int:
@@ -218,21 +222,16 @@ def project(space: ReductiveSpace, x, part: str) -> np.ndarray:
     return out
 
 
-def torsion_op(space: ReductiveSpace, u) -> np.ndarray:
-    """Matrix of x -> -[u, x]_m on the m-basis coordinates."""
+def connection_ops(space: ReductiveSpace, u) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices T of x -> -[u, x]_m and R of x -> [[u, x]_k, u] on the m-basis
+    coordinates, both read from one ad_u.  Each block takes its columns, then
+    its rows, so it is C-ordered, as np.ix_ would give it."""
     ad = space.algebra.ad(u)
-    m = space.part_indices("M")
-    return -ad[np.ix_(m, m)]
-
-
-def jacobi_op(space: ReductiveSpace, u) -> np.ndarray:
-    """Matrix of x -> [[u, x]_k, u] on the m-basis coordinates."""
-    ad = space.algebra.ad(u)
-    k = space.part_indices("K")
-    m = space.part_indices("M")
+    k, m = space.part_indices("K"), space.part_indices("M")
+    on_m = ad[:, m]
     if len(k) == 0:
-        return np.zeros((len(m), len(m)))
-    return -ad[np.ix_(m, k)] @ ad[np.ix_(k, m)]
+        return -on_m[m], np.zeros((len(m), len(m)))
+    return -on_m[m], -ad[:, k][m] @ on_m[k]
 
 
 KERNEL_BLOCK = 512  # rows per evaluation block; bounds the (rows, n*p) products

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .homogeneous import ReductiveSpace, jacobi_op, torsion_op
+from .homogeneous import ReductiveSpace, connection_ops
 
 T_TOL = 1e-10  # promised accuracy of event times; Newton lands far inside it
 MULTIPLICITY_RTOL = 1e-7
@@ -165,17 +165,18 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
         raise ZeroVector("geodesic direction must be nonzero")
     uc /= norm
     k = space.part_indices("K")
-    if len(k) and np.max(np.abs(uc[k])) > 1e-10:
+    if len(k) and abs(uc[k]).max() > 1e-10:
         raise ValueError("geodesic direction must be supported on m")
 
     # A_on = L^T A L^-T: the same operator in the gram-orthonormal frame.
-    t_on = space.chol_m.T @ torsion_op(space, uc) @ space.frame_m
-    r_on = space.chol_m.T @ jacobi_op(space, uc) @ space.frame_m
-    skew, sym = np.max(np.abs(t_on + t_on.T)), np.max(np.abs(r_on - r_on.T))
+    t_on, r_on = (space.chol_m.T @ op @ space.frame_m for op in connection_ops(space, uc))
+    skew, sym = abs(t_on + t_on.T).max(), abs(r_on - r_on.T).max()
     r_on = 0.5 * (r_on + r_on.T)
     t_on = 0.5 * (t_on - t_on.T)
     evals, evecs = np.linalg.eigh(r_on)
-    companion = np.block([[np.zeros_like(r_on), np.eye(len(r_on))], [-r_on, t_on]])
+    n = len(r_on)
+    companion = np.zeros((2 * n, 2 * n))
+    companion[:n, n:], companion[n:, :n], companion[n:, n:] = np.eye(n), -r_on, t_on
     for arr in (t_on, r_on, companion, uc, evals, evecs):
         arr.setflags(write=False)
     sys = JacobiSystem(space, uc, t_on, r_on, companion, evals, evecs, np.linalg.norm(t_on, 2))
@@ -373,9 +374,8 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     fs = _sigma_min(sys, ts)
     # (times, sigma_min); (left ends, suspicious) of the intervals that are not split
     samples, leaves = [(ts, fs)], []
-    live = np.stack((ts[:-1], ts[1:], fs[:-1], fs[1:]), axis=1)
+    lo, hi, f_lo, f_hi = ts[:-1], ts[1:], fs[:-1], fs[1:]  # the live intervals, in time order
     while True:
-        lo, hi, f_lo, f_hi = live.T
         width = hi - lo
         suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
         a, b = lo + (f_lo - delta) / lip, hi - (f_hi - delta) / lip
@@ -384,16 +384,17 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
         leaves.append((lo[~split], suspicious[~split]))
         if not split.any():
             break
-        # each split row's nodes lo, a or the midpoint, b if it jumps, hi
-        nodes = np.stack((lo, np.where(jump, a, 0.5 * (lo + hi)), b, hi), axis=1)[split]
-        values = np.stack((f_lo, f_lo, f_hi, f_hi), axis=1)[split]
-        new = np.zeros_like(nodes, dtype=bool)
-        new[:, 1], new[:, 2] = True, jump[split]
-        values[new] = smin = _sigma_min(sys, nodes[new])
-        samples.append((nodes[new], smin))
-        left, right = new.copy(), new.copy()  # children run from a left to a right node
-        left[:, 0], right[:, 3] = True, True
-        live = np.stack((nodes[left], nodes[right], values[left], values[right]), axis=1)
+        # live intervals are disjoint and hold their new times strictly inside, so time
+        # order is row by row, a (or the midpoint) then b; the children run from the split
+        # rows' lo and the new times, each sorted, to the new times and the rows' hi
+        new = np.sort(np.concatenate((np.where(jump, a, 0.5 * (lo + hi))[split], b[jump])))
+        smin = _sigma_min(sys, new)
+        samples.append((new, smin))
+        ends = np.concatenate((lo[split], new)), np.concatenate((new, hi[split]))
+        values = np.concatenate((f_lo[split], smin)), np.concatenate((smin, f_hi[split]))
+        order = [np.argsort(t, kind="stable") for t in ends]
+        lo, hi = (t[o] for t, o in zip(ends, order))
+        f_lo, f_hi = (f[o] for f, o in zip(values, order))
     ts, fs = (np.concatenate(column) for column in zip(*samples))
     lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
     order = np.argsort(ts, kind="stable")

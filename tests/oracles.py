@@ -410,6 +410,33 @@ def bracket_tensor_einsum(space, w_k: float, w_m: float) -> np.ndarray:
     return tensor.reshape(len(m), -1)
 
 
+def torsion_op(space, u) -> np.ndarray:
+    """Matrix of x -> -[u, x]_m on the m-basis coordinates, from its own ad_u."""
+    ad = space.algebra.ad(u)
+    m = space.part_indices("M")
+    return -ad[np.ix_(m, m)]
+
+
+def jacobi_op(space, u) -> np.ndarray:
+    """Matrix of x -> [[u, x]_k, u] on the m-basis coordinates, from its own ad_u."""
+    ad = space.algebra.ad(u)
+    k = space.part_indices("K")
+    m = space.part_indices("M")
+    if len(k) == 0:
+        return np.zeros((len(m), len(m)))
+    return -ad[np.ix_(m, k)] @ ad[np.ix_(k, m)]
+
+
+def system_by_two_ad(space, u):
+    """(T, R, companion, ||T||_2) of jacobi.build_system for a unit u on m, with T
+    and R each from its own ad_u and the companion by np.block."""
+    t_on = space.chol_m.T @ torsion_op(space, u) @ space.frame_m
+    r_on = space.chol_m.T @ jacobi_op(space, u) @ space.frame_m
+    r_on, t_on = 0.5 * (r_on + r_on.T), 0.5 * (t_on - t_on.T)
+    companion = np.block([[np.zeros_like(r_on), np.eye(len(r_on))], [-r_on, t_on]])
+    return t_on, r_on, companion, np.linalg.norm(t_on, 2)
+
+
 def samples_by_insertion(sys, t_max: float, step: float, lip: float, delta: float):
     """jacobi._samples with each level's new samples inserted into whole sample arrays.
 

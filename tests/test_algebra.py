@@ -129,6 +129,16 @@ def test_bracket_self_is_zero(coeffs):
     assert np.max(np.abs(bracket(x, x).coeffs)) < 1e-12
 
 
+def test_index_keeps_the_first_match_and_its_key_error():
+    alg = build_space("b13").algebra
+    assert [alg.index(label) for label in alg.labels] == list(range(alg.dim))
+    # a basis that repeats a label (assemble_algebra refuses one) still finds the first
+    twice = dataclasses.replace(alg, basis=alg.basis[1:] + alg.basis[:2])
+    assert twice.index(alg.labels[1]) == twice.labels.index(alg.labels[1]) == 0
+    with pytest.raises(KeyError, match=r"^\"no basis element labelled 'x_9' in b13\"$"):
+        alg.index("x_9")
+
+
 def test_algebra_mismatch():
     x = su_algebra(2).basis_element("S_1")
     y = su_algebra(3).basis_element("S_1")

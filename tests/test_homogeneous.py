@@ -16,14 +16,13 @@ from homogeodesy.homogeneous import (
     NoWitness,
     ReductiveSpace,
     _orthonormalize,
+    connection_ops,
     isotropy_transitivity_check,
-    jacobi_op,
     lts_check,
     optimize_pairs,
     project,
     rank_one_check,
     sectional_curvature,
-    torsion_op,
 )
 from homogeodesy.matrices import alpha_coeff
 from homogeodesy.pinching import estimate_pinching
@@ -90,6 +89,25 @@ def test_missing_split_error():
         project(space, np.zeros(space.algebra.dim), "M0")
 
 
+@pytest.mark.parametrize("desc", ["b13", "round:n=3,kappa=1"])
+def test_part_indices_are_cached_read_only_arrays(desc):
+    # every caller shares one array per part, so writing to it must raise
+    space = build_space(desc)
+    parts = {"K": space.k_indices, "M": space.m_indices, "M0": space.m0_indices, "M1": space.m1_indices}
+    for part, idx in parts.items():
+        if idx is None:
+            with pytest.raises(MissingSplit):
+                space.part_indices(part)
+            continue
+        got = space.part_indices(part)
+        assert got is space.part_indices(part.lower())
+        assert got.dtype == int and np.array_equal(got, idx)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = got[-1]
+    with pytest.raises(ValueError, match="unknown part 'N'"):
+        space.part_indices("n")
+
+
 def test_berger_e_f_bracket_k_part():
     # last line of the Berger table: the k-part of [e_r, f_r] is along h_s, S_j
     m, s = 2, 0.5
@@ -119,8 +137,7 @@ def test_torsion_skew_jacobi_psd(desc, rng):
     m = space.part_indices("M")
     for _ in range(20):
         u = space.random_unit_m(rng)
-        t = torsion_op(space, u)
-        r = jacobi_op(space, u)
+        t, r = connection_ops(space, u)
         assert np.max(np.abs(t.T @ g + g @ t)) < 1e-10
         rg = g @ r
         assert np.max(np.abs(rg - rg.T)) < 1e-10
@@ -130,7 +147,7 @@ def test_torsion_skew_jacobi_psd(desc, rng):
 
 def test_torsion_matrix_berger_vertical():
     space = build_space("berger:m=2,s=0.5")
-    t = torsion_op(space, space.basis_vector("d_s"))
+    t = connection_ops(space, space.basis_vector("d_s"))[0]
     alg = space.algebra
     m = list(space.m_indices)
     coef = math.sqrt(0.5) * 3 / alpha_coeff(2)
@@ -143,7 +160,7 @@ def test_symmetric_pair_torsion_vanishes():
     space = build_space("round:n=4,kappa=1")
     rng = np.random.default_rng(1)
     u = space.random_unit_m(rng)
-    assert np.max(np.abs(torsion_op(space, u))) < 1e-12
+    assert np.max(np.abs(connection_ops(space, u)[0])) < 1e-12
 
 
 def test_jacobi_op_kills_direction():
@@ -151,7 +168,7 @@ def test_jacobi_op_kills_direction():
     rng = np.random.default_rng(2)
     u = space.random_unit_m(rng)
     m = space.part_indices("M")
-    out = jacobi_op(space, u) @ u[m]
+    out = connection_ops(space, u)[1] @ u[m]
     assert np.max(np.abs(out)) < 1e-10
 
 

@@ -32,6 +32,7 @@ from oracles import (
     classify_two_pass,
     ode_fundamental,
     samples_by_insertion,
+    system_by_two_ad,
     scan_by_scalar_newton,
 )
 
@@ -345,6 +346,8 @@ SAMPLED_GEODESICS = [
     ("cpodd:m=2,kappa=2", 0.3, {"phi": 0.5, "alpha": 2}),
     ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}),
     ("w7:s=0.5", 0.2, {"phi": 2.7}),
+    # a batch of new times out of time order moves one sample here by 5e-17
+    ("b13", 0.9789830595183625, {"phi1": 0.8120129155591033, "phi2": 2.359056159939254}),
 ]
 
 
@@ -593,10 +596,27 @@ def test_indefinite_jacobi_operator_is_refused(monkeypatch):
     # the energy bound needs R >= 0; an R with a negative eigenvalue is refused
     space = build_space("b13")
     u = space.basis_vector("e_1")
-    r = homogeneous.jacobi_op(space, u)
-    monkeypatch.setattr(jacobi, "jacobi_op", lambda *args: r - 0.1 * np.eye(len(r)))
+    t, r = homogeneous.connection_ops(space, u)
+    monkeypatch.setattr(jacobi, "connection_ops", lambda *args: (t, r - 0.1 * np.eye(len(r))))
     with pytest.raises(JacobiError, match="indefinite"):
         build_system(space, u)
+
+
+# the spaces the CI verify step builds
+CI_SPACES = ["berger:m=2,s=0.5", "spsphere:m=2,s=0.5", "cpodd:m=2", "b13", "w7:s=0.5", "round:n=3"]
+
+
+@pytest.mark.parametrize("desc", CI_SPACES)
+def test_build_system_matches_two_ad_formulas(desc, rng):
+    # one ad_u for T and R, blocks gathered without np.ix_ and the companion
+    # filled by slices give the same bits as the separate formulas
+    space = build_space(desc)
+    for u in space.random_unit_m(rng, 10):
+        sys = build_system(space, u)
+        want = system_by_two_ad(space, sys.u)
+        for got, ref in zip((sys.T, sys.R, sys.companion, sys.norm_t), want):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+            assert np.asarray(got).dtype == np.asarray(ref).dtype
 
 
 def test_adjointness_is_tested_relative_to_the_operators():
