@@ -224,8 +224,8 @@ def project(space: ReductiveSpace, x, part: str) -> np.ndarray:
 
 def connection_ops(space: ReductiveSpace, u) -> tuple[np.ndarray, np.ndarray]:
     """Matrices T of x -> -[u, x]_m and R of x -> [[u, x]_k, u] on the m-basis
-    coordinates, both read from one ad_u.  Each block takes its columns, then
-    its rows, so it is C-ordered, as np.ix_ would give it."""
+    coordinates, both read from one ad_u.  Each block gathers its columns, then its
+    rows, so it is C-ordered and its products round as those of np.ix_ blocks do."""
     ad = space.algebra.ad(u)
     k, m = space.part_indices("K"), space.part_indices("M")
     on_m = ad[:, m]

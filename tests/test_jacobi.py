@@ -32,8 +32,8 @@ from oracles import (
     classify_two_pass,
     ode_fundamental,
     samples_by_insertion,
-    system_by_two_ad,
     scan_by_scalar_newton,
+    system_by_two_ad,
 )
 
 
@@ -346,7 +346,8 @@ SAMPLED_GEODESICS = [
     ("cpodd:m=2,kappa=2", 0.3, {"phi": 0.5, "alpha": 2}),
     ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}),
     ("w7:s=0.5", 0.2, {"phi": 2.7}),
-    # a batch of new times out of time order moves one sample here by 5e-17
+    # the one geodesic here whose samples move when a level's new times reach
+    # _sigma_min out of time order (every a, then every b)
     ("b13", 0.9789830595183625, {"phi1": 0.8120129155591033, "phi2": 2.359056159939254}),
 ]
 
