@@ -341,7 +341,9 @@ class BracketKernel:
             fb = np.einsum("nc,nc->n", bxy, bxy)[:, None] / area2
             f[rows] = fb[:, 0]
             by = (y @ self._tensor).reshape(len(y), n, -1)  # B(y, .) = -B(., y)
-            jac = np.concatenate([-(nt @ by), nt @ bx], axis=1)  # J_N
+            jac = np.empty((len(x), 2 * r, bx.shape[2]))  # J_N
+            np.negative(np.matmul(nt, by, out=jac[:, :r]), out=jac[:, :r])
+            np.matmul(nt, bx, out=jac[:, r:])
             g[rows] = 2.0 * np.matmul(jac, bxy[:, :, None])[:, :, 0] / area2
             hb = np.matmul(jac, jac.transpose(0, 2, 1), out=h[rows])
             cn = nt @ (bxy @ self._contract).reshape(len(x), n, n) @ nb
@@ -412,7 +414,7 @@ def _trial_pairs(z, g, h, frame, s, mu):
         gain[bent] = 0.5 * lam * alpha**2 + np.abs(slope) * alpha
     n = z.shape[1] // 2
     step = z.reshape(-1, 2, n) + d.reshape(-1, 2, r) @ frame.transpose(0, 2, 1)
-    return np.hstack(_orthonormalize(step[:, 0], step[:, 1])), gain
+    return np.concatenate(_orthonormalize(step[:, 0], step[:, 1]), axis=1), gain
 
 
 def optimize_pairs(
@@ -447,6 +449,9 @@ def optimize_pairs(
     saddle with a gradient zero to rounding stops there.  After the screen and
     one order-2 call at the starts, each step makes one kernel call, on the
     trial pairs, and an accepted row keeps that gradient, Hessian and frame.
+    The steps see the live rows alone, kept contiguous in row order: a step
+    that improves every row keeps the trial arrays whole, and a row's f, pair
+    and |g| are written out once, when it stops, as the live rows are compressed.
     Returns f, the ON-frame pairs (x, y) and the Riemannian gradient norm |g|
     by row, and the number of steps taken.
     """
@@ -468,24 +473,33 @@ def optimize_pairs(
     quadrants = [h[:, a : a + r, b : b + r] for a in (0, r) for b in (0, r)]
     mu = np.abs(f) + np.max([np.abs(frame @ q @ nt).max(axis=(1, 2)) for q in quadrants], axis=0)
     flat = GRAD_RTOL * mu  # a gradient norm at or below this is zero to rounding
-    active = np.linalg.norm(g, axis=1) > flat
+    gnorm = np.linalg.norm(g, axis=1)
+    out_f, out_z, out_gnorm = f, z, gnorm  # by row; a row is written here once, when it stops
+    live, done = np.arange(len(f)), ~(gnorm > flat)  # the live rows' numbers, in row order
     steps = 0
-    while steps < max_iter and active.any():
+    while steps < max_iter and not done.all():
+        if done.any():  # write the stopped rows out, and keep the live rows contiguous
+            stop = live[done]
+            out_f[stop], out_z[stop], out_gnorm[stop] = f[done], z[done], gnorm[done]
+            live, z, f, g, h, frame, mu, sign, flat, gnorm = (
+                a[~done] for a in (live, z, f, g, h, frame, mu, sign, flat, gnorm)
+            )
         steps += 1
-        idx = np.flatnonzero(active)
-        s, fi = sign[idx], f[idx]
-        trial, gain = _trial_pairs(z[idx], g[idx], h[idx], frame[idx], s, mu[idx])
+        trial, gain = _trial_pairs(z, g, h, frame, sign, mu)
         nf, ng, nh, nframe = kernel.second_order(trial[:, :n], trial[:, n:])
-        better = (gain > 0) & (s * nf > s * fi)
-        good = idx[better]
-        z[good], f[good], g[good] = trial[better], nf[better], ng[better]
-        h[good], frame[good] = nh[better], nframe[better]
-        mu[idx] *= np.where(better, 0.2, 8.0)
-        rounding = STOP_RTOL * np.abs(fi)
-        done = (gain <= rounding) & (np.abs(nf - fi) <= rounding)
-        done |= better & (np.linalg.norm(ng, axis=1) <= flat[idx])
-        active[idx[done]] = False
-    return f, z[:, :n], z[:, n:], np.linalg.norm(g, axis=1), steps
+        ngnorm = np.linalg.norm(ng, axis=1)
+        better = (gain > 0) & (sign * nf > sign * f)
+        rounding = STOP_RTOL * np.abs(f)
+        done = (gain <= rounding) & (np.abs(nf - f) <= rounding)
+        done |= better & (ngnorm <= flat)
+        mu *= np.where(better, 0.2, 8.0)
+        if better.all():
+            z, f, g, h, frame, gnorm = trial, nf, ng, nh, nframe, ngnorm
+        else:
+            z[better], f[better], g[better] = trial[better], nf[better], ng[better]
+            h[better], frame[better], gnorm[better] = nh[better], nframe[better], ngnorm[better]
+    out_f[live], out_z[live], out_gnorm[live] = f, z, gnorm
+    return out_f, out_z[:, :n], out_z[:, n:], out_gnorm, steps
 
 
 def sectional_curvature(space: ReductiveSpace, x, y) -> float:

@@ -179,7 +179,8 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     companion[:n, n:], companion[n:, :n], companion[n:, n:] = np.eye(n), -r_on, t_on
     for arr in (t_on, r_on, companion, uc, evals, evecs):
         arr.setflags(write=False)
-    sys = JacobiSystem(space, uc, t_on, r_on, companion, evals, evecs, np.linalg.norm(t_on, 2))
+    norm_t = np.linalg.svd(t_on, compute_uv=False)[0]  # ||T||_2, as np.linalg.norm(t_on, 2)
+    sys = JacobiSystem(space, uc, t_on, r_on, companion, evals, evecs, norm_t)
     # rounding in T and R grows with their size, so (skew-)adjointness is tested relative to it
     if skew > 1e-9 * max(1.0, sys.norm_t) or sym > 1e-9 * max(1.0, sys.norm_r):
         raise JacobiError(

@@ -168,6 +168,54 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
     return sign * f, xs, ys
 
 
+def optimize_pairs_by_gather(kernel, signs, rng, multistarts: int, max_iter: int = 400):
+    """homogeneous.optimize_pairs with its step loop over every row: each step
+    gathers the live rows by a mask, and scatters the improved rows back.
+
+    The library keeps the live rows compacted instead, and writes a row out
+    once, when it stops.  Both pass the same rows, in the same order, to each
+    kernel call, so they must agree bit for bit."""
+    from homogeodesy.homogeneous import (
+        GRAD_RTOL,
+        START_SCREEN,
+        STOP_RTOL,
+        _orthonormalize,
+        _trial_pairs,
+    )
+
+    n, pool = kernel.n, START_SCREEN * multistarts
+    draws = [kernel.gaussian_pairs(rng, pool) for _ in signs]
+    xs, ys = (np.concatenate(part) for part in zip(*draws))
+    screen = np.asarray(signs)[:, None] * kernel.value(xs, ys).reshape(len(signs), pool)
+    best = np.argsort(-screen, axis=1, kind="stable")[:, :multistarts]
+    keep = (best + pool * np.arange(len(signs))[:, None]).ravel()
+    z = np.hstack(_orthonormalize(xs[keep], ys[keep]))
+    sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
+    f, g, h, frame = kernel.second_order(z[:, :n], z[:, n:])
+    r, nt = n - 2, frame.transpose(0, 2, 1)
+    quadrants = [h[:, a : a + r, b : b + r] for a in (0, r) for b in (0, r)]
+    mu = np.abs(f) + np.max([np.abs(frame @ q @ nt).max(axis=(1, 2)) for q in quadrants], axis=0)
+    flat = GRAD_RTOL * mu
+    active = np.linalg.norm(g, axis=1) > flat
+    steps = 0
+    while steps < max_iter and active.any():
+        steps += 1
+        idx = np.flatnonzero(active)
+        s, fi = sign[idx], f[idx]
+        trial, gain = _trial_pairs(z[idx], g[idx], h[idx], frame[idx], s, mu[idx])
+        nf, ng, nh, nframe = kernel.second_order(trial[:, :n], trial[:, n:])
+        better = (gain > 0) & (s * nf > s * fi)
+        good = idx[better]
+        z[good], f[good], g[good] = trial[better], nf[better], ng[better]
+        h[good], frame[good] = nh[better], nframe[better]
+        mu[idx] *= np.where(better, 0.2, 8.0)
+        rounding = STOP_RTOL * np.abs(fi)
+        done = (gain <= rounding) & (np.abs(nf - fi) <= rounding)
+        done |= better & (np.linalg.norm(ng, axis=1) <= flat[idx])
+        active[idx[done]] = False
+    return f, z[:, :n], z[:, n:], np.linalg.norm(g, axis=1), steps
+
+
 # -- multiplication tables ---------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from oracles import (
     ambient_second_order,
     bracket_tensor_einsum,
     naturally_reductive_curvature,
+    optimize_pairs_by_gather,
     optimize_pairs_one_sign,
     random_pairs,
     sampled_bracket_minimum,
@@ -509,8 +511,10 @@ def _recorded_trials(monkeypatch, desc):
     trial_pairs = homogeneous._trial_pairs
 
     def recorded(*args):
-        calls.append((args, trial_pairs(*args)))
-        return calls[-1][1]
+        # copies: the optimizer may update its live arrays in place after the call
+        out = trial_pairs(*args)
+        calls.append(tuple(tuple(np.copy(a) for a in part) for part in (args, out)))
+        return out
 
     monkeypatch.setattr(homogeneous, "_trial_pairs", recorded)
     estimate_pinching(build_space(desc), multistarts=32, seed=0)
@@ -550,6 +554,50 @@ def test_no_row_is_rejected_for_its_predicted_gain(monkeypatch, desc):
     calls = _recorded_trials(monkeypatch, desc)
     assert calls
     assert all(np.all(gain > 0) for _, (_, gain) in calls)
+
+
+# the CI verify spaces (on round:n=3 f is constant, so no row is live at the
+# start), one with 2 x 2 frame Hessians (r = 1) and one with none (r = 0)
+LOOP_SPACES = [
+    "berger:m=2,s=0.5",
+    "spsphere:m=2,s=0.5",
+    "cpodd:m=2",
+    "b13",
+    "w7:s=0.5",
+    "round:n=3",
+    "berger:m=1,s=0.5",
+    "round:n=2",
+]
+
+
+@pytest.mark.parametrize("desc", LOOP_SPACES)
+def test_compacted_loop_matches_the_gather_loop(desc):
+    # the live rows kept compacted, and each written out once when it stops,
+    # give the same bits as gathering the live rows by a mask on every step
+    kernel = BracketKernel(build_space(desc), 1.0, 0.25)
+    cases = itertools.product([(1.0, -1.0), (-1.0,)], [3, 8, 32], [0, 1, 5, 400], [0, 2])
+    for signs, multistarts, max_iter, seed in cases:
+        got = optimize_pairs(kernel, signs, np.random.default_rng(seed), multistarts, max_iter)
+        want = optimize_pairs_by_gather(
+            kernel, signs, np.random.default_rng(seed), multistarts, max_iter
+        )
+        case = (signs, multistarts, max_iter, seed)
+        assert got[4] == want[4], case
+        for a, b in zip(got[:4], want[:4]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
+
+
+@pytest.mark.parametrize("desc", LOOP_SPACES)
+def test_rank_one_check_matches_the_gather_loop(monkeypatch, desc):
+    space = build_space(desc)
+    for seed in (0, 2):
+        got = rank_one_check(space, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(homogeneous, "optimize_pairs", optimize_pairs_by_gather)
+            want = rank_one_check(space, seed)
+        assert got.to_dict() == want.to_dict()
+        assert got.argmin.x.tobytes() == want.argmin.x.tobytes()
+        assert got.argmin.y.tobytes() == want.argmin.y.tobytes()
 
 
 def test_flat_functions_stop_at_once(abelian_space):

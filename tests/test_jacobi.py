@@ -760,7 +760,7 @@ def test_one_eigendecomposition_of_r_and_one_norm_of_t_per_geodesic(monkeypatch)
     space = build_space("b13")
     u = geodesic_direction(space, 0.7)
     calls = []
-    for name in ("eigh", "eigvalsh", "norm"):
+    for name in ("eigh", "eigvalsh", "norm", "svd"):
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _real=real, _name=name, **kw):
@@ -772,8 +772,12 @@ def test_one_eigendecomposition_of_r_and_one_norm_of_t_per_geodesic(monkeypatch)
     events = conjugate_events(space, u, 12.0)
     monkeypatch.undo()
     assert len(events) > 0
-    assert [name for name, _ in calls] == ["eigh", "norm", "eigh"]
     sys = build_system(space, u)
+    # ||T||_2 is the top singular value of one SVD of T; the scan's other SVDs
+    # are of J and of its kernels
+    assert [name for name, a in calls if np.array_equal(a, sys.T)] == ["svd"]
+    calls = [(name, a) for name, a in calls if name != "svd" or np.array_equal(a, sys.T)]
+    assert [name for name, _ in calls] == ["eigh", "svd", "eigh"]
     assert np.array_equal(calls[0][1], sys.R) and np.array_equal(calls[1][1], sys.T)
     # the third is iK, K = [[0, S], [-S, T]] with S^2 = R: the modes of the samples
     herm, n = calls[2][1], sys.n
