@@ -1,10 +1,13 @@
 """Matrix Lie algebras with precomputed structure constants.
 
-An algebra is assembled once from an explicit matrix basis: every commutator
-is expanded in the basis by least squares (and rejected if it does not lie in
-the span), and the inner product is evaluated from a declared block-scaled
-trace form.  All downstream geometry works with the real structure tensor and
-the Gram matrix; the complex matrices are only touched at assembly time.
+An algebra is assembled once from an explicit matrix basis and a declared
+block-scaled trace form.  The form's pairing (GramRule.pairing) gives the Gram
+matrix G and the pairings <[b_i, b_j], b_l>, and one solve against G turns
+these into the structure constants.  The pairing projects a commutator that
+leaves the span of the basis without failing, so the closure check, which
+compares each commutator with its expansion, is what rejects such a basis.
+All downstream geometry works with the real structure tensor and the Gram
+matrix; the complex matrices are only touched at assembly time.
 """
 from __future__ import annotations
 
@@ -70,20 +73,22 @@ class GramRule:
     block_scales: tuple[float, ...] = ()
     scale: float = 1.0
 
-    def pairing_matrix(self, stack: np.ndarray) -> np.ndarray:
-        """Gram matrix of a stack (d, N, N) of basis matrices."""
-        n = stack.shape[1]
+    def pairing(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """<L_a, R_b> for stacks left (p, N, N) and right (q, N, N), as (p, q):
+        one GEMM per block, of left's block flattened against right's transposed."""
+        n = left.shape[-1]
         blocks = self.blocks or (n,)
         scales = self.block_scales or (1.0,) * len(blocks)
         offs = block_offsets(blocks)
         if offs[-1] != n:
             raise ValueError("block sizes do not cover the matrices")
-        gram = np.zeros((stack.shape[0], stack.shape[0]))
+        out = np.zeros((len(left), len(right)))
         for b, sigma in enumerate(scales):
             lo, hi = offs[b], offs[b + 1]
-            sub = stack[:, lo:hi, lo:hi]
-            gram += sigma * (-self.coeff) * np.einsum("iab,jba->ij", sub, sub).real
-        return self.scale * gram
+            lhs = left[:, lo:hi, lo:hi].reshape(len(left), -1)
+            rhs = right[:, lo:hi, lo:hi].transpose(0, 2, 1).reshape(len(right), -1)
+            out += sigma * (-self.coeff) * (lhs @ rhs.T).real
+        return self.scale * out
 
     def describe(self) -> dict:
         return {
@@ -140,7 +145,7 @@ class StructuredAlgebra:
     def coeffs_of_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Expand a matrix in the basis; NotClosed if it is not in the span."""
         mat = np.asarray(mat, dtype=complex)
-        coeffs = _expand(self._stack, mat[None])[0]
+        coeffs = np.linalg.solve(self.gram, self.gram_rule.pairing(mat[None], self._stack)[0])
         recon = self.matrix_of(coeffs)
         resid = np.max(np.abs(recon - mat))
         if resid > CLOSURE_TOL * max(1.0, np.max(np.abs(mat))):
@@ -209,16 +214,6 @@ def _reconstruct(structure: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (structure.reshape(d * d, d) @ stack.reshape(d, -1)).reshape((d, d) + stack.shape[1:])
 
 
-def _expand(stack: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients (count, d) of a stack (count, N, N) of matrices in
-    the basis stack (d, N, N), over the real and imaginary parts of the entries."""
-    d, count = len(stack), len(mats)
-    flat = np.concatenate([stack.real.reshape(d, -1), stack.imag.reshape(d, -1)], axis=1)
-    rhs = np.concatenate([mats.real.reshape(count, -1), mats.imag.reshape(count, -1)], axis=1)
-    sol, *_ = np.linalg.lstsq(flat.T, rhs.T, rcond=None)
-    return sol.T
-
-
 def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> StructuredAlgebra:
     """Compute structure constants and Gram matrix from an explicit basis.
 
@@ -232,7 +227,7 @@ def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> Struc
     stack = np.array([b.entries for b in basis])
     d = len(basis)
 
-    gram = gram_rule.pairing_matrix(stack)
+    gram = gram_rule.pairing(stack, stack)
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
@@ -241,8 +236,8 @@ def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> Struc
         )
 
     comm = _commutators(stack)
-    structure = _expand(stack, comm.reshape((d * d,) + stack.shape[1:])).reshape(d, d, d)
-    structure = 0.5 * (structure - structure.transpose(1, 0, 2))
+    flat = comm.reshape((d * d,) + stack.shape[1:])
+    structure = np.linalg.solve(gram, gram_rule.pairing(flat, stack).T).T.reshape(d, d, d)
 
     resid = np.abs(_reconstruct(structure, stack) - comm).reshape(d, d, -1).max(axis=2)
     scale = max(1.0, np.max(np.abs(comm)))

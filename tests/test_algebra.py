@@ -23,7 +23,7 @@ from homogeodesy.algebra import (
     jacobi_identity_residual,
     reconstruction_residual,
 )
-from homogeodesy.catalog import build_b13, build_space, su_algebra
+from homogeodesy.catalog import _FAMILIES, build_b13, build_space, su_algebra
 from homogeodesy.matrices import a_matrix, b_matrix, c_matrix
 from oracles import (
     ad_einsum,
@@ -64,11 +64,47 @@ def _checked_algebras():
 
 
 def test_jacobi_identity_residual_matches_the_dense_sum():
+    # both take the max of the same cyclic sums of 3 * dim products, summed in
+    # different orders and divided by a scale >= 1; on exact structure constants
+    # both sit at rounding level, where only a rounding bound compares them
     algebras = _checked_algebras()
     for alg in algebras:
         got, want = jacobi_identity_residual(alg), jacobi_identity_residual_dense(alg)
-        np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=alg.name)
+        c = np.abs(alg.structure)
+        t = np.einsum("ijk,klm->ijlm", c, c)
+        magnitude = np.max(t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3))
+        _assert_rounding_close(got, want, 3 * alg.dim, magnitude, alg.name)
     assert jacobi_identity_residual(algebras[-1]) > 0.1
+
+
+def _family_descriptors() -> list[str]:
+    """Each catalog family at its defaults, and at its largest integer
+    parameters with s = 0.5, as the CI verify step builds them."""
+    descs = []
+    for family, (_, spec) in _FAMILIES.items():
+        largest = [f"{k}={top}" for k, (typ, _, top) in spec.items() if typ is int]
+        largest += ["s=0.5"] * ("s" in spec)
+        descs += [family] + [f"{family}:{','.join(largest)}"] * bool(largest)
+    return descs
+
+
+@pytest.mark.parametrize("desc", _family_descriptors())
+def test_structure_constants_are_exact(desc):
+    # c solves G c = <[b_i, b_j], b_l>: the commutator table is exactly
+    # antisymmetric and the pairing and the solve keep its signs.  A pairing
+    # that is zero stays zero, except on the elements the Gram couples by
+    # rounding: Cartan elements orthogonal only to rounding (berger), or whose
+    # pairings cancel in products of equal size that a fused multiply-add in
+    # the GEMM leaves at rounding level (w7)
+    alg = build_space(desc).algebra
+    c = alg.structure
+    assert antisymmetry_residual(alg) == 0.0
+    assert reconstruction_residual(alg) <= 1e-15
+    assert jacobi_identity_residual(alg) <= 1e-15
+    assert check_biinvariance(alg).max_residual <= 1e-15
+    coupled = np.any((alg.gram != 0) & ~np.eye(alg.dim, dtype=bool), axis=0)
+    small = np.abs(c) <= 1e-15 * np.max(np.abs(c))
+    assert not np.any(c[small & ~coupled])
 
 
 def _assert_rounding_close(got, want, terms: int, magnitude, name: str):

@@ -21,7 +21,7 @@ from homogeodesy.closed_form import (
     extract_cp_data,
     solve_tan_family,
 )
-from homogeodesy.jacobi import conjugate_events, geodesic_pair
+from homogeodesy.jacobi import T_TOL, conjugate_events, geodesic_pair
 from homogeodesy.report import conjugate_table, reproduce
 
 from oracles import ad_orbit_direction, bisect_tan_root
@@ -266,6 +266,24 @@ def test_reproduce_cimp1_sweep():
     assert sorted({cell["space"] for cell in doc["cells"]}) == [
         f"cpodd:m={m},kappa={kappa}" for m in (1, 2) for kappa in (1, 2)
     ]
+
+
+def test_theorem_sweeps_match_closed_forms_within_t_tol(monkeypatch):
+    # T_TOL is the promised accuracy of event times: every closed-form time of
+    # the conj, conjB13 and conjW7 cells lies within it of its matched event
+    # (the worst of the 248 pairs is 3.0e-12, on w7:s=2/3 at theta = 0)
+    reports = []
+
+    def record(*args):
+        reports.append(cross_validate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("homogeodesy.report.cross_validate", record)
+    for name in ("conj", "conjB13", "conjW7"):
+        assert reproduce(name)["pass"] is True
+    gaps = [abs(pred.t - ev.t) for cv in reports for pred, ev in cv.matched]
+    assert len(gaps) == 248
+    assert max(gaps) <= T_TOL
 
 
 def test_each_closed_form_time_is_paired_with_its_nearest_event():

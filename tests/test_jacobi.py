@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -620,10 +621,9 @@ def test_build_system_matches_two_ad_formulas(desc, rng):
             assert np.asarray(got).dtype == np.asarray(ref).dtype
 
 
-def test_adjointness_is_tested_relative_to_the_operators():
+def test_adjointness_is_tested_relative_to_the_operators(rng):
     # the asymmetry of R at kappa = 1e8 is 8.9e-8, rounding on ||R|| = 5.7e8,
-    # so the system scans; at s = 1e-9 the asymmetry of R, 2.8e-7 on ||R|| =
-    # 3, is cancellation in products of entries near ||T|| = 4.8e4: refused
+    # so the system scans
     space = build_space("cpodd:m=1,kappa=1e8")
     sys = build_system(space, geodesic_direction(space, 0.7))
     assert np.max(np.abs(sys.R)) > 1e8
@@ -632,9 +632,29 @@ def test_adjointness_is_tested_relative_to_the_operators():
     for event in events[::10]:
         sv = np.linalg.svd(fundamental_block(sys, event.t), compute_uv=False)
         assert sv[-1] <= 1e-12 * sv[0], (event.t, sv[-1] / sv[0])
-    space = build_space("w7:s=1e-9")
+    # a structure tensor that is not ad-invariant for the Gram (off by 1e-6)
+    # gives a T that is not skew and an R that is not symmetric: refused
+    space = build_space("w7:s=0.5")
+    c = rng.standard_normal(space.algebra.structure.shape)
+    broken = space.algebra.structure + 1e-6 * (c - c.transpose(1, 0, 2))
+    space = dataclasses.replace(space, algebra=dataclasses.replace(space.algebra, structure=broken))
     with pytest.raises(JacobiError, match="adjointness"):
         build_system(space, geodesic_direction(space, 0.7))
+
+
+def test_small_s_operators_are_adjoint_to_rounding():
+    # at s <= 1e-8, ||T|| = 1.5e4 to 6.8e4: T and R are read from the
+    # pairing's structure constants, which keep ad-invariance to rounding, so
+    # R is symmetric to rounding on ||R|| = 3 to 5.7 and the systems build
+    for desc in ("spsphere:m=1,s=1e-8", "spsphere:m=1,s=1e-9", "w7:s=1e-8", "w7:s=1e-9"):
+        space = build_space(desc)
+        sys = build_system(space, geodesic_direction(space, 0.7))
+        ops = homogeneous.connection_ops(space, sys.u)
+        t, r = (space.chol_m.T @ op @ space.frame_m for op in ops)
+        assert sys.norm_t > 1e4
+        assert np.max(np.abs(r - r.T)) <= 1e-15 * sys.norm_r, desc
+        assert np.max(np.abs(t + t.T)) <= 1e-15 * sys.norm_t, desc
+    assert len(scan_conjugate_times(sys, 0.05)) == 384  # w7:s=1e-9
 
 
 def test_large_kappa_scan_matches_closed_forms():

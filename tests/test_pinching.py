@@ -112,6 +112,16 @@ def test_zero_audit_samples_rejected_before_optimizing(monkeypatch):
         estimate_pinching(build_space("round:n=3"), audit_samples=0)
 
 
+def test_starts_that_have_not_agreed_are_not_converged():
+    # after 3 steps the best k_min start of berger:m=2,s=0.5 is still 6.6e-6
+    # above 3/8, and its third-closest start 3.0e-6 from it: outside
+    # CONVERGENCE_RTOL (a bound of 1e-2 would call it converged)
+    report = estimate_pinching(build_space("berger:m=2,s=0.5"), multistarts=32, max_iter=3)
+    assert report.optimizer_steps == 3
+    assert abs(report.k_min / 0.375 - 1.0) > 1e-6
+    assert report.converged is False
+
+
 @pytest.mark.parametrize("multistarts", [1, 2])
 def test_too_few_multistarts_rejected_before_any_kernel_call(monkeypatch, multistarts):
     # converged needs three starts within CONVERGENCE_RTOL of each extreme
