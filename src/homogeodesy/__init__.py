@@ -59,6 +59,7 @@ from .jacobi import (
     BadAux,
     ConjugateEvent,
     JacobiSystem,
+    ScanStats,
     ZeroVector,
     build_system,
     classify_isotropy,
@@ -67,6 +68,7 @@ from .jacobi import (
     geodesic_direction,
     geodesic_pair,
     scan_conjugate_times,
+    scan_with_stats,
 )
 from .pinching import PinchingReport, estimate_pinching, expected_delta, pinching_curve
 

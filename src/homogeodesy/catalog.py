@@ -392,7 +392,9 @@ def parse_descriptor(text: str) -> SpaceDescriptor:
     for item in filter(str.strip, argstr.split(",")):
         key, eq, val = item.partition("=")
         _check(eq == "=", f"bad parameter {item!r} for family {family!r}")
-        params[key.strip().lower()] = _parse_number(val)
+        key = key.strip().lower()
+        _check(key not in params, f"parameter {key!r} given more than once for family {family!r}")
+        params[key] = _parse_number(val)
     return _checked(family, params)
 
 

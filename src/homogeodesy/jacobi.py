@@ -12,7 +12,8 @@ matrix A, refines each remaining run of suspicious intervals, bracketed by
 the run, in rounds of stacked starts (see scan_conjugate_times), each run's
 first start chosen by _refine.  Each refined event is classified where it is
 found, from its kernel rows (classify_isotropy), so scans return finished
-events.
+events.  scan_with_stats also returns the ScanStats of the scan, counted in
+_samples (grid, samples, batches, L, delta) and _newton (rounds, propagations).
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -20,7 +21,7 @@ and orthogonal complements use plain Euclidean geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,11 +40,8 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scipy.linalg.expm, imported here: only Newton and fundamental_block load scipy.
-
-    The attribute is looked up at every call, so a binding patched onto
-    scipy.linalg (a tracer or a counting test) sees every exponential.
-    """
+    """exp(a) by scipy.linalg.expm, imported and looked up at each call: only Newton and
+    fundamental_block load scipy, and a tracer patched onto scipy.linalg sees every call."""
     import scipy.linalg
 
     return scipy.linalg.expm(a)
@@ -154,6 +152,23 @@ class ConjugateEvent:
         return {key: getattr(self, key) for key in keys}
 
 
+@dataclass(frozen=True)
+class ScanStats:
+    """The work of one scan (scan_with_stats): grid points, samples of sigma_min and their
+    batches (the grid, then one per level), runs of suspicious cells, Newton starts, stacked
+    Newton rounds and their propagations, in matrices; and the certificate's L and delta."""
+
+    grid_points: int
+    samples: int
+    batches: int
+    lipschitz: float
+    delta: float
+    runs: int = 0
+    newton_starts: int = 0
+    newton_rounds: int = 0
+    propagations: int = 0
+
+
 def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     """Assemble T, R and the companion [[0, I], [-R, T]] for the direction u,
     with the one eigendecomposition of R and the one ||T||_2 of the system."""
@@ -209,13 +224,14 @@ def _newton(sys: JacobiSystem, lo, hi, t):
     bisects its bracket on the sign of sigma_min' when a step leaves it or fails
     to halve the step before last.  A round takes one stacked E = exp(tA) at the
     live times and one batched SVD; J = E_12, J' = E_22 (E' = AE) and sigma_i' =
-    u_i^T J' v_i.  Returns each row's last probe, stacked (t, sv, vt, slopes),
-    and whether it landed on a zero; a row stops once its bracket collapses."""
+    u_i^T J' v_i.  Returns each row's last probe, stacked (t, sv, vt, slopes), whether it
+    landed on a zero (a row stops once its bracket collapses), rounds and propagations."""
     n = sys.n
     dx = dx_old = hi - lo
     probes = tuple(np.empty((len(t), *shape)) for shape in ((), (n,), (n, n), (n,)))
-    landed, rows = np.zeros(len(t), dtype=bool), np.arange(len(t))
+    landed, rows, rounds, propagations = np.zeros(len(t), dtype=bool), np.arange(len(t)), 0, 0
     for _ in range(_MAX_NEWTON):
+        rounds, propagations = rounds + 1, propagations + len(t)
         e = _expm(t[:, None, None] * sys.companion)
         u, sv, vt = np.linalg.svd(e[:, :n, n:])
         j_prime = np.swapaxes(u, 1, 2) @ e[:, n:, n:]
@@ -232,7 +248,7 @@ def _newton(sys: JacobiSystem, lo, hi, t):
         rows, t, lo, hi, dx, dx_old = (x[~done] for x in (rows, t, lo, hi, dx, dx_old))
         if not len(rows):
             break
-    return probes, landed
+    return probes, landed, rounds, propagations
 
 
 def _refine(sys: JacobiSystem, ts, fs):
@@ -315,11 +331,11 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     """sigma_min(J) on the grid of scan_conjugate_times and inside its suspicious cells.
 
     Returns the sample times and values, whether sigma_min may vanish between
-    consecutive samples, L and delta.  Samples come from _sigma_min: the whole
-    grid in one batch, then one batch per level, of every jump point and
-    midpoint of the level.  A live interval carries only (lo, hi, f_lo, f_hi);
-    one that is not split is final, and samples and final intervals are put in
-    time order once at the end.
+    consecutive samples, and the ScanStats of the sampling, with L and delta.
+    Samples come from _sigma_min: the whole grid in one batch, then one batch
+    per level, of every jump point and midpoint of the level.  A live interval
+    carries only (lo, hi, f_lo, f_hi); one that is not split is final, and
+    samples and final intervals are put in time order once at the end.
 
     A suspicious interval [lo, hi] (f_lo + f_hi <= L (hi - lo) + 2 delta) is
     split where the zero-free zones certified from its ends stop, in the
@@ -399,7 +415,40 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     ts, fs = (np.concatenate(column) for column in zip(*samples))
     lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
     order = np.argsort(ts, kind="stable")
-    return ts[order], fs[order], suspicious[np.argsort(lefts, kind="stable")], lip, delta
+    stats = ScanStats(len(samples[0][0]), len(ts), len(samples), lip, float(delta))
+    return ts[order], fs[order], suspicious[np.argsort(lefts, kind="stable")], stats
+
+
+def scan_with_stats(sys: JacobiSystem, t_max: float) -> tuple[list[ConjugateEvent], ScanStats]:
+    """The events of scan_conjugate_times(sys, t_max), and the ScanStats of its work."""
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    step = default_scan_step(sys)
+    if not t_max / step <= MAX_GRID_POINTS:
+        raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
+
+    ts, fs, suspicious, stats = _samples(sys, t_max, step)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
+    runs = [  # one _refine per run that starts by t_max
+        _refine(sys, ts[a : b + 1], fs[a : b + 1])
+        for a, b in zip(edges[::2], edges[1::2])
+        if ts[a] <= t_max + 1e-12
+    ]
+    refined, waiting, starts, work = {}, runs, [next(run) for run in runs], []
+    while waiting:
+        probes, landed, *counts = _newton(sys, *np.array(starts).T)
+        work.append((len(starts), *counts))  # Newton starts, rounds, propagations
+        rows = zip(waiting, zip(*probes), landed)
+        waiting, starts = [], []
+        for run, probe, hit in rows:
+            try:
+                starts.append(run.send((probe, hit)))
+                waiting.append(run)
+            except StopIteration as done:
+                refined[run] = done.value
+    events = [ev for run in runs for ev in refined[run] if ev.t <= t_max + 1e-12]
+    newton = dict(zip(("newton_starts", "newton_rounds", "propagations"), map(sum, zip(*work))))
+    return events, replace(stats, runs=len(runs), **newton)  # no run: the Newton fields stay 0
 
 
 def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent]:
@@ -429,31 +478,7 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     sigma_max at the refined time, and each event comes back classified
     (classify_isotropy on its kernel).
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    step = default_scan_step(sys)
-    if not t_max / step <= MAX_GRID_POINTS:
-        raise GridTooLarge(f"t_max / step needs more than {MAX_GRID_POINTS:g} grid points")
-
-    ts, fs, suspicious, _, _ = _samples(sys, t_max, step)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
-    runs = [  # one _refine per run that starts by t_max
-        _refine(sys, ts[a : b + 1], fs[a : b + 1])
-        for a, b in zip(edges[::2], edges[1::2])
-        if ts[a] <= t_max + 1e-12
-    ]
-    refined, waiting, starts = {}, runs, [next(run) for run in runs]
-    while waiting:
-        probes, landed = _newton(sys, *np.array(starts).T)
-        rows = zip(waiting, zip(*probes), landed)
-        waiting, starts = [], []
-        for run, probe, hit in rows:
-            try:
-                starts.append(run.send((probe, hit)))
-                waiting.append(run)
-            except StopIteration as done:
-                refined[run] = done.value
-    return [ev for run in runs for ev in refined[run] if ev.t <= t_max + 1e-12]
+    return scan_with_stats(sys, t_max)[0]
 
 
 def isotropic_complement_projector(sys: JacobiSystem) -> np.ndarray:

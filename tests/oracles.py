@@ -630,7 +630,7 @@ def scan_by_scalar_newton(sys, t_max: float):
     its own by scalar Newton (refine_scalar), on the same samples."""
     from homogeodesy.jacobi import _samples, default_scan_step
 
-    ts, fs, suspicious, _, _ = _samples(sys, t_max, default_scan_step(sys))
+    ts, fs, suspicious, _ = _samples(sys, t_max, default_scan_step(sys))
     events = []
     edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
     for first, last in zip(edges[::2], edges[1::2]):

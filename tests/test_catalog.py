@@ -113,6 +113,8 @@ def test_bad_descriptor_grammar():
         parse_descriptor("berger:m=1.5")
     with pytest.raises(BadParams):
         parse_descriptor("berger:s=x")
+    with pytest.raises(BadParams, match="parameter 'm' given more than once"):
+        parse_descriptor("berger:m=1,m=2")  # not read as its last value
 
 
 def test_descriptor_parses_fractions():

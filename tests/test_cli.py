@@ -193,8 +193,10 @@ def test_brackets_export(capsys):
 
 
 def test_bad_descriptor_exit_code(capsys):
-    # non-finite values are rejected while parsing, before any builder runs
-    for desc in ("flag:m=1", "cpodd:m=1,kappa=inf", "w7:s=inf", "berger:m=1,s=nan"):
+    # non-finite values and repeated keys are rejected while parsing, before
+    # any builder runs
+    for desc in ("flag:m=1", "cpodd:m=1,kappa=inf", "w7:s=inf", "berger:m=1,s=nan",
+                 "berger:m=1,m=2", "spsphere:s=0.5,m=1,S=0.9"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _ = run_cli(capsys, "verify", desc)

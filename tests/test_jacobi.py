@@ -26,6 +26,7 @@ from homogeodesy.jacobi import (
     isotropic_complement_projector,
     isotropic_derivative_basis,
     scan_conjugate_times,
+    scan_with_stats,
 )
 
 from oracles import (
@@ -36,11 +37,6 @@ from oracles import (
     scan_by_scalar_newton,
     system_by_two_ad,
 )
-
-
-def _matrices(a) -> int:
-    """How many exponentials one expm call takes: a stack holds several."""
-    return math.prod(np.shape(a)[:-2])
 
 
 def test_build_system_normalizes_and_validates():
@@ -178,31 +174,26 @@ def test_expm_is_looked_up_at_each_call(monkeypatch):
     assert scan_conjugate_times(sys, 3.0) and len(calls) > 1
 
 
-def test_newton_exponentials_per_event(monkeypatch):
-    # samples take no exponential, so every one counted is Newton's
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(_matrices(a)) or expm(a))
+def test_newton_exponentials_per_event():
+    # Newton's propagations, counted in matrices: at most 20 per event
     space = build_space("b13")
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
-    events = conjugate_events(space, u, 6.0)
+    events, stats = scan_with_stats(build_system(space, u), 6.0)
     assert len(events) >= 5
-    assert sum(calls) <= 20 * len(events)
+    assert stats.propagations <= 20 * len(events)
 
 
-def test_one_newton_exponential_per_simple_event(monkeypatch):
+def test_one_newton_exponential_per_simple_event():
     # each run holds one zero (of multiplicity 1, 3 or 6) and two samples within
     # about 1e-11 of it, whose predictions t + sigma_min and t - sigma_min agree
     # to Newton's landing tolerance: Newton starts there and lands at once, so
-    # the whole scan takes one Newton round of one exponential per event
-    calls = []
-    expm = jacobi._expm
-    monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
+    # the whole scan takes one Newton round of one propagation per event
     space = build_space("b13")
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
-    events = conjugate_events(space, u, 6.0)
+    events, stats = scan_with_stats(build_system(space, u), 6.0)
     assert len(events) == 9
-    assert calls == [len(events)]
+    assert stats.runs == stats.newton_starts == len(events)
+    assert (stats.newton_rounds, stats.propagations) == (1, len(events))
 
 
 def test_close_pair_starts_newton_on_its_lowest_sample(monkeypatch):
@@ -241,25 +232,38 @@ def test_close_pair_starts_newton_on_its_lowest_sample(monkeypatch):
     assert len(runs) == 2 and all(lowest == start for lowest, start in runs)
 
 
-@pytest.mark.parametrize(
-    "desc,theta,aux,t_max,rounds",
-    [
-        # rounds: Newton rounds allowed over the whole scan; three per Newton
-        # call on b13, twice the measured count otherwise.  The samples take no
-        # exponential, so every call is a Newton round
-        ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine runs, each lands in 1 round
-        ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3, 6),  # one search
-        ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 runs, 57 search; 4 + 2 rounds
-    ],
-)
-def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
-    monkeypatch, desc, theta, aux, t_max, rounds
-):
+LOCKSTEP_INPUTS = [
+    # rounds: stacked Newton rounds allowed over the whole scan; three per
+    # Newton call on b13, twice the measured count otherwise
+    ("b13", 0.9, {"phi1": 0.4, "phi2": 1.3}, 6.0, 3),  # nine runs, each lands in 1 round
+    ("w7:s=0.959", 0.057744733155488566, {"phi": 2.7042823728344505}, 2.3, 6),  # one search
+    ("w7:s=1e-6", 0.7, {}, 2.0, 12),  # 486 runs, 57 search; 4 + 2 rounds
+]
+
+
+@pytest.mark.parametrize("desc,theta,aux,t_max,rounds", LOCKSTEP_INPUTS)
+def test_expm_calls_one_table_per_scan_and_one_per_newton_round(desc, theta, aux, t_max, rounds):
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
-    calls, newtons = [], []  # matrices per expm call; (rows, matrices per call) per Newton
+    events, stats = scan_with_stats(sys, t_max)
+    assert len(events) >= 2
+    assert stats.newton_rounds <= rounds  # Python-level Newton rounds
+    # each Newton start is propagated at least once, and at most three times
+    assert stats.newton_starts <= stats.propagations <= 3 * stats.newton_starts
+
+
+@pytest.mark.parametrize("desc,theta,aux,t_max", [row[:4] for row in LOCKSTEP_INPUTS])
+def test_each_newton_call_carries_the_next_start_of_every_searching_run(
+    monkeypatch, desc, theta, aux, t_max
+):
+    # the lockstep's shape, which no ScanStats field holds: Newton call r
+    # carries the r-th start of every run that is still searching, and each
+    # round of a call propagates at least one of its rows, the first all of them
+    space = build_space(desc)
+    sys = build_system(space, geodesic_direction(space, theta, aux))
+    newtons = []  # (rows, rounds, propagations) per Newton call
     starts = []  # Newton starts each run yields
-    expm, newton, refine = jacobi._expm, jacobi._newton, jacobi._refine
+    newton, refine = jacobi._newton, jacobi._refine
 
     def counting_refine(*args):
         run, reply, index = refine(*args), None, len(starts)
@@ -272,54 +276,49 @@ def test_expm_calls_one_table_per_scan_and_one_per_newton_round(
             starts[index] += 1
             reply = yield row
 
-    def counting_newton(sys, lo, *rest):
-        before = len(calls)
+    def recording_newton(sys, lo, *rest):
         out = newton(sys, lo, *rest)
-        newtons.append((len(lo), calls[before:]))
+        newtons.append((len(lo), *out[2:]))
         return out
 
-    monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
-    monkeypatch.setattr(jacobi, "_newton", counting_newton)
+    monkeypatch.setattr(jacobi, "_newton", recording_newton)
     monkeypatch.setattr(jacobi, "_refine", counting_refine)
-    events = scan_conjugate_times(sys, t_max)
-    assert len(events) >= 2
-    # every call is one Newton round over its live rows
-    assert len(calls) == sum(len(stacks) for _, stacks in newtons)
-    for rows, stacks in newtons:
-        assert stacks[0] == rows and stacks == sorted(stacks, reverse=True)
-    # Newton call r carries the r-th start of every run that is still searching:
+    _, stats = scan_with_stats(sys, t_max)
     # first every run's predicted zero (or its lowest sample), then each one's
     # next close-zero search
-    assert [rows for rows, _ in newtons] == [
+    assert [rows for rows, _, _ in newtons] == [
         sum(count > r for count in starts) for r in range(max(starts))
     ]
-    assert len(calls) <= rounds  # Python-level Newton rounds
-    assert sum(calls) <= 3 * sum(starts)  # exponentials per Newton start
+    for rows, took, propagations in newtons:
+        assert rows + took - 1 <= propagations <= rows * took
+    assert (stats.runs, stats.newton_starts) == (len(starts), sum(starts))
+    assert [sum(column) for column in zip(*newtons)] == [
+        stats.newton_starts, stats.newton_rounds, stats.propagations
+    ]
 
 
-def test_newton_ends_unlanded_in_a_zero_free_bracket(monkeypatch):
+def test_newton_ends_unlanded_in_a_zero_free_bracket():
     # sigma_min > 0.049 on [0.05, 0.1]: Newton bisects towards the lower end
     # until the bracket collapses there, lands nowhere, and its last probe has
     # no singular value below the multiplicity cutoff, so the run gives no event
     space = build_space("b13")
     sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
-    calls, expm = [], jacobi._expm
-    monkeypatch.setattr(jacobi, "_expm", lambda a: calls.append(_matrices(a)) or expm(a))
-    probe, landed = jacobi._newton(sys, *np.array([[0.05], [0.1], [0.075]]))
+    probe, landed, _, propagations = jacobi._newton(sys, *np.array([[0.05], [0.1], [0.075]]))
     sv = probe[1][0]
     assert not landed[0] and abs(probe[0][0] - 0.05) <= 1e-14
     assert sv[-1] > 0.049 and not np.any(sv < jacobi.MULTIPLICITY_RTOL * sv[0])
-    assert sum(calls) <= jacobi._MAX_NEWTON
-    ts, calls[:] = np.linspace(0.05, 0.1, 5), []
+    assert propagations <= jacobi._MAX_NEWTON
+    ts, total = np.linspace(0.05, 0.1, 5), 0
     run, reply, starts = jacobi._refine(sys, ts, jacobi._sigma_min(sys, ts)), None, 0
     with pytest.raises(StopIteration) as done:
         while True:
             start = run.send(reply)
             starts += 1
-            probes, landed = jacobi._newton(sys, *np.array([start]).T)
+            probes, landed, _, propagations = jacobi._newton(sys, *np.array([start]).T)
+            total += propagations
             reply = tuple(column[0] for column in probes), landed[0]
     assert done.value.value == [] and starts == 2  # the lowest sample, then the other end
-    assert sum(calls) <= starts * jacobi._MAX_NEWTON
+    assert total <= starts * jacobi._MAX_NEWTON
 
 
 def test_refine_drops_a_probe_with_no_vanishing_singular_value():
@@ -332,7 +331,7 @@ def test_refine_drops_a_probe_with_no_vanishing_singular_value():
     ts = np.linspace(0.05, 0.1, 5)  # sigma_min > 0.049 here
     run = jacobi._refine(sys, ts, jacobi._sigma_min(sys, ts))
     next(run)
-    probes, landed = jacobi._newton(sys, *np.array([[0.075], [0.075], [0.075]]))
+    probes, landed, _, _ = jacobi._newton(sys, *np.array([[0.075], [0.075], [0.075]]))
     probe = tuple(column[0] for column in probes)
     assert not landed[0] and probe[0] == 0.075
     assert not np.any(probe[1] < jacobi.MULTIPLICITY_RTOL * probe[1][0])
@@ -359,7 +358,7 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
     # the matrix exponential taken at its own time
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
-    ts, fs, suspicious, _, _ = _samples(sys, 6.0, default_scan_step(sys))
+    ts, fs, suspicious, _ = _samples(sys, 6.0, default_scan_step(sys))
     assert len(ts) == len(fs) == len(suspicious) + 1
     assert np.all(np.diff(ts) > 0) and suspicious.any()
     # bisection reaches the leaf, so every level's midpoints are exercised
@@ -373,7 +372,9 @@ def test_propagated_samples_match_fresh_expm(desc, theta, aux):
 def _assert_samples_match_insertion_reference(sys, t_max):
     step = jacobi.default_scan_step(sys)
     got = _samples(sys, t_max, step)
-    for column, reference in zip(got[:3], samples_by_insertion(sys, t_max, step, *got[3:])):
+    stats = got[3]
+    want = samples_by_insertion(sys, t_max, step, stats.lipschitz, stats.delta)
+    for column, reference in zip(got[:3], want):
         assert column.dtype == reference.dtype
         np.testing.assert_array_equal(column, reference)
     return got
@@ -391,6 +392,24 @@ def test_bisection_levels_match_insertion_reference(desc, theta, aux):
 
 # the CI edge inputs (largest kappa, smallest s) at theta = 0.7, cut short
 EDGE_INPUTS = [("cpodd:m=1,kappa=1e4", 1.0), ("spsphere:m=1,s=1e-6", 0.5), ("w7:s=1e-6", 0.5)]
+
+
+# events, multiplicity sum, samples and sigma_min batches of each cut-short edge
+# input: the samples move with each term of delta (with a tenth of its part (1)
+# the cpodd input takes 1685 samples, with 100 delta 1677)
+EDGE_COUNTS = {
+    "cpodd:m=1,kappa=1e4": (141, 193, 1683, 5),
+    "spsphere:m=1,s=1e-6": (172, 344, 5018, 3),
+    "w7:s=1e-6": (121, 242, 3545, 3),
+}
+
+
+@pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
+def test_edge_inputs_keep_their_counts(desc, t_max):
+    space = build_space(desc)
+    events, stats = scan_with_stats(build_system(space, geodesic_direction(space, 0.7)), t_max)
+    got = len(events), sum(ev.multiplicity for ev in events), stats.samples, stats.batches
+    assert got == EDGE_COUNTS[desc]
 
 
 @pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
@@ -494,11 +513,9 @@ def test_bisection_samples_per_event():
     # certified zero-free zones (jumps, see _samples)
     space = build_space("b13")
     u = geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3})
-    sys = build_system(space, u)
-    events = scan_conjugate_times(sys, 6.0)
-    ts = _samples(sys, 6.0, default_scan_step(sys))[0]
+    events, stats = scan_with_stats(build_system(space, u), 6.0)
     assert len(events) >= 5
-    assert len(ts) <= 25 * len(events)
+    assert stats.samples <= 25 * len(events)
 
 
 @pytest.mark.parametrize(
@@ -510,13 +527,11 @@ def test_bisection_samples_per_event():
         ("berger:m=1,s=0.5", 0.7, {}, 5),
     ],
 )
-def test_jumps_cut_the_sigma_min_batches_per_scan(monkeypatch, desc, theta, aux, batches):
+def test_jumps_cut_the_sigma_min_batches_per_scan(desc, theta, aux, batches):
     space = build_space(desc)
-    sys = build_system(space, geodesic_direction(space, theta, aux))
-    calls, sigma_min = [], jacobi._sigma_min
-    monkeypatch.setattr(jacobi, "_sigma_min", lambda s, t: calls.append(len(t)) or sigma_min(s, t))
-    assert scan_conjugate_times(sys, 6.0)
-    assert len(calls) <= batches, calls
+    events, stats = scan_with_stats(build_system(space, geodesic_direction(space, theta, aux)), 6.0)
+    assert events
+    assert stats.batches <= batches, stats
 
 
 def test_every_event_is_a_zero_on_w7():
@@ -542,7 +557,8 @@ def test_certificate_bounds_j_prime_inside_cells(desc, theta, aux):
     space = build_space(desc)
     sys = build_system(space, geodesic_direction(space, theta, aux))
     n, step = sys.n, default_scan_step(sys)
-    _, _, _, lip, delta = _samples(sys, 6.0, step)
+    stats = _samples(sys, 6.0, step)[3]
+    lip, delta = stats.lipschitz, stats.delta
     assert 1.0 <= lip <= 1.0 + 1e-12
     grid = np.arange(step / 2.0, 6.0 + 1.5 * step, step)
     for left, right in zip(grid[:-1], grid[1:]):
@@ -557,7 +573,8 @@ def _assert_sample_error_within_delta(sys, t_max):
     # delta is the derived forward-error bound of a modal sample; the clearing
     # test sigma(a) + sigma(b) > L w + 2 delta relies on it, and it stays far
     # below the leaf so that it does not set how deep the bisection goes
-    ts, fs, _, _, delta = _samples(sys, t_max, default_scan_step(sys))
+    ts, fs, _, stats = _samples(sys, t_max, default_scan_step(sys))
+    delta = stats.delta
     assert 0.0 < delta <= 1e-3 * _LEAF
     for t, f in zip(ts, fs):
         want = np.linalg.svd(fundamental_block(sys, t), compute_uv=False)[-1]
