@@ -119,6 +119,11 @@ class ReductiveSpace:
         return out
 
     @cached_property
+    def curvature_kernel(self) -> BracketKernel:
+        """The sectional-curvature kernel, weights (1, 1/4), built at its first request."""
+        return BracketKernel(self, 1.0, 0.25)
+
+    @cached_property
     def gram_k(self) -> np.ndarray:
         idx = self.part_indices("K")
         return self.algebra.gram[np.ix_(idx, idx)]
@@ -241,6 +246,12 @@ STOP_RTOL = 1e-13  # a predicted gain and a trial change below this times |f| ar
 START_SCREEN = 8  # random planes screened per optimizer start
 
 
+def gaussian_pairs(rng, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (count, n) standard Gaussian draws, xs first: the planes they span
+    are uniform on the Grassmannian (the stream of random_unit_m)."""
+    return rng.standard_normal((count, n)), rng.standard_normal((count, n))
+
+
 class BracketKernel:
     """The weighted bracket form f(x, y) = N / area^2 on ON-frame pairs of m.
 
@@ -296,10 +307,8 @@ class BracketKernel:
         self._wedge = tensor[self._pairs].T.copy()  # column ij (i < j) is B(e_i, e_j)
 
     def gaussian_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two (count, n) standard Gaussian draws, xs first: the planes they span
-        are uniform on the Grassmannian (the stream of random_unit_m)."""
-        xs = rng.standard_normal((count, self.n))
-        return xs, rng.standard_normal((count, self.n))
+        """gaussian_pairs(rng, count, n) at this kernel's n."""
+        return gaussian_pairs(rng, count, self.n)
 
     def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """f at each row pair."""
@@ -514,7 +523,7 @@ def sectional_curvature(space: ReductiveSpace, x, y) -> float:
     area2 = alg.inner(xc, xc) * alg.inner(yc, yc) - alg.inner(xc, yc) ** 2
     if not PLANE_TOL <= area2 < math.inf:  # NaN-safe: non-finite vectors span no plane
         raise DegeneratePlane(f"plane area^2 = {area2:.2e}")
-    kernel = BracketKernel(space, 1.0, 0.25)
+    kernel = space.curvature_kernel
     return float(kernel.value(space.to_frame(xc[None]), space.to_frame(yc[None]))[0])
 
 

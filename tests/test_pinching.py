@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import homogeodesy.homogeneous as homogeneous
 import homogeodesy.pinching as pinching
 from homogeodesy.catalog import build_space
-from homogeodesy.homogeneous import BracketKernel, rank_one_check
+from homogeodesy.homogeneous import BracketKernel, rank_one_check, sectional_curvature
 from homogeodesy.pinching import estimate_pinching, expected_delta, pinching_curve
 
 from oracles import naturally_reductive_curvature, random_pairs
@@ -149,6 +151,7 @@ def test_multistarts_above_the_bound_rejected_before_any_draw(monkeypatch):
     with pytest.raises(Reached):
         estimate_pinching(space, multistarts=pinching.MAX_MULTISTARTS)
     monkeypatch.setattr(BracketKernel, "gaussian_pairs", must_not_run)
+    monkeypatch.setattr(pinching, "_audit_pairs", must_not_run)  # the audit's draw
     monkeypatch.setattr(BracketKernel, "_evaluate", must_not_run)
     with pytest.raises(ValueError, match=f"multistarts must be <= {pinching.MAX_MULTISTARTS}"):
         estimate_pinching(space, multistarts=pinching.MAX_MULTISTARTS + 1)
@@ -231,6 +234,56 @@ def test_audit_reads_raw_draws_of_the_seed_plus_one_stream(monkeypatch, seed):
     assert len(audits) == 2 and audits[-1].shape == want.shape
     np.testing.assert_allclose(audits[-1], want, rtol=1e-13, atol=0)
     assert rep.k_min <= audits[-1].min() and rep.k_max >= audits[-1].max()
+
+
+@pytest.mark.parametrize("seed, count, desc", [(1, 3000, "berger:m=2,s=0.5"), (7, 5, "b13")])
+def test_audit_pairs_are_the_kernel_stream_read_only(seed, count, desc):
+    kernel = BracketKernel(build_space(desc), 1.0, 0.25)
+    got = pinching._audit_pairs(seed, count, kernel.n)
+    want = kernel.gaussian_pairs(np.random.default_rng(seed), count)
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+
+
+def test_audit_draws_are_shared_by_equal_keys_only():
+    # with no Newton step and 3 starts the audit sets both extremes (see
+    # test_audit_widens_an_unconverged_bracket), so a report read from the
+    # wrong draw would differ from the cold one
+    a, b = build_space("berger:m=2,s=0.5"), build_space("berger:m=1,s=0.5")  # n = 5 and 3
+    runs = [(a, {}), (b, {}), (a, {}), (a, {}), (a, {"seed": 1}), (a, {"audit_samples": 999})]
+
+    def estimate(space, kwargs):
+        return estimate_pinching(space, multistarts=3, max_iter=0, **kwargs).to_dict()
+
+    pinching._audit_pairs.cache_clear()
+    warm = [estimate(space, kwargs) for space, kwargs in runs]
+    info = pinching._audit_pairs.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 1)  # only the repeat of a is shared
+    assert len({(d["k_min"], d["k_max"]) for d in (warm[0], warm[4], warm[5])}) == 3
+    for (space, kwargs), doc in zip(runs, warm):
+        pinching._audit_pairs.cache_clear()
+        assert estimate(space, kwargs) == doc
+
+
+def test_curvature_kernel_is_built_once_per_space(monkeypatch):
+    space = dataclasses.replace(build_space("berger:m=2,s=0.5"))  # a copy with no kernel yet
+    x, y = space.random_unit_m(np.random.default_rng(3), 2)
+    want = BracketKernel(space, 1.0, 0.25).value(space.to_frame(x[None]), space.to_frame(y[None]))[0]
+    builds = []
+    init = BracketKernel.__init__
+
+    def counted(self, *args):
+        builds.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(BracketKernel, "__init__", counted)
+    assert sectional_curvature(space, x, y) == want
+    reports = [estimate_pinching(space, multistarts=8, seed=seed).to_dict() for seed in (0, 1)]
+    assert sectional_curvature(space, x, y) == want
+    assert builds == [(1.0, 0.25)]
+    assert reports[0] == estimate_pinching(build_space("berger:m=2,s=0.5"), multistarts=8).to_dict()
 
 
 # k_min, k_max, delta, converged of estimate_pinching(space, multistarts=32,
