@@ -227,22 +227,24 @@ def assemble_algebra(basis, gram_rule: GramRule, name: str = "algebra") -> Struc
     stack = np.array([b.entries for b in basis])
     d = len(basis)
 
-    gram = gram_rule.pairing(stack, stack)
-    gram = 0.5 * (gram + gram.T)
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise DegenerateGram(
-            f"{name}: gram not positive definite (min eigenvalue {eigs[0]:.2e})"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        gram = gram_rule.pairing(stack, stack)
+        gram = 0.5 * (gram + gram.T)
+        if not np.isfinite(gram).all():
+            raise DegenerateGram(f"{name}: gram not finite")
+        eigs = np.linalg.eigvalsh(gram)
+        if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
+            raise DegenerateGram(
+                f"{name}: gram not positive definite (min eigenvalue {eigs[0]:.2e})"
+            )
 
-    comm = _commutators(stack)
-    flat = comm.reshape((d * d,) + stack.shape[1:])
-    structure = np.linalg.solve(gram, gram_rule.pairing(flat, stack).T).T.reshape(d, d, d)
-
-    resid = np.abs(_reconstruct(structure, stack) - comm).reshape(d, d, -1).max(axis=2)
+        comm = _commutators(stack)
+        flat = comm.reshape((d * d,) + stack.shape[1:])
+        structure = np.linalg.solve(gram, gram_rule.pairing(flat, stack).T).T.reshape(d, d, d)
+        resid = np.abs(_reconstruct(structure, stack) - comm).reshape(d, d, -1).max(axis=2)
     scale = max(1.0, np.max(np.abs(comm)))
-    worst = np.unravel_index(np.argmax(resid), resid.shape)
-    if resid[worst] > CLOSURE_TOL * scale:
+    worst = np.unravel_index(np.argmax(resid), resid.shape)  # the first NaN, if any
+    if not resid[worst] <= CLOSURE_TOL * scale:  # NaN-safe: a non-finite c fails here
         raise NotClosed(
             f"{name}: [{basis[worst[0]].label}, {basis[worst[1]].label}] leaves the "
             f"basis span (residual {resid[worst]:.2e})"

@@ -47,9 +47,6 @@ class ClosedFormError(RuntimeError):
 
 @dataclass(frozen=True)
 class CpData:
-    space: ReductiveSpace
-    u: np.ndarray
-    v: np.ndarray
     lam: float
     rho: float
     branch: str
@@ -70,42 +67,33 @@ class ClosedFormTime:
 
 def extract_cp_data(space: ReductiveSpace, u, v) -> CpData:
     """Extract (lambda, rho) from brackets, checking each hypothesis of the branches.
-    The inner products are alg.inner's; only the orthonormality check can see a
-    non-finite u or v, so it alone runs under np.errstate."""
-    g, uc, vc = space.algebra.gram, np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-
-    def inner(x, y) -> float:
-        return float(x @ g @ y)
-
-    def norm(x) -> float:
-        return math.sqrt(max(inner(x, x), 0.0))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        ortho = np.abs([inner(uc, uc) - 1.0, inner(vc, vc) - 1.0, inner(uc, vc)]).max()
+    The inner products are alg.inner's, NaN without a warning on a non-finite u or v."""
+    alg, uc, vc = space.algebra, np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    ortho = np.abs([alg.inner(uc, uc) - 1.0, alg.inner(vc, vc) - 1.0, alg.inner(uc, vc)]).max()
     if not ortho <= HYPOTHESIS_TOL:  # NaN-safe: a non-finite u or v fails here
         raise HypothesisViolated(f"u, v not orthonormal (residual {ortho:.2e})")
 
-    ad_u = space.algebra.ad(uc)  # ad_u x = [u, x]
+    ad_u = alg.ad(uc)  # ad_u x = [u, x]
     b = ad_u @ vc
     a_m = project(space, -ad_u @ b, "M")  # [[u, v], u]_m
-    lam = inner(a_m, vc)
-    resid = norm(a_m - lam * vc)
+    lam = alg.inner(a_m, vc)
+    resid = alg.norm(a_m - lam * vc)
     if resid > HYPOTHESIS_TOL * max(1.0, abs(lam)):
         raise HypothesisViolated(
             f"[[u,v],u]_m is not proportional to v (residual {resid:.2e})"
         )
     if lam <= HYPOTHESIS_TOL:
         raise HypothesisViolated(f"lambda = {lam:.2e} is not positive")
-    norm_b2 = inner(b, b)
+    norm_b2 = alg.inner(b, b)
     if abs(norm_b2 - lam) > HYPOTHESIS_TOL * max(1.0, lam):
         raise HypothesisViolated(
             f"lambda = {lam:.6g} disagrees with |[u,v]|^2 = {norm_b2:.6g}"
         )
 
-    nk, nm = norm(project(space, b, "K")), norm(project(space, b, "M"))
+    nk, nm = alg.norm(project(space, b, "K")), alg.norm(project(space, b, "M"))
     scale = max(1.0, math.sqrt(norm_b2))
     if nm <= HYPOTHESIS_TOL * scale:
-        return CpData(space, uc, vc, float(lam), 0.0, BRANCH_COMMUTING)
+        return CpData(lam, 0.0, BRANCH_COMMUTING)
     if nk > HYPOTHESIS_TOL * scale:
         raise HypothesisViolated(
             f"[u,v] has both k and m components (|k| = {nk:.2e}, |m| = {nm:.2e})"
@@ -113,15 +101,15 @@ def extract_cp_data(space: ReductiveSpace, u, v) -> CpData:
 
     w = b / math.sqrt(lam)
     uw_k = project(space, ad_u @ w, "K")
-    rho = inner(uw_k, uw_k)
+    rho = alg.inner(uw_k, uw_k)
     if rho <= 1e-10:
-        return CpData(space, uc, vc, float(lam), 0.0, BRANCH_RHO_ZERO)
-    resid_rho = norm(-ad_u @ uw_k - rho * w)  # [[u,w]_k, u] - rho w
+        return CpData(lam, 0.0, BRANCH_RHO_ZERO)
+    resid_rho = alg.norm(-ad_u @ uw_k - rho * w)  # [[u,w]_k, u] - rho w
     if resid_rho > HYPOTHESIS_TOL * max(1.0, rho):
         raise HypothesisViolated(
             f"[[u,[u,v]]_k, u] is not collinear to [u,v] (residual {resid_rho:.2e})"
         )
-    return CpData(space, uc, vc, float(lam), float(rho), BRANCH_RHO_POSITIVE)
+    return CpData(lam, rho, BRANCH_RHO_POSITIVE)
 
 
 def solve_tan_family(mu: float, n_roots: int) -> list[float]:

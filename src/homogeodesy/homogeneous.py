@@ -163,17 +163,17 @@ class ReductiveSpace:
         g = self.algebra.gram
         k = self.part_indices("K")
         m = self.part_indices("M")
-        sub = float(np.max(np.abs(c[np.ix_(k, k, m)]))) if len(k) else 0.0
-        red = float(np.max(np.abs(c[np.ix_(k, m, k)]))) if len(k) else 0.0
-        blockdiag = float(np.max(np.abs(g[np.ix_(k, m)]))) if len(k) else 0.0
+
+        def peak(block) -> float:  # 0.0 on an empty block
+            return float(np.abs(block).max(initial=0.0))
+
+        sub, red = peak(c[np.ix_(k, k, m)]), peak(c[np.ix_(k, m, k)])
+        blockdiag = peak(g[np.ix_(k, m)])
         split = 0.0
-        if self.m0_indices is not None and len(k):
+        if self.m0_indices is not None:
             m0 = self.part_indices("M0")
             m1 = self.part_indices("M1")
-            split = max(
-                float(np.max(np.abs(c[np.ix_(k, m0, m1)]))) if len(m0) else 0.0,
-                float(np.max(np.abs(c[np.ix_(k, m1, m0)]))) if len(m1) else 0.0,
-            )
+            split = max(peak(c[np.ix_(k, m0, m1)]), peak(c[np.ix_(k, m1, m0)]))
         return SpaceValidation(
             space=self.name,
             k_subalgebra=sub,
@@ -305,10 +305,6 @@ class BracketKernel:
         self._contract = tensor.reshape(n * n, -1).T.copy()  # b -> B(., ., b)
         self._pairs = np.triu_indices(n, 1)
         self._wedge = tensor[self._pairs].T.copy()  # column ij (i < j) is B(e_i, e_j)
-
-    def gaussian_pairs(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """gaussian_pairs(rng, count, n) at this kernel's n."""
-        return gaussian_pairs(rng, count, self.n)
 
     def value(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """f at each row pair."""
@@ -469,7 +465,7 @@ def optimize_pairs(
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     n, pool = kernel.n, START_SCREEN * multistarts
-    draws = [kernel.gaussian_pairs(rng, pool) for _ in signs]
+    draws = [gaussian_pairs(rng, pool, n) for _ in signs]
     xs, ys = (np.concatenate(part) for part in zip(*draws))
     screen = np.asarray(signs)[:, None] * kernel.value(xs, ys).reshape(len(signs), pool)
     best = np.argsort(-screen, axis=1, kind="stable")[:, :multistarts]  # ties keep draw order
@@ -634,15 +630,11 @@ class TransitivityReport:
 
 def _kernel_dim_of_witness(space: ReductiveSpace, u: np.ndarray, part_idx: np.ndarray) -> int:
     """Kernel dimension of v -> [u, v]_k restricted to the given part of m."""
-    ad = space.algebra.ad(u)
-    k = space.part_indices("K")
-    mat = ad[np.ix_(k, part_idx)] if len(k) else np.zeros((0, len(part_idx)))
-    if mat.shape[0] == 0:
+    mat = space.algebra.ad(u)[np.ix_(space.part_indices("K"), part_idx)]
+    if mat.size == 0:  # no k, or an empty part: nothing in the part leaves the kernel
         return len(part_idx)
     sv = np.linalg.svd(mat, compute_uv=False)
-    cutoff = 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return len(part_idx) - rank
+    return len(part_idx) - int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
 
 
 def isotropy_transitivity_check(space: ReductiveSpace, part: str) -> TransitivityReport:

@@ -333,9 +333,8 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     Returns the sample times and values, whether sigma_min may vanish between
     consecutive samples, and the ScanStats of the sampling, with L and delta.
     Samples come from _sigma_min: the whole grid in one batch, then one batch
-    per level, of every jump point and midpoint of the level.  A live interval
-    carries only (lo, hi, f_lo, f_hi); one that is not split is final, and
-    samples and final intervals are put in time order once at the end.
+    per level, of every jump point and midpoint of the level.  Live intervals are disjoint
+    and split strictly inside, so the final ones are the gaps between the sorted samples.
 
     A suspicious interval [lo, hi] (f_lo + f_hi <= L (hi - lo) + 2 delta) is
     split where the zero-free zones certified from its ends stop, in the
@@ -388,22 +387,23 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
     delta = root_error * lip**2 * t**3 / 6.0 + t * nu + t**2 * eigen * math.sqrt(1.0 + nu) / 2.0
     delta += _UNIT_ROUNDOFF * t * n * (1.0 + nu) * (t * np.abs(w).max() + 8 * n + 22)
     delta += _UNIT_ROUNDOFF * t * (2 * n**2 + 5) * lip
+
+    def suspicious(width, f_lo, f_hi):  # the clearing test fails on these intervals
+        return f_lo + f_hi <= lip * width + 2.0 * delta
+
     fs = _sigma_min(sys, ts)
-    # (times, sigma_min); (left ends, suspicious) of the intervals that are not split
-    samples, leaves = [(ts, fs)], []
+    samples = [(ts, fs)]  # (times, sigma_min) of each batch
     lo, hi, f_lo, f_hi = ts[:-1], ts[1:], fs[:-1], fs[1:]  # the live intervals, in time order
     while True:
         width = hi - lo
-        suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
+        kept = suspicious(width, f_lo, f_hi)
         a, b = lo + (f_lo - delta) / lip, hi - (f_hi - delta) / lip
-        jump = suspicious & (lo < a) & (a < b) & (b < hi) & (b - a <= 0.5 * width)
-        split = jump | suspicious & (width >= _LEAF)
-        leaves.append((lo[~split], suspicious[~split]))
+        jump = kept & (lo < a) & (a < b) & (b < hi) & (b - a <= 0.5 * width)
+        split = jump | kept & (width >= _LEAF)
         if not split.any():
             break
-        # live intervals are disjoint and hold their new times strictly inside, so time
-        # order is row by row, a (or the midpoint) then b; the children run from the split
-        # rows' lo and the new times, each sorted, to the new times and the rows' hi
+        # time order is row by row, a (or the midpoint) then b; the children run from the
+        # split rows' lo and the new times, each sorted, to the new times and the rows' hi
         new = np.sort(np.concatenate((np.where(jump, a, 0.5 * (lo + hi))[split], b[jump])))
         smin = _sigma_min(sys, new)
         samples.append((new, smin))
@@ -412,11 +412,10 @@ def _samples(sys: JacobiSystem, t_max: float, step: float):
         order = [np.argsort(t, kind="stable") for t in ends]
         lo, hi = (t[o] for t, o in zip(ends, order))
         f_lo, f_hi = (f[o] for f, o in zip(values, order))
-    ts, fs = (np.concatenate(column) for column in zip(*samples))
-    lefts, suspicious = (np.concatenate(column) for column in zip(*leaves))
-    order = np.argsort(ts, kind="stable")
+    both = np.concatenate(samples, axis=1)
+    ts, fs = both[:, np.argsort(both[0], kind="stable")]
     stats = ScanStats(len(samples[0][0]), len(ts), len(samples), lip, float(delta))
-    return ts[order], fs[order], suspicious[np.argsort(lefts, kind="stable")], stats
+    return ts, fs, suspicious(np.diff(ts), fs[:-1], fs[1:]), stats
 
 
 def scan_with_stats(sys: JacobiSystem, t_max: float) -> tuple[list[ConjugateEvent], ScanStats]:

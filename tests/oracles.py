@@ -96,9 +96,9 @@ def naturally_reductive_curvature(space, x, y) -> float:
 
 def random_pairs(kernel, rng, count: int):
     """Orthonormal pairs: Gram-Schmidt on the kernel's Gaussian pairs."""
-    from homogeodesy.homogeneous import _orthonormalize
+    from homogeodesy.homogeneous import _orthonormalize, gaussian_pairs
 
-    return _orthonormalize(*kernel.gaussian_pairs(rng, count))
+    return _orthonormalize(*gaussian_pairs(rng, count, kernel.n))
 
 
 def ambient_second_order(kernel, xs, ys):
@@ -181,10 +181,11 @@ def optimize_pairs_by_gather(kernel, signs, rng, multistarts: int, max_iter: int
         STOP_RTOL,
         _orthonormalize,
         _trial_pairs,
+        gaussian_pairs,
     )
 
     n, pool = kernel.n, START_SCREEN * multistarts
-    draws = [kernel.gaussian_pairs(rng, pool) for _ in signs]
+    draws = [gaussian_pairs(rng, pool, n) for _ in signs]
     xs, ys = (np.concatenate(part) for part in zip(*draws))
     screen = np.asarray(signs)[:, None] * kernel.value(xs, ys).reshape(len(signs), pool)
     best = np.argsort(-screen, axis=1, kind="stable")[:, :multistarts]

@@ -249,6 +249,27 @@ def test_scan_refuses_an_oversized_grid_through_the_cli(capsys):
     assert captured.err == "error: t_max / step needs more than 1e+07 grid points\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "w7:s=1e-250"],  # the commutators' pairings overflow, so c holds NaN
+        ["verify", "spsphere:m=1,s=1e-300"],
+        ["conjugate", "w7:s=1e-300", "--theta", "0.7", "--tmax", "0.01"],
+        ["verify", "w7:s=5e-324"],  # the Gram itself overflows
+    ],
+)
+def test_algebra_that_overflows_is_a_validation_error(capsys, argv):
+    # refused while the algebra is assembled, on one line and with no numpy
+    # warning; berger:m=1,s=1e-300 assembles finite and still verifies
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+        assert main(["verify", "berger:m=1,s=1e-300"]) == 0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["conjugate", "closedform"])
 def test_family_without_canonical_directions_is_refused_before_building(
     capsys, monkeypatch, command

@@ -18,6 +18,7 @@ from homogeodesy.homogeneous import (
     ReductiveSpace,
     _orthonormalize,
     connection_ops,
+    gaussian_pairs,
     isotropy_transitivity_check,
     lts_check,
     optimize_pairs,
@@ -262,7 +263,7 @@ def test_value_is_gl2_invariant_on_raw_gaussian_pairs(desc):
     # order 0 reads the plane through x ^ y, so raw draws (more than one
     # block of them) and their Gram-Schmidt pairs give the same f
     kernel = BracketKernel(build_space(desc), 1.0, 0.25)
-    xs, ys = kernel.gaussian_pairs(np.random.default_rng(17), 1100)
+    xs, ys = gaussian_pairs(np.random.default_rng(17), 1100, kernel.n)
     raw = kernel.value(xs, ys)
     orthonormal = kernel.value(*random_pairs(kernel, np.random.default_rng(17), 1100))
     assert np.all(np.abs(raw - orthonormal) <= 1e-13 * np.abs(orthonormal))
@@ -369,7 +370,7 @@ def test_starts_are_the_best_of_the_screened_pool(desc):
     _, xs, ys, _, _ = optimize_pairs(kernel, signs, np.random.default_rng(5), multistarts, 0)
     rng = np.random.default_rng(5)
     for part, sign in enumerate(signs):
-        pool = kernel.gaussian_pairs(rng, START_SCREEN * multistarts)
+        pool = gaussian_pairs(rng, START_SCREEN * multistarts, kernel.n)
         gx, gy = _orthonormalize(*pool)
         rows = slice(part * multistarts, (part + 1) * multistarts)
         dist = [np.abs(gx - x).max(axis=1) + np.abs(gy - y).max(axis=1) for x, y in zip(xs, ys)]
@@ -392,7 +393,7 @@ def test_screen_ties_keep_the_first_draws(abelian_space):
     _, xs, ys, _, _ = optimize_pairs(kernel, (+1.0, -1.0), np.random.default_rng(2), 8, 0)
     rng = np.random.default_rng(2)
     for part in range(2):
-        x, y = (d[:8] for d in kernel.gaussian_pairs(rng, START_SCREEN * 8))
+        x, y = (d[:8] for d in gaussian_pairs(rng, START_SCREEN * 8, kernel.n))
         want = np.hstack(_orthonormalize(x, y))
         np.testing.assert_array_equal(np.hstack([xs, ys])[8 * part : 8 * part + 8], want)
 
@@ -649,6 +650,20 @@ def test_isotropy_transitivity(desc, part, want):
 def test_one_dimensional_part_trivially_transitive():
     rep = isotropy_transitivity_check(build_space("berger:m=2,s=0.5"), "M0")
     assert rep.transitive and rep.kernel_dim == 1
+
+
+def test_empty_isotropy_validates_and_is_not_transitive(abelian_space):
+    # with k empty every index block of validate is empty, with or without an
+    # m0/m1 split, and v -> [u, v]_k is the zero map on the 2-dimensional m,
+    # so its kernel is all of m
+    split = dataclasses.replace(abelian_space, m0_indices=(0,), m1_indices=(1,))
+    for space in (abelian_space, split):
+        val = space.validate()
+        assert (val.k_subalgebra, val.reductivity, val.split_invariance) == (0.0, 0.0, 0.0)
+        assert val.gram_block_diagonal == 0.0
+    witnessed = dataclasses.replace(abelian_space, witnesses={"M": "t_1"})
+    rep = isotropy_transitivity_check(witnessed, "M")
+    assert (rep.kernel_dim, rep.transitive) == (2, False)
 
 
 def test_no_witness_error():

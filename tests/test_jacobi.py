@@ -37,6 +37,7 @@ from oracles import (
     scan_by_scalar_newton,
     system_by_two_ad,
 )
+from write_references import EDGE_INPUTS, EDGE_THETA
 
 
 def test_build_system_normalizes_and_validates():
@@ -390,10 +391,6 @@ def test_bisection_levels_match_insertion_reference(desc, theta, aux):
     assert np.diff(ts).min() < 2 * _LEAF
 
 
-# the CI edge inputs (largest kappa, smallest s) at theta = 0.7, cut short
-EDGE_INPUTS = [("cpodd:m=1,kappa=1e4", 1.0), ("spsphere:m=1,s=1e-6", 0.5), ("w7:s=1e-6", 0.5)]
-
-
 # events, multiplicity sum, samples and sigma_min batches of each cut-short edge
 # input: the samples move with each term of delta (with a tenth of its part (1)
 # the cpodd input takes 1685 samples, with 100 delta 1677)
@@ -407,7 +404,7 @@ EDGE_COUNTS = {
 @pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
 def test_edge_inputs_keep_their_counts(desc, t_max):
     space = build_space(desc)
-    events, stats = scan_with_stats(build_system(space, geodesic_direction(space, 0.7)), t_max)
+    events, stats = scan_with_stats(build_system(space, geodesic_direction(space, EDGE_THETA)), t_max)
     got = len(events), sum(ev.multiplicity for ev in events), stats.samples, stats.batches
     assert got == EDGE_COUNTS[desc]
 
@@ -415,7 +412,7 @@ def test_edge_inputs_keep_their_counts(desc, t_max):
 @pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
 def test_bisection_levels_match_insertion_reference_on_edge_inputs(desc, t_max):
     space = build_space(desc)
-    sys = build_system(space, geodesic_direction(space, 0.7))
+    sys = build_system(space, geodesic_direction(space, EDGE_THETA))
     _assert_samples_match_insertion_reference(sys, t_max)
 
 
@@ -591,11 +588,12 @@ def test_sample_error_within_delta(desc, theta, aux):
 @pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
 def test_sample_error_within_delta_on_edge_inputs(desc, t_max):
     space = build_space(desc)
-    _assert_sample_error_within_delta(build_system(space, geodesic_direction(space, 0.7)), t_max)
+    sys = build_system(space, geodesic_direction(space, EDGE_THETA))
+    _assert_sample_error_within_delta(sys, t_max)
 
 
 @pytest.mark.parametrize(
-    "desc,theta,aux", SAMPLED_GEODESICS + [(desc, 0.7, {}) for desc, _ in EDGE_INPUTS]
+    "desc,theta,aux", SAMPLED_GEODESICS + [(desc, EDGE_THETA, {}) for desc, _ in EDGE_INPUTS]
 )
 def test_no_sample_needed_before_half_a_step(desc, theta, aux):
     # ||J(t) - tI|| <= L (t^2 ||T|| / 2 + t^3 ||R|| / 6) keeps sigma_min(J) > 0

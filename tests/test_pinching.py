@@ -6,7 +6,12 @@ import pytest
 import homogeodesy.homogeneous as homogeneous
 import homogeodesy.pinching as pinching
 from homogeodesy.catalog import build_space
-from homogeodesy.homogeneous import BracketKernel, rank_one_check, sectional_curvature
+from homogeodesy.homogeneous import (
+    BracketKernel,
+    gaussian_pairs,
+    rank_one_check,
+    sectional_curvature,
+)
 from homogeodesy.pinching import estimate_pinching, expected_delta, pinching_curve
 
 from oracles import naturally_reductive_curvature, random_pairs
@@ -69,7 +74,7 @@ def test_audit_widens_an_unconverged_bracket():
     space = build_space("b13")
     rep = estimate_pinching(space, multistarts=3, max_iter=0)
     kernel = BracketKernel(space, 1, 0.25)
-    audit = kernel.value(*kernel.gaussian_pairs(np.random.default_rng(1), 10_000))
+    audit = kernel.value(*gaussian_pairs(np.random.default_rng(1), 10_000, kernel.n))
     assert rep.converged is False
     assert rep.k_min <= audit.min() and audit.max() <= rep.k_max
     assert (rep.k_min, rep.k_max) == (audit.min(), audit.max())
@@ -150,7 +155,7 @@ def test_multistarts_above_the_bound_rejected_before_any_draw(monkeypatch):
     space = build_space("cpodd:m=1")
     with pytest.raises(Reached):
         estimate_pinching(space, multistarts=pinching.MAX_MULTISTARTS)
-    monkeypatch.setattr(BracketKernel, "gaussian_pairs", must_not_run)
+    monkeypatch.setattr(homogeneous, "gaussian_pairs", must_not_run)
     monkeypatch.setattr(pinching, "_audit_pairs", must_not_run)  # the audit's draw
     monkeypatch.setattr(BracketKernel, "_evaluate", must_not_run)
     with pytest.raises(ValueError, match=f"multistarts must be <= {pinching.MAX_MULTISTARTS}"):
@@ -240,7 +245,7 @@ def test_audit_reads_raw_draws_of_the_seed_plus_one_stream(monkeypatch, seed):
 def test_audit_pairs_are_the_kernel_stream_read_only(seed, count, desc):
     kernel = BracketKernel(build_space(desc), 1.0, 0.25)
     got = pinching._audit_pairs(seed, count, kernel.n)
-    want = kernel.gaussian_pairs(np.random.default_rng(seed), count)
+    want = gaussian_pairs(np.random.default_rng(seed), count, kernel.n)
     for a, b in zip(got, want, strict=True):
         np.testing.assert_array_equal(a, b)
         with pytest.raises(ValueError, match="read-only"):

@@ -1,4 +1,5 @@
-"""The `reproduce` sweeps against their pinned references in tests/reference/.
+"""The `reproduce` sweeps and the cut-short edge inputs against their pinned
+references in tests/reference/.
 
 A refactor must reproduce its parent's sweeps.  Each sweep is recomputed here
 and compared cell by cell with the reference that write_references.py wrote:
@@ -10,6 +11,9 @@ and compared cell by cell with the reference that write_references.py wrote:
   relative, the sweeps' own LAMBDA_RHO_RTOL and the tolerance of the
   benchmark's reference outputs; a number that is zero up to rounding (rho on
   a vertical geodesic, the rel_error of an exact delta) within 1e-12.
+An edge input's events are compared in the same way.  Its w7 close pairs near
+t = 0.47-0.5 are the kind of event that moved under earlier refactors: a move
+there is a finding about clusters, not a reason to loosen the comparison.
 """
 import json
 import math
@@ -19,7 +23,7 @@ import pytest
 from homogeodesy.jacobi import T_TOL
 from homogeodesy.report import LAMBDA_RHO_RTOL, REPRODUCE_NAMES, reproduce
 
-from write_references import REFERENCE_DIR, compact
+from write_references import EDGE_INPUTS, EDGE_THETA, REFERENCE_DIR, compact, edge_events
 
 ZERO_ATOL = 1e-12
 
@@ -52,3 +56,11 @@ def test_sweep_matches_its_reference(name):
     assert len(got["cells"]) == len(want["cells"])
     for index, (cell, reference) in enumerate(zip(got["cells"], want["cells"])):
         _assert_cell_matches(cell, reference, f"{name} cell {index} ({reference['space']})")
+
+
+@pytest.mark.parametrize("desc,t_max", EDGE_INPUTS)
+def test_edge_input_matches_its_reference(desc, t_max):
+    want = json.loads((REFERENCE_DIR / "edge.json").read_text())
+    reference = {row["space"]: row for row in want["inputs"]}[desc]
+    assert (want["theta"], reference["t_max"]) == (EDGE_THETA, t_max)
+    _assert_events_match(edge_events(desc, t_max), reference["events"], desc)
