@@ -52,9 +52,9 @@ class BasisMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"{self.label}: entries must be square")
-        if np.max(np.abs(m + m.conj().T)) > 1e-12:
+        if not np.max(np.abs(m + m.conj().T)) <= 1e-12:  # False on NaN too
             raise ValueError(f"{self.label}: not skew-Hermitian")
-        if abs(np.trace(m)) > 1e-12:
+        if not abs(np.trace(m)) <= 1e-12:
             raise ValueError(f"{self.label}: nonzero trace")
 
 

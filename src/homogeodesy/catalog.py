@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
-from .algebra import BasisMatrix, GramRule, assemble_algebra
+from .algebra import BasisMatrix, DegenerateGram, GramRule, assemble_algebra
 from .closed_form import _periodic_times
 from .homogeneous import ReductiveSpace
 from .matrices import (
@@ -172,6 +172,8 @@ def _squashed_fiber(fiber, aux, s, c):
     """
     if s == 1:
         return [], [math.sqrt(c) * z for z in fiber]
+    if not math.isfinite((s - 1) / s):  # a subnormal s overflows the factor of a
+        raise DegenerateGram(f"fiber factor (s - 1)/s overflows at s = {s:g}")
     h = [math.sqrt(c * (1 - s)) * (z + a) for z, a in zip(fiber, aux)]
     d = [math.sqrt(c * s) * (z + ((s - 1) / s) * a) for z, a in zip(fiber, aux)]
     return h, d

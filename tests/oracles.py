@@ -1,9 +1,12 @@
 """Independent oracles and golden-table builders shared by the test modules.
 
-Everything here is deliberately computed without the library's own code
-paths: plain midpoint bisection for the transcendental roots, adaptive ODE
-integration for the fundamental solution, dense sampling for bracket minima,
-and the multiplication tables written out term by term.
+Each oracle takes its own route to what the library computes, and none imports
+a private name of the library: plain midpoint bisection for the transcendental
+roots, scipy's matrix exponential and adaptive ODE integration for the
+fundamental solution, Householder QR for orthonormal pairs, first-order ascent
+for the curvature extremes, dense sampling for bracket minima, einsums over the
+structure tensor, and the multiplication tables written out term by term.  A
+library object may be read as data (a kernel's bracket tensor), never as code.
 """
 from __future__ import annotations
 
@@ -39,6 +42,13 @@ def bisect_tan_root(mu: float, k: int = 1, tol: float = 1e-13) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def expm_propagator(companion: np.ndarray, t: float) -> np.ndarray:
+    """E(t) = exp(tA) of a companion matrix A = [[0, I], [-R, T]] by scipy.linalg.expm.
+
+    With n the size of R, J(t) = E[:n, n:] maps X'(0) to X(t) and J'(t) = E[n:, n:]."""
+    return scipy.linalg.expm(t * companion)
 
 
 def ode_fundamental(companion: np.ndarray, ts, rtol=1e-11, atol=1e-13) -> list[np.ndarray]:
@@ -94,11 +104,20 @@ def naturally_reductive_curvature(space, x, y) -> float:
     return float(num / area2)
 
 
-def random_pairs(kernel, rng, count: int):
-    """Orthonormal pairs: Gram-Schmidt on the kernel's Gaussian pairs."""
-    from homogeodesy.homogeneous import _orthonormalize, gaussian_pairs
+def orthonormal_pairs(xs, ys):
+    """Each pair (x, y) made orthonormal by a Householder QR of the n x 2 matrix [x | y],
+    signed so that x keeps its direction and y stays on its side of x (Gram-Schmidt's
+    result, by another route)."""
+    q, r = np.linalg.qr(np.stack((xs, ys), axis=-1))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return q[..., 0], q[..., 1]
 
-    return _orthonormalize(*gaussian_pairs(rng, count, kernel.n))
+
+def random_pairs(kernel, rng, count: int):
+    """Orthonormal pairs from the kernel's Gaussian pairs (the stream of gaussian_pairs)."""
+    from homogeodesy.homogeneous import gaussian_pairs
+
+    return orthonormal_pairs(*gaussian_pairs(rng, count, kernel.n))
 
 
 def ambient_second_order(kernel, xs, ys):
@@ -145,8 +164,6 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
     Newton optimizer must reach the same best f per sign, and no worse beyond
     rounding.  Returns f and the ON-frame pairs.
     """
-    from homogeodesy.homogeneous import _orthonormalize
-
     xs, ys = random_pairs(kernel, rng, multistarts)
     f = sign * kernel.value(xs, ys)
     step = np.full(multistarts, 0.1)
@@ -158,7 +175,7 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
         gx, gy = g[:, : kernel.n], g[:, kernel.n :]
         gnorm = np.sqrt(np.sum(gx**2, axis=1) + np.sum(gy**2, axis=1)) + 1e-30
         scale = (sign * step[idx] / gnorm)[:, None]
-        nx, ny = _orthonormalize(xs[idx] + scale * gx, ys[idx] + scale * gy)
+        nx, ny = orthonormal_pairs(xs[idx] + scale * gx, ys[idx] + scale * gy)
         nf = sign * kernel.value(nx, ny)
         better = nf > f[idx]
         good = idx[better]
@@ -166,55 +183,6 @@ def optimize_pairs_one_sign(kernel, sign: float, rng, multistarts: int, max_iter
         step[good] = np.minimum(step[good] * 1.3, 0.5)
         step[idx[~better]] *= 0.5
     return sign * f, xs, ys
-
-
-def optimize_pairs_by_gather(kernel, signs, rng, multistarts: int, max_iter: int = 400):
-    """homogeneous.optimize_pairs with its step loop over every row: each step
-    gathers the live rows by a mask, and scatters the improved rows back.
-
-    The library keeps the live rows compacted instead, and writes a row out
-    once, when it stops.  Both pass the same rows, in the same order, to each
-    kernel call, so they must agree bit for bit."""
-    from homogeodesy.homogeneous import (
-        GRAD_RTOL,
-        START_SCREEN,
-        STOP_RTOL,
-        _orthonormalize,
-        _trial_pairs,
-        gaussian_pairs,
-    )
-
-    n, pool = kernel.n, START_SCREEN * multistarts
-    draws = [gaussian_pairs(rng, pool, n) for _ in signs]
-    xs, ys = (np.concatenate(part) for part in zip(*draws))
-    screen = np.asarray(signs)[:, None] * kernel.value(xs, ys).reshape(len(signs), pool)
-    best = np.argsort(-screen, axis=1, kind="stable")[:, :multistarts]
-    keep = (best + pool * np.arange(len(signs))[:, None]).ravel()
-    z = np.hstack(_orthonormalize(xs[keep], ys[keep]))
-    sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
-    f, g, h, frame = kernel.second_order(z[:, :n], z[:, n:])
-    r, nt = n - 2, frame.transpose(0, 2, 1)
-    quadrants = [h[:, a : a + r, b : b + r] for a in (0, r) for b in (0, r)]
-    mu = np.abs(f) + np.max([np.abs(frame @ q @ nt).max(axis=(1, 2)) for q in quadrants], axis=0)
-    flat = GRAD_RTOL * mu
-    active = np.linalg.norm(g, axis=1) > flat
-    steps = 0
-    while steps < max_iter and active.any():
-        steps += 1
-        idx = np.flatnonzero(active)
-        s, fi = sign[idx], f[idx]
-        trial, gain = _trial_pairs(z[idx], g[idx], h[idx], frame[idx], s, mu[idx])
-        nf, ng, nh, nframe = kernel.second_order(trial[:, :n], trial[:, n:])
-        better = (gain > 0) & (s * nf > s * fi)
-        good = idx[better]
-        z[good], f[good], g[good] = trial[better], nf[better], ng[better]
-        h[good], frame[good] = nh[better], nframe[better]
-        mu[idx] *= np.where(better, 0.2, 8.0)
-        rounding = STOP_RTOL * np.abs(fi)
-        done = (gain <= rounding) & (np.abs(nf - fi) <= rounding)
-        done |= better & (np.linalg.norm(ng, axis=1) <= flat[idx])
-        active[idx[done]] = False
-    return f, z[:, :n], z[:, n:], np.linalg.norm(g, axis=1), steps
 
 
 # -- multiplication tables ---------------------------------------------------
@@ -459,102 +427,6 @@ def bracket_tensor_einsum(space, w_k: float, w_m: float) -> np.ndarray:
     return tensor.reshape(len(m), -1)
 
 
-def torsion_op(space, u) -> np.ndarray:
-    """Matrix of x -> -[u, x]_m on the m-basis coordinates, from its own ad_u."""
-    ad = space.algebra.ad(u)
-    m = space.part_indices("M")
-    return -ad[np.ix_(m, m)]
-
-
-def jacobi_op(space, u) -> np.ndarray:
-    """Matrix of x -> [[u, x]_k, u] on the m-basis coordinates, from its own ad_u."""
-    ad = space.algebra.ad(u)
-    k = space.part_indices("K")
-    m = space.part_indices("M")
-    if len(k) == 0:
-        return np.zeros((len(m), len(m)))
-    return -ad[np.ix_(m, k)] @ ad[np.ix_(k, m)]
-
-
-def system_by_two_ad(space, u):
-    """(T, R, companion, ||T||_2) of jacobi.build_system for a unit u on m, with T
-    and R each from its own ad_u and the companion by np.block."""
-    t_on = space.chol_m.T @ torsion_op(space, u) @ space.frame_m
-    r_on = space.chol_m.T @ jacobi_op(space, u) @ space.frame_m
-    r_on, t_on = 0.5 * (r_on + r_on.T), 0.5 * (t_on - t_on.T)
-    companion = np.block([[np.zeros_like(r_on), np.eye(len(r_on))], [-r_on, t_on]])
-    return t_on, r_on, companion, np.linalg.norm(t_on, 2)
-
-
-def samples_by_insertion(sys, t_max: float, step: float, lip: float, delta: float):
-    """jacobi._samples with each level's new samples inserted into whole sample arrays.
-
-    The same grid, clearing test, jump points, midpoints and sigma_min
-    evaluator, called on the same batches (the grid, then each level's new
-    times in time order), for the L and delta of jacobi._samples.  A suspicious
-    interval [lo, hi] whose certified zero-free ends [lo, a) and (b, hi] leave
-    lo < a < b < hi with b - a at most half its width gets a and b; any other
-    suspicious interval at least _LEAF wide gets its midpoint.  After a level
-    the new times are inserted into the time and value arrays; an interval
-    that is not split is tested again at each later level and stays unsplit.
-    """
-    from homogeodesy.jacobi import _LEAF, _sigma_min
-
-    t = np.arange(step / 2.0, t_max + 1.5 * step, step)
-    f = _sigma_min(sys, t)
-    while True:
-        lo, hi, f_lo, f_hi = t[:-1], t[1:], f[:-1], f[1:]
-        width = hi - lo
-        suspicious = f_lo + f_hi <= lip * width + 2.0 * delta
-        a, b = lo + (f_lo - delta) / lip, hi - (f_hi - delta) / lip
-        jump = suspicious & (lo < a) & (a < b) & (b < hi) & (b - a <= 0.5 * width)
-        split = jump | suspicious & (width >= _LEAF)
-        if not split.any():
-            break
-        at = np.concatenate((np.flatnonzero(split), np.flatnonzero(jump)))
-        new = np.concatenate((np.where(jump, a, 0.5 * (lo + hi))[split], b[jump]))
-        order = np.argsort(at, kind="stable")  # a (or the midpoint) before b
-        at, new = at[order], new[order]
-        t, f = np.insert(t, at + 1, new), np.insert(f, at + 1, _sigma_min(sys, new))
-    return t, f, suspicious
-
-
-def newton_scalar(sys, lo, hi, t):
-    """One safeguarded Newton on sigma_min from t, one exponential per step.
-
-    The bracket [lo, hi] is bisected on the sign of sigma_min' when a step
-    leaves it or fails to halve the step before last; J = E_12 and J' = E_22
-    come from one E = exp(tA), and sigma_i' = u_i^T J' v_i.  Returns the last
-    probe (t, sv, vt, slopes) and whether it landed on a zero, stopping once
-    the bracket collapses.
-    """
-    from homogeodesy.jacobi import _MAX_NEWTON, _NEWTON_RTOL, _expm
-
-    n = sys.n
-    dx = dx_old = hi - lo
-    for _ in range(_MAX_NEWTON):
-        e = _expm(t * sys.companion)
-        u, sv, vt = np.linalg.svd(e[:n, n:])
-        slopes = np.einsum("ij,ji->i", u.T @ e[n:, n:], vt.T)
-        probe = (t, sv, vt, slopes)
-        if slopes[-1] < 0:
-            lo = t
-        else:
-            hi = t
-        step = sv[-1] / slopes[-1] if slopes[-1] else math.inf
-        if abs(step) <= _NEWTON_RTOL * t:
-            return probe, True
-        if hi - lo <= _NEWTON_RTOL * t:
-            break
-        if lo < t - step < hi and 2.0 * abs(step) <= abs(dx_old):
-            dx_old, dx = dx, step
-            t -= step
-        else:
-            dx_old, dx = dx, 0.5 * (hi - lo)
-            t = lo + dx
-    return probe, False
-
-
 def classify_two_pass(sys, kernel) -> tuple[bool, bool]:
     """(isotropic_exists, strictly_isotropic) of kernel rows in algebra
     coordinates, as a second pass over finished events: back to the ON frame,
@@ -565,76 +437,3 @@ def classify_two_pass(sys, kernel) -> tuple[bool, bool]:
     q, _ = np.linalg.qr(sys.space.to_frame(kernel).T)
     sv = np.linalg.svd(q - sys.complement_projector @ q, compute_uv=False)
     return bool(sv[-1] < RANK_TOL), bool(sv[0] < RANK_TOL)
-
-
-def refine_scalar(sys, ts, fs):
-    """The zeros in one run of suspicious cells (fs = sigma_min(ts)) by scalar
-    Newton, bracketed by the whole run, then a Newton from each close zero that
-    another singular value predicts inside the run; events are classified by
-    classify_two_pass.  The first Newton starts from the lowest sample k,
-    unless a cell [ts[i], ts[i + 1]] next to it (i = k - 1 or k, the one with
-    the smaller |ts[i + 1] - ts[i] - fs[i] - fs[i + 1]|) predicts its zero
-    from both ends, ts[i] + fs[i] and ts[i + 1] - fs[i + 1], to within
-    _NEWTON_RTOL * ts[i]: then it starts from the mean of the two predictions
-    if that lies in the cell.  A first Newton
-    that stops on an end of the run, sigma_min' pointing out of it, without
-    landing is no event: the run starts again from its other end, in the same
-    bracket, and that probe counts unless it fails the same way."""
-    from homogeodesy.jacobi import _NEWTON_RTOL, MULTIPLICITY_RTOL, ConjugateEvent
-
-    def stuck_at_end(probe, landed):
-        t, slope = probe[0], probe[3][-1]
-        return not landed and (
-            (slope > 0 and t - ts[0] <= _NEWTON_RTOL * t)
-            or (slope < 0 and ts[-1] - t <= _NEWTON_RTOL * t)
-        )
-
-    k = int(np.argmin(fs))
-    start, best = ts[k], math.inf
-    for i in (k - 1, k):
-        if i < 0 or i + 1 >= len(ts):
-            continue
-        gap = abs(ts[i + 1] - ts[i] - fs[i] - fs[i + 1])  # between the two predictions
-        if gap < best:
-            best, cell = gap, i
-    mean = 0.5 * (ts[cell] + ts[cell + 1]) + 0.5 * (fs[cell] - fs[cell + 1])
-    if best <= _NEWTON_RTOL * ts[cell] and ts[cell] <= mean <= ts[cell + 1]:
-        start = mean
-    probe, landed = newton_scalar(sys, ts[0], ts[-1], start)
-    if stuck_at_end(probe, landed):
-        other = ts[-1] if probe[3][-1] > 0 else ts[0]
-        probe, landed = newton_scalar(sys, ts[0], ts[-1], other)
-    found = [] if stuck_at_end(probe, landed) else [probe]
-    events = []
-    while found and len(events) < sys.n:
-        t, sv, vt, slopes = found.pop()
-        mult = int(np.sum(sv < MULTIPLICITY_RTOL * sv[0]))
-        if mult == 0:
-            continue
-        kernel = sys.space.from_frame(vt[sys.n - mult :])
-        events.append(ConjugateEvent(float(t), mult, kernel, *classify_two_pass(sys, kernel)))
-        for value, slope in zip(sv[: sys.n - mult], slopes):
-            if not slope:
-                continue
-            guess = t - value / slope
-            radius = 0.25 * abs(guess - t)
-            known = [ev.t for ev in events] + [other[0] for other in found]
-            if ts[0] < guess < ts[-1] and all(abs(guess - tk) > radius for tk in known):
-                probe, landed = newton_scalar(sys, guess - radius, guess + radius, guess)
-                if landed:
-                    found.append(probe)
-    return sorted(events, key=lambda ev: ev.t)
-
-
-def scan_by_scalar_newton(sys, t_max: float):
-    """jacobi.scan_conjugate_times with each run of suspicious cells refined on
-    its own by scalar Newton (refine_scalar), on the same samples."""
-    from homogeodesy.jacobi import _samples, default_scan_step
-
-    ts, fs, suspicious, _ = _samples(sys, t_max, default_scan_step(sys))
-    events = []
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], suspicious.astype(int), [0]))))
-    for first, last in zip(edges[::2], edges[1::2]):
-        run = refine_scalar(sys, ts[first : last + 1], fs[first : last + 1])
-        events += [ev for ev in run if ev.t <= t_max + 1e-12]
-    return events

@@ -251,6 +251,13 @@ def test_basis_matrix_validation():
         BasisMatrix("bad", 1j * np.eye(2))  # skew-Hermitian but traced
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_basis_matrix_refuses_non_finite_entries(bad):
+    # the checks read "not x <= tol", so a NaN, which compares False, fails them
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        BasisMatrix("bad", a_matrix(2, 1, 2) + np.diag([bad, 0.0]))
+
+
 def test_gram_rule_block_scaling():
     # two blocks, second weighted: the weight shows up in the Gram diagonal
     from homogeodesy.matrices import block_embed

@@ -270,6 +270,18 @@ def test_algebra_that_overflows_is_a_validation_error(capsys, argv):
     assert captured.err.startswith("validation error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("desc", ["berger:m=1,s=1e-310", "spsphere:m=1,s=1e-310"])
+def test_subnormal_fiber_scale_is_a_validation_error(capsys, desc):
+    # (s - 1)/s overflows at a subnormal s, and times a zero entry it would
+    # give NaN: refused where it arises, on one line naming s, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", desc])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "validation error: fiber factor (s - 1)/s overflows at s = 1e-310\n"
+
+
 @pytest.mark.parametrize("command", ["conjugate", "closedform"])
 def test_family_without_canonical_directions_is_refused_before_building(
     capsys, monkeypatch, command

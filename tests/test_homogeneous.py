@@ -34,7 +34,6 @@ from oracles import (
     ambient_second_order,
     bracket_tensor_einsum,
     naturally_reductive_curvature,
-    optimize_pairs_by_gather,
     optimize_pairs_one_sign,
     random_pairs,
     sampled_bracket_minimum,
@@ -571,34 +570,66 @@ LOOP_SPACES = [
 ]
 
 
+def _assert_rows_are_their_own(kernel, signs, multistarts, seed, checkpoints):
+    """optimize_pairs(kernel, signs, rng(seed), multistarts, k) at each k of checkpoints,
+    ascending: each row's f is the kernel's value at its returned pair and its |g| the
+    gradient norm there, to rounding; each pair is orthonormal; and s f never falls
+    from one k to the next, since a row keeps a step only when it improves f.  A
+    second call at the last k gives the same bits."""
+    sign = np.repeat(np.asarray(signs, dtype=float), multistarts)
+    before = None
+    for max_iter in checkpoints:
+        f, xs, ys, gnorm, steps = optimize_pairs(
+            kernel, signs, np.random.default_rng(seed), multistarts, max_iter
+        )
+        case = (signs, multistarts, seed, max_iter)
+        assert f.shape == gnorm.shape == (len(sign),) and 0 <= steps <= max_iter, case
+        # the order-0 value takes other products than the order-2 f, so they
+        # agree to a few ulp of the largest |f| (measured 1.7e-15 relative)
+        scale = max(1.0, np.abs(f).max())
+        np.testing.assert_allclose(kernel.value(xs, ys), f, rtol=0, atol=1e-13 * scale, err_msg=str(case))
+        # |g| is that of an order-2 call at the same pair (measured equal)
+        g = kernel.second_order(xs, ys)[1]
+        np.testing.assert_allclose(np.linalg.norm(g, axis=1), gnorm, rtol=0, atol=1e-13 * scale)
+        # one Gram-Schmidt pass leaves x.y at the unit roundoff times the
+        # condition of [x | y] (measured at most 2.2e-14)
+        pairs = np.stack((xs, ys), axis=1)
+        np.testing.assert_allclose(pairs @ pairs.transpose(0, 2, 1) - np.eye(2), 0.0, atol=1e-12)
+        if before is not None:
+            assert np.all(sign * f >= sign * before), case
+        before = f
+    again = optimize_pairs(kernel, signs, np.random.default_rng(seed), multistarts, checkpoints[-1])
+    assert again[4] == steps and all(
+        a.tobytes() == b.tobytes() for a, b in zip(again[:4], (f, xs, ys, gnorm))
+    )
+
+
 @pytest.mark.parametrize("desc", LOOP_SPACES)
 def test_compacted_loop_matches_the_gather_loop(desc):
     # the live rows kept compacted, and each written out once when it stops,
-    # give the same bits as gathering the live rows by a mask on every step
+    # leave every row with the result of its own start, step after step
     kernel = BracketKernel(build_space(desc), 1.0, 0.25)
-    cases = itertools.product([(1.0, -1.0), (-1.0,)], [3, 8, 32], [0, 1, 5, 400], [0, 2])
-    for signs, multistarts, max_iter, seed in cases:
-        got = optimize_pairs(kernel, signs, np.random.default_rng(seed), multistarts, max_iter)
-        want = optimize_pairs_by_gather(
-            kernel, signs, np.random.default_rng(seed), multistarts, max_iter
-        )
-        case = (signs, multistarts, max_iter, seed)
-        assert got[4] == want[4], case
-        for a, b in zip(got[:4], want[:4]):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), case
+    for signs, multistarts, seed in itertools.product([(1.0, -1.0), (-1.0,)], [3, 8, 32], [0, 2]):
+        _assert_rows_are_their_own(kernel, signs, multistarts, seed, [*range(6), 400])
 
 
 @pytest.mark.parametrize("desc", LOOP_SPACES)
-def test_rank_one_check_matches_the_gather_loop(monkeypatch, desc):
+def test_rank_one_check_matches_the_gather_loop(desc):
+    # the reported minimum is |[x, y]|^2 at the reported g-orthonormal pair, to
+    # rounding, and a second call with the same seed gives the same bits
     space = build_space(desc)
+    gram = space.algebra.gram
     for seed in (0, 2):
-        got = rank_one_check(space, seed)
-        with monkeypatch.context() as patched:
-            patched.setattr(homogeneous, "optimize_pairs", optimize_pairs_by_gather)
-            want = rank_one_check(space, seed)
-        assert got.to_dict() == want.to_dict()
-        assert got.argmin.x.tobytes() == want.argmin.x.tobytes()
-        assert got.argmin.y.tobytes() == want.argmin.y.tobytes()
+        rep, again = rank_one_check(space, seed), rank_one_check(space, seed)
+        assert rep.to_dict() == again.to_dict()
+        assert rep.argmin.x.tobytes() == again.argmin.x.tobytes()
+        assert rep.argmin.y.tobytes() == again.argmin.y.tobytes()
+        # Gram-Schmidt's rounding, as in _assert_rows_are_their_own; the
+        # einsum and the kernel take other products for |[x, y]|^2
+        x, y = rep.argmin.x, rep.argmin.y
+        np.testing.assert_allclose([x @ gram @ x, y @ gram @ y, x @ gram @ y], [1, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(_bracket_sq(space, x, y), rep.min_bracket_sq, rtol=1e-12, atol=1e-14)
+        _assert_rows_are_their_own(BracketKernel(space, 1.0, 1.0), (-1.0,), 64, seed, [0, 1, 2, 400])
 
 
 def test_flat_functions_stop_at_once(abelian_space):
