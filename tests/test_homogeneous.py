@@ -629,7 +629,8 @@ def test_rank_one_check_matches_the_gather_loop(desc):
         x, y = rep.argmin.x, rep.argmin.y
         np.testing.assert_allclose([x @ gram @ x, y @ gram @ y, x @ gram @ y], [1, 1, 0], atol=1e-12)
         np.testing.assert_allclose(_bracket_sq(space, x, y), rep.min_bracket_sq, rtol=1e-12, atol=1e-14)
-        _assert_rows_are_their_own(BracketKernel(space, 1.0, 1.0), (-1.0,), 64, seed, [0, 1, 2, 400])
+        kernel = BracketKernel(space, 1.0, 1.0)
+        _assert_rows_are_their_own(kernel, (-1.0,), homogeneous.RANK_ONE_MULTISTARTS, seed, [0, 1, 2, 400])
 
 
 def test_flat_functions_stop_at_once(abelian_space):
