@@ -52,7 +52,9 @@ class BasisMatrix:
         object.__setattr__(self, "entries", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"{self.label}: entries must be square")
-        if not np.max(np.abs(m + m.conj().T)) <= 1e-12:  # False on NaN too
+        if not np.isfinite(m).all():  # before any sum: inf - inf would warn
+            raise ValueError(f"{self.label}: entries must be finite")
+        if not np.max(np.abs(m + m.conj().T)) <= 1e-12:
             raise ValueError(f"{self.label}: not skew-Hermitian")
         if not abs(np.trace(m)) <= 1e-12:
             raise ValueError(f"{self.label}: nonzero trace")

@@ -2,18 +2,16 @@
 
 Along gamma_u the Jacobi fields vanishing at the origin are encoded by the
 n x n block J(t) mapping X'(0) to X(t), for X'' - T X' + R X = 0.  Conjugate
-times are the zeros of det J(t).  Samples of sigma_min(J) come from the modes
-of the system in its energy frame (JacobiSystem.modes), and a search
-certified by the energy bound ||J'|| <= 1 discards zero-free intervals, each
-new sample placed where the zero-free zone certified from an end of a
-suspicious interval stops, else at its midpoint (see _samples);
-Newton's method on sigma_min, on E(t) = exp(tA) of the 2n x 2n companion
-matrix A, refines each remaining run of suspicious intervals, bracketed by
-the run, in rounds of stacked starts (see scan_conjugate_times), each run's
-first start chosen by _refine.  Each refined event is classified where it is
-found, from its kernel rows (classify_isotropy), so scans return finished
-events.  scan_with_stats also returns the ScanStats of the scan, counted in
-_samples (grid, samples, batches, L, delta) and _newton (rounds, propagations).
+times are the zeros of det J(t).  J and J' come from the modes of the system
+in its energy frame (JacobiSystem.modes, _modal).  A search certified by the
+energy bound ||J'|| <= 1 samples sigma_min(J) and discards zero-free intervals
+(see _samples); Newton's method on sigma_min refines each remaining run of
+suspicious intervals, bracketed by the run, in rounds of stacked starts (see
+scan_conjugate_times), each run's first start chosen by _refine.  Each refined
+event is classified where it is found, from its kernel rows
+(classify_isotropy), so scans return finished events.  scan_with_stats also
+returns the ScanStats of the scan, counted in _samples (grid, samples,
+batches, L, delta) and _newton (rounds, propagations).
 
 All operators here act in a gram-orthonormal frame of m, so kernels, ranks
 and orthogonal complements use plain Euclidean geometry.
@@ -39,14 +37,6 @@ _BLOCK = 1024  # times per batch of sigma_min evaluations: bounds the (times, n,
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scipy.linalg.expm, imported and looked up at each call: only Newton and
-    fundamental_block load scipy, and a tracer patched onto scipy.linalg sees every call."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(a)
-
-
 class JacobiError(RuntimeError):
     pass
 
@@ -69,7 +59,7 @@ class BadAux(JacobiError):
 
 @dataclass(frozen=True)
 class JacobiSystem:
-    """T, R and the companion matrix for a unit direction u, in an ON frame of m.
+    """T and R for a unit direction u, in an ON frame of m.
 
     build_system owns the spectral data: r_evals and r_evecs come from its one
     eigh of R (ascending), norm_t is its one ||T||_2.  The R >= 0 check,
@@ -81,7 +71,6 @@ class JacobiSystem:
     u: np.ndarray
     T: np.ndarray
     R: np.ndarray
-    companion: np.ndarray
     r_evals: np.ndarray
     r_evecs: np.ndarray
     norm_t: float
@@ -93,6 +82,11 @@ class JacobiSystem:
     @property
     def norm_r(self) -> float:
         return float(max(-self.r_evals[0], self.r_evals[-1]))
+
+    @property
+    def companion(self) -> np.ndarray:
+        """[[0, I], [-R, T]], X'' = T X' - R X in first order, for ODE oracles."""
+        return np.block([[np.zeros_like(self.R), np.eye(self.n)], [-self.R, self.T]])
 
     @cached_property
     def complement_projector(self) -> np.ndarray:
@@ -170,8 +164,8 @@ class ScanStats:
 
 
 def build_system(space: ReductiveSpace, u) -> JacobiSystem:
-    """Assemble T, R and the companion [[0, I], [-R, T]] for the direction u,
-    with the one eigendecomposition of R and the one ||T||_2 of the system."""
+    """Assemble T and R for the direction u, with the one eigendecomposition of R
+    and the one ||T||_2 of the system."""
     uc = np.asarray(u, dtype=float).copy()
     norm = space.algebra.norm(uc)
     if not math.isfinite(norm):
@@ -189,13 +183,10 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
     r_on = 0.5 * (r_on + r_on.T)
     t_on = 0.5 * (t_on - t_on.T)
     evals, evecs = np.linalg.eigh(r_on)
-    n = len(r_on)
-    companion = np.zeros((2 * n, 2 * n))
-    companion[:n, n:], companion[n:, :n], companion[n:, n:] = np.eye(n), -r_on, t_on
-    for arr in (t_on, r_on, companion, uc, evals, evecs):
+    for arr in (t_on, r_on, uc, evals, evecs):
         arr.setflags(write=False)
     norm_t = np.linalg.svd(t_on, compute_uv=False)[0]  # ||T||_2, as np.linalg.norm(t_on, 2)
-    sys = JacobiSystem(space, uc, t_on, r_on, companion, evals, evecs, norm_t)
+    sys = JacobiSystem(space, uc, t_on, r_on, evals, evecs, norm_t)
     # rounding in T and R grows with their size, so (skew-)adjointness is tested relative to it
     if skew > 1e-9 * max(1.0, sys.norm_t) or sym > 1e-9 * max(1.0, sys.norm_r):
         raise JacobiError(
@@ -208,10 +199,10 @@ def build_system(space: ReductiveSpace, u) -> JacobiSystem:
 
 
 def fundamental_block(sys: JacobiSystem, t: float) -> np.ndarray:
-    """J(t): upper-right n x n block of exp(t * companion), maps X'(0) to X(t)."""
+    """J(t), which maps X'(0) to X(t), from the modes of the system (_modal)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return _expm(t * sys.companion)[: sys.n, sys.n :]
+    return _modal(sys, np.array([float(t)]))[0]
 
 
 def default_scan_step(sys: JacobiSystem) -> float:
@@ -222,20 +213,19 @@ def default_scan_step(sys: JacobiSystem) -> float:
 def _newton(sys: JacobiSystem, lo, hi, t):
     """Newton on sigma_min from t, in lockstep on rows of brackets [lo, hi]: a row
     bisects its bracket on the sign of sigma_min' when a step leaves it or fails
-    to halve the step before last.  A round takes one stacked E = exp(tA) at the
-    live times and one batched SVD; J = E_12, J' = E_22 (E' = AE) and sigma_i' =
-    u_i^T J' v_i.  Returns each row's last probe, stacked (t, sv, vt, slopes), whether it
-    landed on a zero (a row stops once its bracket collapses), rounds and propagations."""
+    to halve the step before last.  A round takes J and J' at the live times (_modal)
+    and one batched SVD of J; sigma_i' = u_i^T J' v_i.  Returns each row's last probe,
+    stacked (t, sv, vt, slopes), whether it landed on a zero (a row stops once its
+    bracket collapses), rounds and propagations."""
     n = sys.n
     dx = dx_old = hi - lo
     probes = tuple(np.empty((len(t), *shape)) for shape in ((), (n,), (n, n), (n,)))
     landed, rows, rounds, propagations = np.zeros(len(t), dtype=bool), np.arange(len(t)), 0, 0
     for _ in range(_MAX_NEWTON):
         rounds, propagations = rounds + 1, propagations + len(t)
-        e = _expm(t[:, None, None] * sys.companion)
-        u, sv, vt = np.linalg.svd(e[:, :n, n:])
-        j_prime = np.swapaxes(u, 1, 2) @ e[:, n:, n:]
-        slopes = np.einsum("rij,rji->ri", j_prime, np.swapaxes(vt, 1, 2))
+        j, j_prime = _modal(sys, t, slopes=True)
+        u, sv, vt = np.linalg.svd(j)
+        slopes = np.einsum("rij,rji->ri", np.swapaxes(u, 1, 2) @ j_prime, np.swapaxes(vt, 1, 2))
         probes[0][rows], probes[1][rows], probes[2][rows], probes[3][rows] = t, sv, vt, slopes
         f, d, left = sv[:, -1], slopes[:, -1], slopes[:, -1] < 0
         lo, hi = np.where(left, t, lo), np.where(left, hi, t)
@@ -264,7 +254,7 @@ def _refine(sys: JacobiSystem, ts, fs):
     lowest sample, the one whose predictions agree better gives their mean
     (lo + hi)/2 + (f_lo - f_hi)/2 when they agree to Newton's landing tolerance
     _NEWTON_RTOL * lo and the mean lies in the cell; Newton then lands in one
-    exponential.  Otherwise (a close pair, a wide cell, a zero-free run) the
+    propagation.  Otherwise (a close pair, a wide cell, a zero-free run) the
     start is the lowest sample.  At a zero t*, another singular value might
     vanish in the run too: one Newton step along sigma_i' predicts where, and a
     prediction inside the run is the next start.  A first probe that stops on
@@ -311,19 +301,28 @@ def _refine(sys: JacobiSystem, ts, fs):
     return sorted(events, key=lambda ev: ev.t)
 
 
-def _sigma_min(sys: JacobiSystem, ts: np.ndarray) -> np.ndarray:
-    """sigma_min(J(t)) at the times ts, _BLOCK per batch, as one real GEMM: J(t) =
-    Re(Q_2 diag(phi) Q_2^H), phi_k = int_0^t e^{-i w_k s} ds = t e^{-ix} sin(x)/x
-    with x = w_k t/2, so a flat mode (w_k = 0) needs no division by w_k."""
+def _modal(sys: JacobiSystem, ts: np.ndarray, slopes: bool = False):
+    """J(t), and J'(t) if slopes, at the times ts, each (len(ts), n, n) by one real GEMM
+    against the basis of sys.modes: e^{tK} = Q diag(e^{-iwt}) Q^H gives J'(t) = Re(Q_2
+    diag(e^{-iwt}) Q_2^H) and J(t) = Re(Q_2 diag(phi) Q_2^H), phi_k = int_0^t e^{-i w_k s}
+    ds = t e^{-ix} sin(x)/x with x = w_k t/2, so a flat mode needs no division by w_k."""
     n, (w, basis) = sys.n, sys.modes[:2]
+    x = ts[:, None] * (0.5 * w)
+    sin = np.sin(x)
+    scale = ts[:, None] * np.divide(sin, x, out=np.ones_like(x), where=x != 0.0)
+    j = (np.concatenate((scale * np.cos(x), scale * sin), axis=1) @ basis).reshape(-1, n, n)
+    if not slopes:
+        return j
+    wt = 2.0 * x  # = t w exactly
+    return j, (np.concatenate((np.cos(wt), np.sin(wt)), axis=1) @ basis).reshape(-1, n, n)
+
+
+def _sigma_min(sys: JacobiSystem, ts: np.ndarray) -> np.ndarray:
+    """sigma_min(J(t)) at the times ts, _BLOCK per batch, J from _modal."""
     out = np.empty(len(ts))
     for start in range(0, len(ts), _BLOCK):
-        t = ts[start : start + _BLOCK, None]
-        x = t * (0.5 * w)
-        sin = np.sin(x)
-        scale = t * np.divide(sin, x, out=np.ones_like(x), where=x != 0.0)
-        j = np.concatenate((scale * np.cos(x), scale * sin), axis=1) @ basis
-        out[start : start + _BLOCK] = np.linalg.svd(j.reshape(-1, n, n), compute_uv=False)[:, -1]
+        j = _modal(sys, ts[start : start + _BLOCK])
+        out[start : start + _BLOCK] = np.linalg.svd(j, compute_uv=False)[:, -1]
     return out
 
 
@@ -471,8 +470,8 @@ def scan_conjugate_times(sys: JacobiSystem, t_max: float) -> list[ConjugateEvent
     minus a third of its width, where the range is certified zero-free or in
     earlier runs.  Each round stacks the next Newton start (lo, hi, t) of every
     run still searching, as _refine chooses it, into one safeguarded Newton on
-    exp(tA) (_newton) to a relative step of 1e-14, and sends each row's probe
-    back to its run.
+    the modal J and J' (_newton) to a relative step of 1e-14, and sends each
+    row's probe back to its run.
     Multiplicity and kernel come from the singular values below 1e-7 *
     sigma_max at the refined time, and each event comes back classified
     (classify_isotropy on its kernel).

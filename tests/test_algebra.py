@@ -1,6 +1,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,11 +252,14 @@ def test_basis_matrix_validation():
         BasisMatrix("bad", 1j * np.eye(2))  # skew-Hermitian but traced
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(0, -np.inf)])
 def test_basis_matrix_refuses_non_finite_entries(bad):
-    # the checks read "not x <= tol", so a NaN, which compares False, fails them
-    with pytest.raises(ValueError, match="skew-Hermitian"):
-        BasisMatrix("bad", a_matrix(2, 1, 2) + np.diag([bad, 0.0]))
+    # refused before the skew-Hermitian test, whose sum m + m^H would turn an
+    # imaginary inf into inf - inf = NaN with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            BasisMatrix("bad", a_matrix(2, 1, 2) + np.diag([bad, 0.0]))
 
 
 def test_gram_rule_block_scaling():

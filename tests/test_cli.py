@@ -27,7 +27,7 @@ def run_cli(capsys, *argv):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # the runtime uses scipy.linalg only; scipy.optimize alone adds ~0.3 s
+    # the runtime uses no scipy (test_no_path_loads_scipy); scipy.optimize alone adds ~0.3 s
     src = str(Path(homogeodesy.__file__).resolve().parents[1])
     code = "import sys; sys.path.insert(0, sys.argv[1]); import homogeodesy; "
     code += "print(homogeodesy.__file__, 'scipy.optimize' in sys.modules)"
@@ -38,48 +38,55 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert loaded == "False"
 
 
-def test_only_a_scan_loads_scipy():
-    # scipy.linalg.expm is imported at the first Newton round of a scan, or at
-    # fundamental_block; samples come from the modes of K, so a scan that finds
-    # no suspicious run and nothing else needs scipy
+def test_no_path_loads_scipy():
+    # J and J' come from the modes of K (jacobi._modal), so no library path needs
+    # scipy: the import, the builders, pinching, the closed forms, verify, a scan
+    # with Newton rounds, fundamental_block and each CLI command
     src = str(Path(homogeodesy.__file__).resolve().parents[1])
     code = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 sys.path.insert(0, sys.argv[1])
 import homogeodesy as hg
 from homogeodesy.cli import main
+from homogeodesy.report import run_verify
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-steps = []
-steps.append(("import", scipy_modules()))
-space = hg.build_space("berger:m=1,s=0.5")
-steps.append(("build_space", scipy_modules()))
-hg.estimate_pinching(space, multistarts=4)
-steps.append(("estimate_pinching", scipy_modules()))
-hg.closed_form_times(hg.extract_cp_data(space, *hg.geodesic_pair(space, 0.7)), 6.0)
-steps.append(("closed_form_times", scipy_modules()))
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["verify", "cpodd:m=1"]) == 0
-steps.append(("verify", scipy_modules()))
-sys_ = hg.build_system(space, hg.geodesic_direction(space, 0.7))
-assert hg.scan_conjugate_times(sys_, 2.0) == []
-steps.append(("scan without a run", scipy_modules()))
-for step, loaded in steps:
+def check(step):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not loaded, (step, loaded)
-if sys.argv[2] == "scan":
-    assert hg.scan_conjugate_times(sys_, 6.0)  # two events, so Newton rounds
-else:
-    hg.fundamental_block(sys_, 1.0)
-assert "scipy.linalg" in sys.modules
+
+check("import")
+space = hg.build_space("berger:m=1,s=0.5")
+check("build_space")
+hg.estimate_pinching(space, multistarts=4)
+check("estimate_pinching")
+hg.closed_form_times(hg.extract_cp_data(space, *hg.geodesic_pair(space, 0.7)), 6.0)
+check("closed_form_times")
+assert run_verify(hg.build_space("cpodd:m=1"))["pass"]
+check("run_verify")
+sys_ = hg.build_system(space, hg.geodesic_direction(space, 0.7))
+events, stats = hg.scan_with_stats(sys_, 6.0)
+assert events and stats.newton_rounds > 0
+check("scan with Newton rounds")
+hg.fundamental_block(sys_, 1.0)
+check("fundamental_block")
+commands = [
+    ["list"],
+    ["verify", "berger:m=1,s=0.5"],
+    ["brackets", "berger:m=1,s=0.5"],
+    ["conjugate", "b13", "--theta", "0.7", "--tmax", "6"],
+    ["closedform", "b13", "--theta", "0.7", "--tmax", "6"],
+    ["pinching", "berger:m=1,s=0.5", "--multistarts", "4"],
+    ["reproduce", "conjB13"],
+]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", os.devnull]) == 0, argv
+    check(argv[0])
 print("ok")
 """
-    for loader in ("scan", "fundamental_block"):
-        argv = [sys.executable, "-c", code, src, loader]
-        proc = subprocess.run(argv, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "ok\n"
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_list_command(capsys):

